@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gamma as _scipy_gamma
 
 __all__ = [
     "Side",
@@ -266,10 +265,16 @@ def gamma_fn(x):
     if np.any(at_pole):
         bad = arr[at_pole].flat[0] if arr.ndim else float(arr)
         raise ValueError(f"gamma pole at non-positive integer argument {bad}")
-    out = _scipy_gamma(arr)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return _gamma(float(arr))
+    return np.vectorize(_gamma, otypes=[float])(arr)
+
+
+def _gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except OverflowError:  # past x ~ 171.6 the value is beyond the float range
+        return math.inf
 
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -280,10 +285,10 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
+    k = np.arange(1.0, count + 1.0)
     w = np.empty(count + 1)
     w[0] = 1.0
-    for k in range(1, count + 1):
-        w[k] = w[k - 1] * (k - 1 - alpha) / k
+    w[1:] = np.cumprod((k - 1.0 - alpha) / k)
     return w
 
 

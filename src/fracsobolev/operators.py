@@ -4,7 +4,8 @@ Grid-side operators identify a :class:`SampledFunction` with its
 piecewise-linear interpolant:
 
 * ``frac_integral``   product-trapezoidal rule, exact on piecewise-linear
-  input, evaluated by convolution against the Toeplitz kernels,
+  input, evaluated as one lower-triangular Toeplitz product against the
+  merged kernel of both cell ends,
 * ``rl_derivative``   the exact derivative-of-lifted-integral form
   (differentiate ``I^{1-alpha}`` of the interpolant analytically; never a
   finite difference of the integral),
@@ -13,6 +14,15 @@ piecewise-linear interpolant:
 * ``caputo_derivative``  the lower-order integral of the interpolant's
   slope, so the classical relation ``D = u(a) kernel + Caputo`` holds to
   machine precision at the discrete level.
+
+Every one-sided grid operator is a Volterra convolution, and all of them
+go through the one primitive :func:`_toeplitz`, which picks its path from
+the input length alone: up to ``_DIRECT_SIZE`` samples it sums directly;
+longer inputs take one zero-padded real FFT product, after which the first
+``_DIRECT_SIZE`` outputs are overwritten by direct sums (the
+Hairer-Lubich-Schlichte split into a direct head and an FFT tail).  The
+values next to the base node, which the endpoint extrapolation and the
+singular-power fit read, are therefore exact sums at every grid size.
 
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.
@@ -39,7 +49,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import (
     FracOrder,
@@ -73,13 +82,33 @@ __all__ = [
 
 _SCHEMES = ("product_rl", "grunwald", "caputo", "marchaud", "spectral")
 _ANNIHILATION_TOL = 1e-12
+# convolutions of up to this many samples, and this many leading outputs
+# of longer ones, are direct sums (see _toeplitz)
+_DIRECT_SIZE = 256
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution; direct for small inputs, FFT beyond that."""
-    if a.size * b.size <= 1 << 22:
-        return np.convolve(a, b)
-    return fftconvolve(a, b)
+def _toeplitz(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """First ``len(x)`` terms of the convolution ``x * k``.
+
+    This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
+    k[j-i] x[i]`` (``k`` needs at least ``len(x)`` entries; later ones are
+    ignored).  The path depends only on ``n = len(x)``: for ``n <=
+    _DIRECT_SIZE`` every output is a direct sum; otherwise the product is
+    one ``rfft``/``irfft`` pair zero-padded to the power of two at least
+    ``2n - 1`` (so no term wraps around), and its first ``_DIRECT_SIZE``
+    outputs are replaced by direct sums.  The FFT's error is relative to
+    the largest terms, so this keeps the small values next to the base
+    node exact sums instead of roundoff of the far ones.
+    """
+    n = x.size
+    k = k[:n]
+    if n <= _DIRECT_SIZE:
+        return np.convolve(x, k)[:n]
+    size = 1 << (2 * n - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(k, size), size)[:n]
+    head = slice(_DIRECT_SIZE)
+    out[head] = np.convolve(x[head], k[head])[head]
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,11 +253,13 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     grid = u.grid
     n = grid.n
     f_left, f_right = product_kernels(alpha, n)
-    kernel_left = np.concatenate([[0.0], f_left])
-    conv_left = _convolve(regular, kernel_left)[: n + 1]
-    conv_right = _convolve(regular, f_right)[: n + 1]
-    spurious = regular[0] * np.concatenate([f_right, [0.0]])
-    out = (grid.h**alpha / gamma_fn(alpha)) * (conv_left + conv_right - spurious)
+    # cell m contributes fL(m) u[j-m] + fR(m) u[j-m+1]: one kernel for both ends
+    right = np.append(f_right, 0.0)
+    kernel = right.copy()
+    kernel[1:] += f_left
+    # the right-end kernel also reaches the missing cell m = j + 1 through u[0]
+    spurious = regular[0] * right
+    out = (grid.h**alpha / gamma_fn(alpha)) * (_toeplitz(regular, kernel) - spurious)
 
     out_power: tuple[float, float] | None = None
     if power is not None:
@@ -251,7 +282,7 @@ def _l1_slope_sum(regular: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     slopes = np.diff(regular) / grid.h
     m = np.arange(1, n + 1, dtype=float)
     g = np.power(m, 1.0 - alpha) - np.power(m - 1.0, 1.0 - alpha)
-    conv = _convolve(slopes, g)[:n]
+    conv = _toeplitz(slopes, g)
     out = np.zeros(n + 1)
     out[1:] = (grid.h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * conv
     return out
@@ -316,7 +347,7 @@ def gl_derivative(
         raise ValueError("Grunwald-Letnikov needs finite nodal values everywhere")
     n = u.grid.n
     w = gl_weights(alpha, n)
-    out = _convolve(vals, w)[: n + 1] / u.grid.h**alpha
+    out = _toeplitz(vals, w) / u.grid.h**alpha
     return SampledFunction(u.grid, out)
 
 

@@ -520,9 +520,9 @@ def check_ftwfc(
     g = su.grid
     kc = endpoint_constant(su, alpha, side)
     deriv = rl_derivative(su, alpha, side)
-    recon = kc.c_value * kappa(alpha, side, g).values + frac_integral(
-        deriv, alpha, side
-    ).values
+    with np.errstate(invalid="ignore"):  # c = 0 times the base marker is 0 * inf
+        kernel_part = kc.c_value * kappa(alpha, side, g).values
+    recon = kernel_part + frac_integral(deriv, alpha, side).values
     recon = probe_scale * recon
     residual = _rel_linf(recon, su.values, _interior_mask(g))
     notes = (

@@ -291,6 +291,21 @@ class TestIoBehaviour:
         assert capsys.readouterr().out.startswith("PASS fundamental_theorem")
 
 
+class TestColdStart:
+    def test_importing_the_cli_loads_no_scipy(self):
+        # scipy is imported lazily, only for the zeta function in spaces;
+        # importing it at start-up took most of a short command's time
+        code = (
+            "import fracsobolev.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+
 class TestCsvFormat:
     def test_singular_markers_and_metadata_survive(self, tmp_path):
         g = Grid(0.0, 1.0, 4)

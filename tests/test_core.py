@@ -53,6 +53,9 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_fn(np.array([1.0, -3.0]))
 
+    def test_overflow_is_infinite(self):
+        assert gamma_fn(180.0) == math.inf
+
     def test_vectorized(self):
         x = np.array([0.5, 2.5, 7.25])
         out = gamma_fn(x)
@@ -76,6 +79,16 @@ class TestGLWeights:
         partial = np.cumsum(w)
         assert partial[-1] == pytest.approx(0.0, abs=5e-3)
         assert np.all(partial > 0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.85])
+    def test_matches_the_recurrence_on_a_long_run(self, alpha):
+        count = 1 << 16
+        expected = [1.0]
+        for k in range(1, count + 1):
+            expected.append(expected[-1] * (k - 1 - alpha) / k)
+        w = gl_weights(alpha, count)
+        assert w.shape == (count + 1,)
+        assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(w))
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=50, deadline=None)

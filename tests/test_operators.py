@@ -6,6 +6,7 @@ digits) rather than recomputed with the code under test.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -27,8 +28,10 @@ from fracsobolev.oracle import (
     sample_line,
 )
 from fracsobolev.operators import (
+    _DIRECT_SIZE,
     KernelConstant,
     OperatorSpec,
+    _toeplitz,
     caputo_derivative,
     endpoint_constant,
     frac_derivative,
@@ -111,6 +114,37 @@ class TestFracIntegral:
             vals = (g.nodes - g.a) ** -1.2
         with pytest.raises(ValueError, match="not locally integrable"):
             frac_integral(SampledFunction(g, vals), 0.5)
+
+
+class TestToeplitzProduct:
+    def test_agrees_with_direct_sums_across_the_path_switch(self):
+        rng = np.random.default_rng(5)
+        for n in (_DIRECT_SIZE, _DIRECT_SIZE + 1, 3000):
+            x = rng.standard_normal(n)
+            k = rng.standard_normal(n + 3)  # entries past len(x) are ignored
+            direct = np.convolve(x, k[:n])[:n]
+            out = _toeplitz(x, k)
+            assert out.shape == (n,)
+            scale = np.max(np.abs(x)) * np.sum(np.abs(k[:n]))
+            assert np.max(np.abs(out - direct)) <= 1e-14 * scale
+            # the head is summed directly on either path
+            assert np.array_equal(out[:_DIRECT_SIZE], direct[:_DIRECT_SIZE])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_near_base_values_are_accurate_on_a_large_grid(self, alpha):
+        # an FFT alone is accurate only relative to the largest terms: on this
+        # grid it leaves relative errors near 1e-8 at the first nodes
+        g = unit_grid(65536)
+        x = g.nodes
+        u = SampledFunction(g, x.copy())
+        first = slice(1, 9)
+        cases = (
+            (frac_integral(u, alpha), x ** (1.0 + alpha) / math.gamma(2.0 + alpha)),
+            (rl_derivative(u, alpha), x ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
+        )
+        for computed, exact in cases:
+            rel = np.abs(computed.values[first] - exact[first]) / exact[first]
+            assert np.max(rel) <= 1e-13
 
 
 class TestRlDerivative:

@@ -76,7 +76,8 @@ def interior_rl_weights(n: int, alpha: float, side: Side) -> np.ndarray:
 
 
 def assert_rl_weights_are_transposes(alpha: float) -> None:
-    # n^2 <= 2^22 keeps _convolve on its direct path, as at the suite's n = 2048
+    # n <= operators._DIRECT_SIZE (256) keeps every convolution output a direct
+    # sum; past that the FFT tail rounds differently on the two sides
     for n in (64, 256):
         left = interior_rl_weights(n, alpha, Side.LEFT)
         right = interior_rl_weights(n, alpha, Side.RIGHT)
@@ -256,6 +257,18 @@ class TestIntegrationByParts:
         g = unit_grid(2048)
         u = sample(Bump(0.4, 0.2), g)
         rep = check_ibp(u, u, 0.75, variant="symmetric")
+        assert rep.passed
+        assert max(rep.residuals) <= g.n * 2.0**-53
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_zero_trace_pair_on_large_grids(self, n):
+        # the derivatives of these bumps vanish next to the base node, and the
+        # convolution's direct head must keep them exact zeros there: FFT
+        # roundoff in their place fits as a non-integrable singular power
+        g = uniform_grid(0, 1, n)
+        u = sample(Bump(0.45, 0.2), g)
+        v = sample(Bump(0.55, 0.3), g)
+        rep = check_ibp(u, v, 0.5, variant="one_sided_zero_trace")
         assert rep.passed
         assert max(rep.residuals) <= g.n * 2.0**-53
 
