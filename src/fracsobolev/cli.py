@@ -31,7 +31,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, operators, spaces
 from .core import Grid, LineFunction, SampledFunction, Side, uniform_grid
 from .operators import frac_derivative, frac_integral, rl_derivative
 from .oracle import ClosedFormFunction, parse_function_spec, sample, sample_line
@@ -46,17 +46,9 @@ from .verify import (
     check_weak_pairing,
 )
 
-_SCHEMES = ("rl", "product_rl", "gl", "grunwald", "caputo", "marchaud", "spectral")
 _SCHEME_ALIASES = {"rl": "product_rl", "gl": "grunwald"}
-_SPACES = (
-    "one_sided_left",
-    "one_sided_right",
-    "symmetric",
-    "zero_trace_left",
-    "zero_trace_right",
-    "gagliardo",
-    "fourier",
-)
+_SCHEMES = (*_SCHEME_ALIASES, *operators._SCHEMES)
+_SPACES = spaces._FAMILIES
 
 
 class _UsageError(ValueError):

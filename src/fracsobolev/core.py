@@ -292,6 +292,12 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return w
 
 
+# product_kernels sums binomial series of this many terms per parity for
+# the cells m - 1 >= _SERIES_FROM max(1, |alpha - 1|)
+_SERIES_FROM = 17
+_SERIES_TERMS = 6
+
+
 def product_kernels(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Convolution kernels behind the product-trapezoidal integral.
 
@@ -300,21 +306,61 @@ def product_kernels(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
         I_j = h**alpha / Gamma(alpha) * (sum_m fL(m) u[j-m] + fR(m) u[j-m+1])
 
-    over cells ``m = 1..j``.  Returns ``(fL, fR)`` for ``m = 1..n`` where
+    over cells ``m = 1..j``.  Returns ``(fL, fR)`` for ``m = 1..n`` where,
+    with ``M = m - 1``,
 
-        fL(m) = P(m) - (m - 1) Q(m),   fR(m) = m Q(m) - P(m),
+        fL(m) = int_0^1 (M + s)**(a-1) s ds     = P(m) - M Q(m),
+        fR(m) = int_0^1 (M + s)**(a-1) (1-s) ds = m Q(m) - P(m),
         P(m) = (m**(a+1) - (m-1)**(a+1)) / (a+1),
         Q(m) = (m**a - (m-1)**a) / a.
 
-    At ``alpha = 1`` these collapse to the composite trapezoid rule.
+    The closed forms subtract terms of size ``m**a`` to leave ``m**(a-1)``
+    and lose about ``log10(m**2)`` digits, so from ``M >= 17 max(1, |a-1|)``
+    on the kernels come from the binomial series of ``(c + s)**(a-1)``
+    about the cell midpoint ``c = M + 1/2``, ``|s| <= 1/2``.  Odd powers of
+    ``s`` drop out of the symmetric part and even ones out of the other:
+    with ``y = (2c)**-2 <= 1/35**2``,
+
+        fL, fR = c**(a-1) (S + A / (2c)), c**(a-1) (S - A / (2c)),
+        S = sum_j C(a-1, 2j) y**j / (4j + 2),
+        A = sum_j C(a-1, 2j+1) y**j / (4j + 6),
+
+    each summed by Horner over ``_SERIES_TERMS`` terms (the first one
+    left out is below 1e-18 of the sum).  At ``alpha = 1`` both collapse
+    to the composite trapezoid rule.
     """
     m = np.arange(1, n + 1, dtype=float)
-    pa = np.power(m, alpha + 1.0) - np.power(m - 1.0, alpha + 1.0)
-    qa = np.power(m, alpha) - np.power(m - 1.0, alpha)
+    cut = min(n, math.ceil(_SERIES_FROM * max(1.0, abs(alpha - 1.0))))
+    near = m[:cut]
+    pa = np.power(near, alpha + 1.0) - np.power(near - 1.0, alpha + 1.0)
+    qa = np.power(near, alpha) - np.power(near - 1.0, alpha)
     p = pa / (alpha + 1.0)
     q = qa / alpha
-    f_left = p - (m - 1.0) * q
-    f_right = m * q - p
+    f_left = np.empty(n)
+    f_right = np.empty(n)
+    f_left[:cut] = p - (near - 1.0) * q
+    f_right[:cut] = near * q - p
+
+    mid = m[cut:] - 0.5
+    y = 0.25 / (mid * mid)
+    binom = [1.0]  # C(alpha - 1, k)
+    for k in range(1, 2 * _SERIES_TERMS):
+        binom.append(binom[-1] * (alpha - k) / k)
+    even = [binom[2 * j] / (4 * j + 2) for j in range(_SERIES_TERMS)]
+    odd = [binom[2 * j + 1] / (4 * j + 6) for j in range(_SERIES_TERMS)]
+    sym = np.full_like(mid, even[-1])
+    anti = np.full_like(mid, odd[-1])
+    for c_even, c_odd in zip(even[-2::-1], odd[-2::-1]):
+        sym *= y
+        sym += c_even
+        anti *= y
+        anti += c_odd
+    lead = np.power(mid, alpha - 1.0)
+    sym *= lead
+    anti *= lead
+    anti *= 0.5 / mid
+    np.add(sym, anti, out=f_left[cut:])
+    np.subtract(sym, anti, out=f_right[cut:])
     return f_left, f_right
 
 

@@ -18,14 +18,18 @@ piecewise-linear interpolant:
 Every one-sided grid operator is a Volterra convolution, and all of them
 go through the one primitive :func:`_toeplitz`, which picks its path from
 the input length alone: up to ``_DIRECT_SIZE`` samples it sums directly;
-longer inputs take one zero-padded real FFT product, after which the first
-``_DIRECT_SIZE`` outputs are overwritten by direct sums (the
-Hairer-Lubich-Schlichte split into a direct head and an FFT tail).  The
-values next to the base node, which the endpoint extrapolation and the
-singular-power fit read, are therefore exact sums at every grid size.
+longer inputs have their first ``_DIRECT_SIZE`` outputs summed directly
+and the rest from zero-padded real FFT products over prefixes that grow
+by ``_LEVEL_FACTOR`` (the Hairer-Lubich-Schlichte split into a direct
+head and an FFT tail, with the tail in levels).  The values next to the
+base node, which the endpoint extrapolation and the singular-power fit
+read, are therefore exact sums at every grid size, and the FFT roundoff
+of an output is relative to terms at most a few levels further out.
 
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
-act on :class:`LineFunction` windows of the real line.
+act on :class:`LineFunction` windows of the real line.  On the uniform
+grid the Marchaud integral is linear in the samples with a fixed kernel,
+so it is one more :func:`_toeplitz` product.
 
 Every right-sided operator is the reflection conjugate of the left code
 path: reflect the samples through the midpoint, apply the left algorithm,
@@ -85,6 +89,8 @@ _ANNIHILATION_TOL = 1e-12
 # convolutions of up to this many samples, and this many leading outputs
 # of longer ones, are direct sums (see _toeplitz)
 _DIRECT_SIZE = 256
+# past the direct head, outputs [L, 8 L) come from the first 8 L samples
+_LEVEL_FACTOR = 8
 
 
 def _toeplitz(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -93,21 +99,35 @@ def _toeplitz(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
     k[j-i] x[i]`` (``k`` needs at least ``len(x)`` entries; later ones are
     ignored).  The path depends only on ``n = len(x)``: for ``n <=
-    _DIRECT_SIZE`` every output is a direct sum; otherwise the product is
+    _DIRECT_SIZE`` every output is a direct sum.  Otherwise the first
+    ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in levels:
+    outputs ``[L, 8 L)`` from the product of the first ``8 L`` samples
+    for ``L = _DIRECT_SIZE, 8 _DIRECT_SIZE, ...`` while ``4 * 8 L <= n``,
+    and the remaining outputs from the product of all ``n``.  Each product is
     one ``rfft``/``irfft`` pair zero-padded to the power of two at least
-    ``2n - 1`` (so no term wraps around), and its first ``_DIRECT_SIZE``
-    outputs are replaced by direct sums.  The FFT's error is relative to
-    the largest terms, so this keeps the small values next to the base
-    node exact sums instead of roundoff of the far ones.
+    ``2 stop - 1`` (so no term wraps around).  An FFT's error is relative
+    to the largest terms it sums, so the small values next to the base
+    node are exact sums, and each level's roundoff is relative to terms at
+    most ``8`` (on the top level ``32``) times further out instead of to the
+    far end of the grid.  The lower levels cost at most about a third of
+    the top product.
     """
     n = x.size
     k = k[:n]
     if n <= _DIRECT_SIZE:
         return np.convolve(x, k)[:n]
-    size = 1 << (2 * n - 2).bit_length()
-    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(k, size), size)[:n]
+    out = np.empty(n)
     head = slice(_DIRECT_SIZE)
     out[head] = np.convolve(x[head], k[head])[head]
+    start = _DIRECT_SIZE
+    while start < n:
+        stop = _LEVEL_FACTOR * start
+        if 4 * stop > n:
+            stop = n
+        size = 1 << (2 * stop - 2).bit_length()
+        level = np.fft.irfft(np.fft.rfft(x[:stop], size) * np.fft.rfft(k[:stop], size), size)
+        out[start:stop] = level[start:stop]
+        start = stop
     return out
 
 
@@ -451,6 +471,13 @@ def marchaud_derivative(
     of the integral modelled at first order through the local slope.  The
     unresolved remainder is bounded by
     :func:`marchaud_small_offset_bound`.
+
+    An offset ``t = (k + theta) h`` reads the interpolant at
+    ``u(x_j - t) = (1-theta) u[j-k] + theta u[j-k-1]`` (zero for negative
+    indices), so all offsets fold into one kernel applied by
+    :func:`_toeplitz`.  Left of the window the interpolant is 0, not the
+    blend of ``u[0]`` with 0, so at output ``j = k`` (``theta > 0``) the
+    ``(1-theta) u[0]`` term is taken back out.
     """
     side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
@@ -472,13 +499,24 @@ def marchaud_derivative(
     ds = s[1] - s[0]
 
     vals = u.values
-    diff_at = np.empty((count, x.size))
-    for k, t in enumerate(offsets):
-        diff_at[k] = (vals - u.interp(x - t)) * t**-alpha  # (u(x)-u(x-t)) t^{-1-alpha} * t
-    # trapezoid in log-offset space; the t factor above is the Jacobian
-    weights = np.full(count, ds)
-    weights[0] = weights[-1] = ds / 2.0
-    integral = weights @ diff_at
+    # (u(x)-u(x-t)) t^{-1-alpha} summed by the trapezoid rule in log-offset
+    # space, whose Jacobian t leaves the weight w t^{-alpha} per offset
+    weight = np.full(count, ds)
+    weight[0] = weight[-1] = ds / 2.0
+    weight *= offsets**-alpha
+    # u(x_j - t) = (1-theta) u[j-k] + theta u[j-k-1] for t = (k + theta) h:
+    # each offset adds to taps k and k+1, and u(x_j) to tap 0
+    k, theta = np.divmod(offsets / h, 1.0)
+    k = k.astype(int)
+    size = x.size + 1
+    near = weight * (1.0 - theta)
+    kernel = -(np.bincount(k, near, size) + np.bincount(k + 1, weight * theta, size))
+    kernel[0] += weight.sum()
+    integral = _toeplitz(vals, kernel)
+    # left of the window np.interp gives 0, not (1-theta) u[0]: that tap
+    # reaches output j = k when theta > 0, so take it back out
+    behind = theta > 0.0
+    integral += vals[0] * np.bincount(k[behind], near[behind], size)[: x.size]
 
     # sub-grid offsets, modelled at first order through the local slope
     slope = np.gradient(vals, h, edge_order=2)

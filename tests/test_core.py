@@ -33,6 +33,25 @@ GAMMA_NEG_HALF = -3.5449077018110320546
 GAMMA_10P3 = 716430.68906237524455
 INV_GAMMA_1P5 = 1.1283791670955125739  # = 2/sqrt(pi)
 G2_OVER_G2P5 = 0.7522527780636750493
+# product-trapezoid kernels (fL(m), fR(m)) for alpha = 0.3 and 0.7, mpmath 30 digits
+PRODUCT_KERNELS = {
+    0.3: {
+        2: (0.354356181175791284231858593801, 0.416125196640596330766118303424),
+        17: (0.0697795156572688901565509300406, 0.0707735633006687185309482855329),
+        18: (0.0669897098054185835662010593556, 0.0678890932445459156893344065765),
+        100: (0.0199520028315944843140951694083, 0.0199988466820812700100886622144),
+        1000: (0.00397256828396248151602933937554, 0.00397349578858372848866369834936),
+        65536: (0.000212537515334624263088319691811, 0.000212538272056938069113078427419),
+    },
+    0.7: {
+        2: (0.430797111080889652465692748181, 0.461352592794068983562048345463),
+        17: (0.214997012754287691821149644277, 0.216304267290594924975857267132),
+        18: (0.211270463582172462618798632577, 0.212481414596399179000594453462),
+        100: (0.125720325966625565990083488089, 0.125846742325824309248978923509),
+        1000: (0.0629525672634626901619477529447, 0.0629588659848544614587930873551),
+        65536: (0.017948439184067449962877671601, 0.0179484665714420454099559454732),
+    },
+}
 
 
 class TestGamma:
@@ -162,6 +181,36 @@ class TestProductQuadrature:
             rebuilt[j - m + 1] += f_right[m - 1]
         rebuilt *= grid.h**alpha / gamma_fn(alpha)
         assert np.allclose(w, rebuilt, rtol=1e-14)
+
+
+class TestProductKernels:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_far_cells_are_accurate(self, alpha):
+        # the closed form loses about log10(m^2) digits (4.4e-7 at m = 65536)
+        f_left, f_right = product_kernels(alpha, 65536)
+        for m in (18, 100, 1000, 65536):
+            ref_left, ref_right = PRODUCT_KERNELS[alpha][m]
+            assert f_left[m - 1] == pytest.approx(ref_left, rel=1e-14)
+            assert f_right[m - 1] == pytest.approx(ref_right, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 1.0])
+    def test_near_cells_keep_the_closed_form(self, alpha):
+        f_left, f_right = product_kernels(alpha, 4096)
+        m = np.arange(1.0, 18.0)
+        p = (m ** (alpha + 1.0) - (m - 1.0) ** (alpha + 1.0)) / (alpha + 1.0)
+        q = (m**alpha - (m - 1.0) ** alpha) / alpha
+        assert np.array_equal(f_left[:17], p - (m - 1.0) * q)
+        assert np.array_equal(f_right[:17], m * q - p)
+        for node in (2, 17):
+            if alpha in PRODUCT_KERNELS:
+                ref_left, ref_right = PRODUCT_KERNELS[alpha][node]
+                assert f_left[node - 1] == pytest.approx(ref_left, rel=2e-13)
+                assert f_right[node - 1] == pytest.approx(ref_right, rel=2e-13)
+
+    def test_alpha_one_is_the_trapezoid_rule(self):
+        f_left, f_right = product_kernels(1.0, 100)
+        assert np.all(f_left == 0.5)
+        assert np.all(f_right == 0.5)
 
 
 class TestFourier:

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev.core import FracOrder, Grid, LineFunction, SampledFunction, Side
+from fracsobolev.core import FracOrder, Grid, LineFunction, SampledFunction, Side, trapezoid
 from fracsobolev.operators import frac_derivative, kappa
 from fracsobolev.oracle import Bump, Gaussian, PowerSum, Step, sample, sample_line
 from fracsobolev.spaces import (
     NormSpec,
+    _gagliardo_integral,
     TraceValue,
     fourier_seminorm,
     gagliardo_seminorm,
@@ -292,6 +293,83 @@ class TestTrace:
             trace(k, 0.75, 2.0, "right")
 
 
+def gagliardo_offset_loop(u, alpha: float, p: float) -> float:
+    """Reference: the Gagliardo double integral with one interp per offset.
+
+    This is the per-offset form :func:`_gagliardo_integral` had before it
+    batched its offsets; same offsets, weights and window tail.
+    """
+    grid = u.grid
+    h = grid.h
+    x = grid.nodes
+    vals = u.values
+    on_line = isinstance(u, LineFunction)
+    t_max = 2.0 * u.half_width if on_line else grid.width
+    count = max(8, int(round(80 * math.log10(t_max / (h / 2.0)))) + 1)
+    s = np.linspace(math.log(h / 2.0), math.log(t_max), count)
+    ds = s[1] - s[0]
+    abs_p = np.abs(vals) ** p
+    cum = np.concatenate([[0.0], np.cumsum(h * 0.5 * (abs_p[:-1] + abs_p[1:]))])
+    weights = np.full(count, ds)
+    weights[0] = weights[-1] = ds / 2.0
+    total = 0.0
+    for w, t in zip(weights, np.exp(s)):
+        if on_line:
+            inner = trapezoid(np.abs(u.interp(x + t) - vals) ** p, h)
+            inner += float(np.interp(min(t, grid.width), x - grid.a, cum))
+        else:
+            m = x <= grid.b - t + 1e-12 * grid.width
+            if np.count_nonzero(m) < 2:
+                continue
+            inner = trapezoid(np.abs(u.interp(x[m] + t) - vals[m]) ** p, h)
+        total += w * inner * t**-(alpha * p)
+    if on_line:
+        total += 2.0 * float(cum[-1]) * t_max ** -(alpha * p) / (alpha * p)
+    return 2.0 * total
+
+
+class TestBatchedGagliardo:
+    """The offset-batched Gagliardo integral against the per-offset loop."""
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_line_is_bitwise_the_offset_loop(self, n, p):
+        rng = np.random.default_rng(n)
+        smooth = sample_line(Gaussian(0.3, 1.2), 12.0, n)
+        rough = LineFunction(12.0, smooth.values + 1e-3 * rng.standard_normal(n + 1))
+        for u in (smooth, rough):
+            for alpha in (0.25, 0.5, 0.75):
+                assert _gagliardo_integral(u, alpha, p) == gagliardo_offset_loop(u, alpha, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_interval_matches_the_offset_loop(self, n, p):
+        # the longest offsets leave fewer than 2 nodes inside the interval;
+        # the batched rows sum zero tails, so only the summation order changes
+        rng = np.random.default_rng(n)
+        g = unit_grid(n)
+        for vals in (np.sin(3.0 * g.nodes), rng.standard_normal(n + 1)):
+            u = SampledFunction(g, vals)
+            for alpha in (0.25, 0.5, 0.75):
+                ref = gagliardo_offset_loop(u, alpha, p)
+                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-14)
+
+
+def holder_gap_loop(u, exponent: float, subinterval) -> float:
+    """Reference: the Hölder quotient over every gap, without early exit."""
+    lo, hi = subinterval
+    g = u.grid
+    vals = u.values[(g.nodes >= lo) & (g.nodes <= hi)]
+    best = 0.0
+    with np.errstate(invalid="ignore"):
+        for d in range(1, vals.size):
+            step = float(np.max(np.abs(vals[d:] - vals[:-d]))) / (d * g.h) ** exponent
+            if math.isnan(step):
+                return math.inf
+            best = max(best, step)
+    return best
+
+
 class TestHolderQuotient:
     def test_constant(self):
         u = SampledFunction(unit_grid(128), np.ones(129))
@@ -306,6 +384,31 @@ class TestHolderQuotient:
             k = kappa(0.75, "left", unit_grid(n))
             q = holder_quotient(k, 0.25, (0.25, 1.0))
             assert q == pytest.approx(HOLDER_KAPPA, rel=0.05)
+
+    @pytest.mark.parametrize("n", [2, 255, 1024])
+    def test_early_exit_is_bitwise_the_full_loop(self, n):
+        rng = np.random.default_rng(n)
+        g = unit_grid(n)
+        walk = np.cumsum(rng.standard_normal(n + 1))
+        for vals in (rng.standard_normal(n + 1), walk, np.sin(7.0 * g.nodes)):
+            u = SampledFunction(g, vals)
+            for exponent in (0.1, 0.5, 1.0):
+                for window in ((0.0, 1.0), (0.25, 1.0)):
+                    assert holder_quotient(u, exponent, window) == holder_gap_loop(
+                        u, exponent, window
+                    )
+
+    def test_early_exit_on_kernel_samples(self):
+        g = unit_grid(2048)
+        k = kappa(0.75, "left", g)
+        for exponent, window in ((0.25, (0.25, 1.0)), (0.35, (g.h, 1.0)), (0.5, (0.0, 1.0))):
+            assert holder_quotient(k, exponent, window) == holder_gap_loop(k, exponent, window)
+
+    def test_two_flagged_nodes_in_one_difference(self):
+        vals = np.linspace(0.0, 1.0, 65)
+        vals[0] = vals[-1] = math.inf
+        u = SampledFunction(unit_grid(64), vals)
+        assert holder_quotient(u, 0.5, (0.0, 1.0)) == math.inf
 
     def test_exponent_and_window_validation(self):
         u = SampledFunction(unit_grid(64), np.ones(65))
