@@ -306,7 +306,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     f = _resolve_function(args.fn, grid, side)
     u = _sample_on(f, grid, line)
     try:
-        spec = NormSpec(args.space, FracOrder(args.alpha), args.p if args.p else 2.0)
+        spec = NormSpec(args.space, FracOrder(args.alpha), 2.0 if args.p is None else args.p)
         value = sobolev_norm(u, spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -339,30 +339,29 @@ def _single_function_check(
     if args.alpha is None:
         raise _UsageError(f"verify {name} needs --alpha")
     f = _resolve_function(args.fn, grid, side)
+    # unset flags take the library's defaults; an explicit 0 goes to the library
+    p = 2.0 if args.p is None else args.p
+    tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
 
     if name == "ftwfc":
         u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_ftwfc(u, args.alpha, side, tolerance=args.tolerance or 1e-2)
+        return check_ftwfc(u, args.alpha, side, **tol)
     if name == "weak_pairing":
         u = f if isinstance(f, SampledFunction) else sample(f, grid)
         v = rl_derivative(u, args.alpha, side)
-        return check_weak_pairing(u, v, args.alpha, side, tolerance=args.tolerance or 1e-3)
+        return check_weak_pairing(u, v, args.alpha, side, **tol)
     if name == "w1p_consistency":
         if isinstance(f, SampledFunction):
             raise _UsageError("w1p_consistency needs a closed-form --fn")
-        return check_consistency_w1p(
-            f, args.alpha, args.p or 2.0, grid, tolerance=args.tolerance or 1e-3
-        )
+        return check_consistency_w1p(f, args.alpha, p, grid, **tol)
     if name == "inclusivity":
         if args.beta is None:
             raise _UsageError("verify inclusivity needs --beta")
         u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_inclusivity(
-            u, args.alpha, args.beta, args.p or 2.0, tolerance=args.tolerance or 1e-2
-        )
+        return check_inclusivity(u, args.alpha, args.beta, p, **tol)
     if name == "density":
         u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_density(u, args.alpha, args.p or 2.0, args.mode or "smooth")
+        return check_density(u, args.alpha, p, args.mode or "smooth")
     raise _UsageError(f"verify {name!r} does not take --fn; run it without flags")
 
 

@@ -65,6 +65,10 @@ class Side(enum.Enum):
         except ValueError:
             raise ValueError(f"side must be 'left' or 'right', got {text!r}") from None
 
+    @property
+    def opposite(self) -> Side:
+        return Side.RIGHT if self is Side.LEFT else Side.LEFT
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -100,10 +104,6 @@ class Grid:
     def refine(self, factor: int = 2) -> Grid:
         """Same interval with ``factor`` times as many cells."""
         return Grid(self.a, self.b, self.n * factor)
-
-    def reflected(self) -> Grid:
-        """The grid is symmetric under x -> a + b - x; reflection is itself."""
-        return self
 
 
 def uniform_grid(a: float, b: float, n: int) -> Grid:
@@ -147,10 +147,6 @@ class SampledFunction:
     def x(self) -> np.ndarray:
         return self.grid.nodes
 
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
     def reflected(self) -> SampledFunction:
         """Samples of x -> u(a + b - x) on the same grid."""
         return SampledFunction(
@@ -163,9 +159,6 @@ class SampledFunction:
     def interp(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise-linear interpolant (zero outside [a, b])."""
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
-
-    def with_values(self, values: np.ndarray) -> SampledFunction:
-        return replace(self, values=np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -202,16 +195,16 @@ class LineFunction:
     def x(self) -> np.ndarray:
         return self.grid.nodes
 
-    def check_decay(self, rel_tol: float = 1e-8) -> LineFunction:
+    def check_decay(self) -> LineFunction:
         """Verify the samples have decayed at both ends of the window.
 
         Emits a warning (and leaves ``decay_checked`` False) when the
-        endpoint values exceed ``rel_tol`` times the max magnitude, since
+        endpoint values exceed 1e-8 times the max magnitude, since
         Fourier-side operators then see an artificial periodic jump.
         """
         scale = float(np.max(np.abs(self.values))) or 1.0
         edge = max(abs(float(self.values[0])), abs(float(self.values[-1])))
-        if edge > rel_tol * scale:
+        if edge > 1e-8 * scale:
             warnings.warn(
                 f"function has not decayed at +-L: edge/max = {edge / scale:.3e}",
                 stacklevel=2,
@@ -226,8 +219,9 @@ class LineFunction:
     def interp(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
-    def with_values(self, values: np.ndarray) -> LineFunction:
-        return replace(self, values=np.asarray(values, dtype=float), decay_checked=False)
+    def reflected(self) -> LineFunction:
+        """Samples of x -> u(-x); keeps ``decay_checked`` (the decay test is symmetric)."""
+        return replace(self, values=self.values[::-1].copy())
 
     def as_sampled(self) -> SampledFunction:
         return SampledFunction(self.grid, self.values)
@@ -387,6 +381,20 @@ def singular_quadrature_weights(alpha: float, grid: Grid, j: int) -> np.ndarray:
     return w
 
 
+def _log_offsets(t_min: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets from ``t_min`` to ``t_max``, 80 per decade in ``log t`` (at least 8).
+
+    With the trapezoid weights in ``log t``, ``sum(w * t * g(t))`` approximates
+    ``integral g(t) dt``: the Marchaud and Gagliardo offset integrals.
+    """
+    count = max(8, int(round(80 * math.log10(t_max / t_min))) + 1)
+    s = np.linspace(math.log(t_min), math.log(t_max), count)
+    ds = s[1] - s[0]
+    weights = np.full(count, ds)
+    weights[0] = weights[-1] = ds / 2.0
+    return np.exp(s), weights
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -426,6 +434,27 @@ def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     phase = np.exp(1j * xi * (-half_width))
     return np.fft.ifft(spec * phase / dx)
+
+
+def _spectrum(u: LineFunction) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`discrete_fourier` of the periodic samples, after the decay test.
+
+    Warns, naming the caller of the public function, when more than 1e-8 of
+    the spectral energy sits in the top frequency quartile (aliasing).
+    """
+    if not u.decay_checked:
+        u.check_decay()
+    xi, uhat = discrete_fourier(u.samples(), u.half_width)
+    energy = np.abs(uhat) ** 2
+    top = np.abs(xi) >= 0.75 * float(np.max(np.abs(xi)))
+    fraction = float(np.sum(energy[top])) / (float(np.sum(energy)) or 1.0)
+    if fraction > 1e-8:
+        warnings.warn(
+            f"aliasing suspected: fraction {fraction:.2e} of the spectral "
+            "energy sits in the top frequency quartile",
+            stacklevel=3,
+        )
+    return xi, uhat
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

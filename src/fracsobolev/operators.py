@@ -29,13 +29,15 @@ of an output is relative to terms at most a few levels further out.
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.  On the uniform
 grid the Marchaud integral is linear in the samples with a fixed kernel,
-so it is one more :func:`_toeplitz` product.
+so it is one more :func:`_toeplitz` product.  ``frac_derivative``
+dispatches through the ``_SCHEMES`` table, which the CLI also lists.
 
 Every right-sided operator is the reflection conjugate of the left code
-path: reflect the samples through the midpoint, apply the left algorithm,
-reflect back.  The change of variables shows this reproduces the
-right-sided operator with the orientation conventions in which constants
-have derivative ``u(b) (b-x)^{-alpha} / Gamma(1-alpha)`` and the kernel
+path, applied by the one decorator :func:`_reflection_conjugate`: reflect
+the samples through the midpoint, apply the left algorithm, reflect back.
+The change of variables shows this reproduces the right-sided operator
+with the orientation conventions in which constants have derivative
+``u(b) (b-x)^{-alpha} / Gamma(1-alpha)`` and the kernel
 ``(b-x)^{alpha-1}`` is annihilated; no separate right-side quadrature
 exists, which is also what makes the left/right mirror tests exact.
 
@@ -48,6 +50,7 @@ Euler rule, and the quadrature only ever sees the regular remainder.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -60,7 +63,8 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
-    discrete_fourier,
+    _log_offsets,
+    _spectrum,
     gamma_fn,
     gl_weights,
     inverse_discrete_fourier,
@@ -69,7 +73,6 @@ from .core import (
 )
 
 __all__ = [
-    "OperatorSpec",
     "KernelConstant",
     "frac_integral",
     "rl_derivative",
@@ -84,7 +87,6 @@ __all__ = [
     "nodal_derivative",
 ]
 
-_SCHEMES = ("product_rl", "grunwald", "caputo", "marchaud", "spectral")
 _ANNIHILATION_TOL = 1e-12
 # convolutions of up to this many samples, and this many leading outputs
 # of longer ones, are direct sums (see _toeplitz)
@@ -132,19 +134,6 @@ def _toeplitz(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """Which derivative realization to run, at which order and side."""
-
-    order: FracOrder
-    side: Side = Side.LEFT
-    scheme: str = "product_rl"
-
-    def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-
-
-@dataclass(frozen=True)
 class KernelConstant:
     """Coefficient of the endpoint kernel recovered from sampled data.
 
@@ -166,6 +155,27 @@ class KernelConstant:
             raise ValueError("endpoint constant must be finite")
         if self.residual_estimate < 0:
             raise ValueError("residual estimate must be non-negative")
+
+    def reflected(self) -> KernelConstant:
+        """The same constant for the mirrored data: only the side flips."""
+        return replace(self, side=self.side.opposite)
+
+
+def _reflection_conjugate(op):
+    """Run the left-sided body ``op`` for either ``side``: reflect, left, reflect.
+
+    ``op`` is called as ``op(u, alpha)``; its ``side`` parameter only keeps
+    the public signature.  ``op`` runs one frame below the public call, so
+    ``stacklevel=3`` in it names the caller on both sides.
+    """
+
+    @functools.wraps(op)
+    def operator(u, alpha: float, side: Side | str = Side.LEFT):
+        if Side.parse(side) is Side.LEFT:
+            return op(u, alpha)
+        return op(u.reflected(), alpha).reflected()
+
+    return operator
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +266,7 @@ def _euler_image(
 # the integral
 
 
+@_reflection_conjugate
 def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """One-sided fractional integral of the piecewise-linear interpolant.
 
@@ -263,12 +274,8 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     grid.  The value at the base node is the exact limit 0 (or the mapped
     power value when a kernel-type part was split off).
     """
-    side = Side.parse(side)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("frac_integral implemented for 0 < alpha <= 1")
-    if side is Side.RIGHT:
-        return frac_integral(u.reflected(), alpha, Side.LEFT).reflected()
-
     regular, power = _split_left_singular(u)
     grid = u.grid
     n = grid.n
@@ -308,6 +315,7 @@ def _l1_slope_sum(regular: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     return out
 
 
+@_reflection_conjugate
 def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """Riemann-Liouville derivative of the interpolant, exact at nodes >= 1.
 
@@ -316,12 +324,8 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     ``1 - alpha`` integral of the slope.  The base node itself carries the
     non-finite marker (the one-sided derivative is not defined there).
     """
-    side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
         raise ValueError("rl_derivative implemented for 0 < alpha < 1")
-    if side is Side.RIGHT:
-        return rl_derivative(u.reflected(), alpha, Side.LEFT).reflected()
-
     regular, power = _split_left_singular(u)
     grid = u.grid
     t = grid.nodes - grid.a
@@ -344,6 +348,7 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     return SampledFunction(grid, out, left_power=out_power)
 
 
+@_reflection_conjugate
 def gl_derivative(
     u: SampledFunction | LineFunction, alpha: float, side: Side | str = Side.LEFT
 ) -> SampledFunction | LineFunction:
@@ -352,25 +357,21 @@ def gl_derivative(
     First-order accurate for functions vanishing at the base point; needs
     finite nodal values everywhere, so kernel-type samples are rejected.
     At ``alpha = 1`` the weights collapse to the first backward
-    difference quotient.
+    difference quotient.  A line function gives a line function (whose
+    decay is not checked).
     """
-    side = Side.parse(side)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("gl_derivative implemented for 0 < alpha <= 1")
-    if isinstance(u, LineFunction):
-        result = gl_derivative(u.as_sampled(), alpha, side)
-        return LineFunction(u.half_width, result.values, decay_checked=False)
-    if side is Side.RIGHT:
-        return gl_derivative(u.reflected(), alpha, Side.LEFT).reflected()
     vals = u.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("Grunwald-Letnikov needs finite nodal values everywhere")
-    n = u.grid.n
-    w = gl_weights(alpha, n)
-    out = _toeplitz(vals, w) / u.grid.h**alpha
+    out = _toeplitz(vals, gl_weights(alpha, u.grid.n)) / u.grid.h**alpha
+    if isinstance(u, LineFunction):
+        return LineFunction(u.half_width, out)
     return SampledFunction(u.grid, out)
 
 
+@_reflection_conjugate
 def caputo_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """Caputo derivative: the order ``1 - alpha`` integral of the slope.
 
@@ -378,11 +379,8 @@ def caputo_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.
     classical split (RL = base-value kernel + Caputo) to machine
     precision against :func:`rl_derivative`.
     """
-    side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
         raise ValueError("caputo_derivative implemented for 0 < alpha < 1")
-    if side is Side.RIGHT:
-        return caputo_derivative(u.reflected(), alpha, Side.LEFT).reflected()
     if not np.all(np.isfinite(u.values)):
         raise ValueError("Caputo needs samples of a function, finite up to the base point")
     return SampledFunction(u.grid, _l1_slope_sum(u.values, u.grid, alpha))
@@ -411,7 +409,7 @@ def frac_derivative(
     side = Side.parse(side)
     order = FracOrder(alpha)
     if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(_SCHEMES)}")
     if scheme == "spectral":
         if not isinstance(u, LineFunction):
             raise ValueError("spectral derivative acts on line functions")
@@ -422,13 +420,7 @@ def frac_derivative(
         raise ValueError(f"scheme {scheme!r} acts on interval grids")
     if order.sigma == 1.0:
         return _compose_integer(u, order.m + 1)
-    fn = {
-        "product_rl": rl_derivative,
-        "grunwald": gl_derivative,
-        "caputo": caputo_derivative,
-        "marchaud": marchaud_derivative,
-    }[scheme]
-    return _compose_integer(fn(u, order.sigma, side), order.m)
+    return _compose_integer(_SCHEMES[scheme](u, order.sigma, side), order.m)
 
 
 def _compose_integer(u: SampledFunction | LineFunction, m: int) -> SampledFunction | LineFunction:
@@ -457,20 +449,16 @@ def _compose_integer(u: SampledFunction | LineFunction, m: int) -> SampledFuncti
 # derivatives on the line
 
 
-def marchaud_derivative(
-    u: LineFunction,
-    alpha: float,
-    side: Side | str = Side.LEFT,
-    points_per_decade: int = 80,
-) -> LineFunction:
+@_reflection_conjugate
+def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.LEFT) -> LineFunction:
     """Marchaud form of the one-sided derivative on the truncated line.
 
     ``alpha/Gamma(1-alpha) * integral (u(x) - u(x-t)) / t^(1+alpha) dt``
     over ``t > 0`` (left side; the right side mirrors it), with offsets
-    log-spaced from ``h/2`` to the window diameter and the sub-grid part
-    of the integral modelled at first order through the local slope.  The
-    unresolved remainder is bounded by
-    :func:`marchaud_small_offset_bound`.
+    from :func:`~fracsobolev.core._log_offsets` between ``h/2`` and the
+    window diameter and the sub-grid part of the integral modelled at
+    first order through the local slope.  The unresolved remainder is
+    bounded by :func:`marchaud_small_offset_bound`.
 
     An offset ``t = (k + theta) h`` reads the interpolant at
     ``u(x_j - t) = (1-theta) u[j-k] + theta u[j-k-1]`` (zero for negative
@@ -479,30 +467,19 @@ def marchaud_derivative(
     blend of ``u[0]`` with 0, so at output ``j = k`` (``theta > 0``) the
     ``(1-theta) u[0]`` term is taken back out.
     """
-    side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
         raise ValueError("marchaud_derivative implemented for 0 < alpha < 1")
-    if side is Side.RIGHT:
-        flipped = LineFunction(u.half_width, u.values[::-1].copy(), u.decay_checked)
-        out = marchaud_derivative(flipped, alpha, Side.LEFT, points_per_decade)
-        return LineFunction(u.half_width, out.values[::-1].copy())
-
     grid = u.grid
     h = grid.h
     x = grid.nodes
     # t_max = window diameter: from any x, offsets beyond it look back past
     # the window edge, where the zero extension makes the tail analytic
     t_min, t_max = h / 2.0, 2.0 * u.half_width
-    count = max(8, int(round(points_per_decade * math.log10(t_max / t_min))) + 1)
-    s = np.linspace(math.log(t_min), math.log(t_max), count)
-    offsets = np.exp(s)
-    ds = s[1] - s[0]
+    offsets, weight = _log_offsets(t_min, t_max)
 
     vals = u.values
     # (u(x)-u(x-t)) t^{-1-alpha} summed by the trapezoid rule in log-offset
     # space, whose Jacobian t leaves the weight w t^{-alpha} per offset
-    weight = np.full(count, ds)
-    weight[0] = weight[-1] = ds / 2.0
     weight *= offsets**-alpha
     # u(x_j - t) = (1-theta) u[j-k] + theta u[j-k-1] for t = (k + theta) h:
     # each offset adds to taps k and k+1, and u(x_j) to tap 0
@@ -535,7 +512,7 @@ def marchaud_derivative(
         warnings.warn(
             f"window-tail contribution estimate {tail_estimate / result_scale:.2e} "
             "of the result: the input has not decayed at the window edges",
-            stacklevel=2,
+            stacklevel=3,
         )
     return LineFunction(u.half_width, result)
 
@@ -553,7 +530,7 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
 
     Principal branch symbol; requires a power-of-two sample count and a
     window the function has decayed in.  Warns on visible aliasing
-    (spectral mass at the Nyquist frequency), and raises if discarding
+    (:func:`~fracsobolev.core._spectrum`), and raises if discarding
     the imaginary residue would lose more than 1e-8 relative.
     """
     side = Side.parse(side)
@@ -562,21 +539,7 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     n = u.n
     if n & (n - 1):
         raise ValueError("spectral derivative needs a power-of-two sample count")
-    if not u.decay_checked:
-        u = u.check_decay()
-
-    samples = u.samples()
-    xi, uhat = discrete_fourier(samples, u.half_width)
-    energy = np.abs(uhat) ** 2
-    top_quartile = np.abs(xi) >= 0.75 * float(np.max(np.abs(xi)))
-    total = float(np.sum(energy)) or 1.0
-    fraction = float(np.sum(energy[top_quartile])) / total
-    if fraction > 1e-8:
-        warnings.warn(
-            f"top-quartile spectral energy fraction {fraction:.2e}: "
-            "the derivative is under-resolved (aliasing)",
-            stacklevel=2,
-        )
+    xi, uhat = _spectrum(u)
     dhat = spectral_multiplier(xi, alpha, side) * uhat
     d = inverse_discrete_fourier(dhat, u.half_width)
     imag = float(np.max(np.abs(d.imag)))
@@ -585,6 +548,15 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
         raise ValueError(f"imaginary residue {imag:.2e} exceeds 1e-8 of the real part")
     closed = np.concatenate([d.real, d.real[:1]])
     return LineFunction(u.half_width, closed)
+
+
+_SCHEMES = {
+    "product_rl": rl_derivative,
+    "grunwald": gl_derivative,
+    "caputo": caputo_derivative,
+    "marchaud": marchaud_derivative,
+    "spectral": spectral_derivative,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +583,7 @@ def kappa(alpha: float, side: Side | str, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, vals, right_power=(1.0, alpha - 1.0))
 
 
+@_reflection_conjugate
 def endpoint_constant(
     u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
 ) -> KernelConstant:
@@ -623,12 +596,8 @@ def endpoint_constant(
     ``residual_estimate``, and a spread above 1e-2 of the data scale is
     flagged with a warning (the extrapolation did not settle).
     """
-    side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
         raise ValueError("endpoint constant defined for orders in (0, 1)")
-    if side is Side.RIGHT:
-        mirrored = endpoint_constant(u.reflected(), alpha, Side.LEFT)
-        return replace(mirrored, side=Side.RIGHT)
     if u.grid.n < 8:
         raise ValueError("need at least 8 cells to extrapolate at the endpoint")
     g = frac_integral(u, 1.0 - alpha, Side.LEFT).values
@@ -656,6 +625,6 @@ def endpoint_constant(
     if residual > 1e-2 * scale:
         warnings.warn(
             f"endpoint extrapolation did not settle: spread {residual:.3e} vs c = {c:.3e}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return KernelConstant(c, side, FracOrder(alpha), order_used, residual)
+    return KernelConstant(c, Side.LEFT, FracOrder(alpha), order_used, residual)

@@ -34,6 +34,8 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
+    _log_offsets,
+    _spectrum,
     discrete_fourier,
     gamma_fn,
     trapezoid,
@@ -319,19 +321,17 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
 # Gagliardo (difference-quotient) seminorm
 
 
-def _gagliardo_integral(
-    u: SampledFunction | LineFunction, alpha: float, p: float, points_per_decade: int = 80
-) -> float:
+def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
     """The double integral ``iint |u(x)-u(y)|^p / |x-y|^{1+alpha p}``.
 
     Reduced to the offset form ``2 int_0^T t^{-1-alpha p} int |u(x+t)-u(x)|^p
-    dx dt`` with log-spaced offsets from ``h/2``; line functions add the
-    closed-form zero-extension tail beyond the window diameter.  The inner
-    integrals of a block of offsets come from one interpolation of the 2-D
-    array ``x + t`` and one trapezoid per row: on the line every row is the
-    full window, so the result is bitwise that of one offset at a time; on
-    an interval each row is zero past the last node with ``x + t <= b``,
-    which changes only the summation order.
+    dx dt`` with the offsets of :func:`~fracsobolev.core._log_offsets` from
+    ``h/2``; line functions add the closed-form zero-extension tail beyond
+    the window diameter.  The inner integrals of a block of offsets come
+    from one interpolation of the 2-D array ``x + t`` and one trapezoid per
+    row: on the line every row is the full window, so the result is bitwise
+    that of one offset at a time; on an interval each row is zero past the
+    last node with ``x + t <= b``, which changes only the summation order.
     """
     grid = u.grid
     h = grid.h
@@ -339,11 +339,7 @@ def _gagliardo_integral(
     vals = np.asarray(u.values, dtype=float)
     on_line = isinstance(u, LineFunction)
     t_max = 2.0 * u.half_width if on_line else grid.width
-    t_min = h / 2.0
-    count = max(8, int(round(points_per_decade * math.log10(t_max / t_min))) + 1)
-    s = np.linspace(math.log(t_min), math.log(t_max), count)
-    offsets = np.exp(s)
-    ds = s[1] - s[0]
+    offsets, weights = _log_offsets(h / 2.0, t_max)
 
     abs_p = np.abs(vals) ** p
     if on_line:
@@ -351,18 +347,16 @@ def _gagliardo_integral(
         # x < -L where only the shifted copy is alive
         cum = np.concatenate([[0.0], np.cumsum(h * 0.5 * (abs_p[:-1] + abs_p[1:]))])
 
-    weights = np.full(count, ds)
-    weights[0] = weights[-1] = ds / 2.0
     if on_line:
         inner = np.interp(np.minimum(offsets, grid.width), x - grid.a, cum)
-        last = np.full(count, x.size - 1)
+        last = np.full(offsets.size, x.size - 1)
     else:
         # nodes with x + t inside the interval; rows keep a zero tail past them
         last = np.searchsorted(x, grid.b - offsets + 1e-12 * grid.width, side="right") - 1
-        inner = np.zeros(count)
+        inner = np.zeros(offsets.size)
     cols = np.arange(x.size)
     rows = max(1, _GAGLIARDO_BLOCK // x.size)
-    for start in range(0, count, rows):
+    for start in range(0, offsets.size, rows):
         block = slice(start, start + rows)
         diff = np.abs(u.interp(x + offsets[block, None]) - vals) ** p
         if not on_line:
@@ -486,19 +480,7 @@ def fourier_seminorm(u: LineFunction, s: float, p: float) -> float:
         raise ValueError("fourier seminorm is defined on line functions only")
     if math.isinf(p) or p < 1.0:
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not u.decay_checked:
-        u = u.check_decay()
-    xi, uhat = discrete_fourier(u.samples(), u.half_width)
-    energy = np.abs(uhat) ** 2
-    total_energy = float(np.sum(energy))
-    top = np.abs(xi) >= 0.75 * np.max(np.abs(xi))
-    fraction = float(np.sum(energy[top])) / total_energy if total_energy else 0.0
-    if fraction > 1e-8:
-        warnings.warn(
-            f"aliasing suspected: fraction {fraction:.2e} of the spectral "
-            "energy sits in the top frequency quartile",
-            stacklevel=2,
-        )
+    xi, uhat = _spectrum(u)
     dxi = float(xi[1] - xi[0])
     density = np.abs(uhat) ** p
     return float(np.sum(density) * dxi) + _kink_corrected_moment(xi, density, s * p)

@@ -294,10 +294,6 @@ def _describe(u) -> str:
     return repr(u)
 
 
-def _flip(side: Side) -> Side:
-    return Side.RIGHT if side is Side.LEFT else Side.LEFT
-
-
 # ---------------------------------------------------------------------------
 # singular-aware pairing ∫ f g
 
@@ -324,9 +320,17 @@ def _power_cell_pair(
     return total
 
 
-def _pair_core(
-    f: SampledFunction, g: SampledFunction | np.ndarray, absolute: bool
+def _pair(
+    f: SampledFunction, g: SampledFunction | np.ndarray, absolute: bool = False
 ) -> float:
+    """``∫ f g`` over the grid with closed-form singular end cells.
+
+    Either factor may carry a flagged endpoint; the cell is then the
+    exact integral of (power behaviour) x (linear interpolant of the
+    other factor).  Flags at the same end of both factors are rejected.
+    ``absolute`` gives ``∫ |f| |g|``, the natural scale for pairing
+    residuals.
+    """
     if not isinstance(g, SampledFunction):
         g = SampledFunction(f.grid, np.asarray(g, dtype=float))
     if f.grid != g.grid:
@@ -371,21 +375,6 @@ def _pair_core(
     return total
 
 
-def _pair(f: SampledFunction, g: SampledFunction | np.ndarray) -> float:
-    """``∫ f g`` over the grid with closed-form singular end cells.
-
-    Either factor may carry a flagged endpoint; the cell is then the
-    exact integral of (power behaviour) x (linear interpolant of the
-    other factor).  Flags at the same end of both factors are rejected.
-    """
-    return _pair_core(f, g, absolute=False)
-
-
-def _pair_abs(f: SampledFunction, g: SampledFunction | np.ndarray) -> float:
-    """``∫ |f| |g|`` — the natural scale for pairing residuals."""
-    return _pair_core(f, g, absolute=True)
-
-
 def _coarsened(u: SampledFunction) -> SampledFunction:
     """Every second node — an exact, artifact-free resolution change.
 
@@ -393,13 +382,8 @@ def _coarsened(u: SampledFunction) -> SampledFunction:
     singularity plants spurious curvature in the first cells, and the
     fractional derivative amplifies it; subsampling cannot.
     """
-    n = u.grid.n
-    if n % 2:
-        raise ValueError(f"need an even number of cells to coarsen, got {n}")
-    g = Grid(u.grid.a, u.grid.b, n // 2)
-    return SampledFunction(
-        g, np.asarray(u.values)[::2].copy(), u.left_power, u.right_power
-    )
+    values = u.values[::2].copy()
+    return SampledFunction(_coarsened_grid(u.grid), values, u.left_power, u.right_power)
 
 
 def _coarsened_grid(g: Grid) -> Grid:
@@ -452,7 +436,7 @@ def check_weak_pairing(
     battery.require_compact_support(grid)
     w = grid.width
     ambient = Grid(grid.a - w, grid.b + w, 3 * grid.n)
-    phi_side = _flip(side)
+    phi_side = side.opposite
     sign = (-1.0) ** order.m
 
     gaps = []
@@ -465,7 +449,8 @@ def check_weak_pairing(
         lhs = _pair(v_candidate, phi_vals)
         rhs = sign * _pair(u, dphi_vals)
         gaps.append(abs(lhs - rhs))
-        scales.append(max(_pair_abs(v_candidate, phi_vals), _pair_abs(u, dphi_vals)))
+        scale = max(_pair(v_candidate, phi_vals, absolute=True), _pair(u, dphi_vals, absolute=True))
+        scales.append(scale)
 
     # a test bump supported away from both factors pairs to a roundoff-sized
     # number on a roundoff-sized scale; floor each scale at a fixed fraction
@@ -609,10 +594,10 @@ def check_ibp(
     residuals = []
     for u_side in orientations:
         du = rl_derivative(u, alpha, u_side)
-        dv = rl_derivative(v, alpha, _flip(u_side))
+        dv = rl_derivative(v, alpha, u_side.opposite)
         lhs = _pair(du, v)
         rhs = sign * probe_scale * _pair(dv, u)
-        scale = max(_pair_abs(du, v), _pair_abs(dv, u), scale_floor)
+        scale = max(_pair(du, v, absolute=True), _pair(dv, u, absolute=True), scale_floor)
         residuals.append(abs(lhs - rhs) / scale)
 
     notes = (
@@ -643,21 +628,53 @@ def check_ibp(
 # Poincaré-type ratio batteries
 
 
-def _poincare_ratio(
-    f: ClosedFormFunction, grid: Grid, alpha: float, p: float, variant: str
+def _norm_ratio(
+    f: ClosedFormFunction, grid: Grid, alpha: float, r: float, p: float, subtract_kernel: bool
 ) -> float:
+    """``‖u - c·kappa‖_r / ‖D^α u‖_p`` for the samples ``u`` of ``f``, left side.
+
+    Without ``subtract_kernel`` the numerator is ``‖u‖_r``.  A vanishing
+    derivative gives 0 over a vanishing numerator and +inf otherwise.
+    """
     su = sample(f, grid)
-    if variant == "kernel_subtracted":
+    top = su
+    if subtract_kernel:
         kc = endpoint_constant(su, alpha, Side.LEFT)
         with np.errstate(invalid="ignore"):
             diff = su.values - kc.c_value * kappa(alpha, Side.LEFT, grid).values
-        lhs = lp_norm(SampledFunction(grid, diff), p, exclude_singular=True)
-    else:
-        lhs = lp_norm(su, p, exclude_singular=True)
+        top = SampledFunction(grid, diff)
+    lhs = lp_norm(top, r, exclude_singular=True)
     rhs = lp_norm(rl_derivative(su, alpha, Side.LEFT), p, exclude_singular=True)
     if rhs == 0.0:
-        return 0.0 if lhs <= 1e-10 * max(1.0, abs(lhs)) else math.inf
+        return 0.0 if lhs <= 1e-10 else math.inf
     return lhs / rhs
+
+
+def _battery_drift(
+    ratio_fn: Callable[[ClosedFormFunction, Grid], float],
+    battery: TestBattery,
+    held_out: ClosedFormFunction,
+    grid: Grid,
+) -> tuple[list[float], list[float], dict[str, float]]:
+    """The ratio-battery engine: (member ratios at 2n, residuals, details).
+
+    Residuals: battery-maximum drift from n to 2n / 10%, held-out ratio / (1.5 x max).
+    """
+    fine = grid.refine(2)
+    coarse_ratios = [ratio_fn(f, grid) for f in battery.members]
+    fine_ratios = [ratio_fn(f, fine) for f in battery.members]
+    max_coarse = max(coarse_ratios)
+    max_fine = max(fine_ratios)
+    drift = abs(max_fine - max_coarse) / max(max_coarse, _TINY)
+    held_ratio = ratio_fn(held_out, fine)
+    residuals = [drift / 0.10, held_ratio / max(1.5 * max_fine, _TINY)]
+    details = {
+        "battery_max": max_fine,
+        "battery_max_coarse": max_coarse,
+        "held_out_ratio": held_ratio,
+        "max_ratio_drift": drift,
+    }
+    return fine_ratios, residuals, details
 
 
 def _ratio_battery_report(
@@ -668,31 +685,12 @@ def _ratio_battery_report(
     held_out: ClosedFormFunction,
     grid: Grid,
     notes_head: str,
-    extra_residuals: Sequence[float] = (),
-    extra_notes: str = "",
-    extra_details: Mapping[str, float] | None = None,
 ) -> VerificationReport:
-    """Shared engine: ratios at n and 2n, drift bar, held-out bar."""
-    fine = grid.refine(2)
-    coarse_ratios = [ratio_fn(f, grid) for f in battery.members]
-    fine_ratios = [ratio_fn(f, fine) for f in battery.members]
-    max_coarse = max(coarse_ratios)
-    max_fine = max(fine_ratios)
-    drift = abs(max_fine - max_coarse) / max(max_coarse, _TINY)
-    held_ratio = ratio_fn(held_out, fine)
-    held_entry = held_ratio / max(1.5 * max_fine, _TINY)
-    residuals = [drift / 0.10, held_entry, *extra_residuals]
-    details = {
-        "battery_max": max_fine,
-        "battery_max_coarse": max_coarse,
-        "held_out_ratio": held_ratio,
-        "max_ratio_drift": drift,
-    }
-    details.update(extra_details or {})
+    """Report of an interval ratio battery: :func:`_battery_drift` and its notes."""
+    fine_ratios, residuals, details = _battery_drift(ratio_fn, battery, held_out, grid)
     notes = (
         notes_head
         + "; residuals = (max-ratio drift / 10%, held-out ratio / (1.5 x battery max)"
-        + (", " + extra_notes if extra_notes else "")
         + "); ratios are the per-member values at the doubled grid"
     )
     return _finish(theorem_id, inputs, residuals, fine_ratios, 1.0, notes, details)
@@ -755,7 +753,7 @@ def check_poincare(
             "n": grid.n,
             "interval": [grid.a, grid.b],
         },
-        lambda f, g: _poincare_ratio(f, g, alpha, p, variant),
+        lambda f, g: _norm_ratio(f, g, alpha, p, p, variant == "kernel_subtracted"),
         battery,
         held_out,
         grid,
@@ -802,18 +800,6 @@ def check_sobolev_inequality(
         grid = grid if grid is not None else uniform_grid(0.0, 1.0, 1024)
         if held_out is None:
             held_out = Bump(grid.a + 0.45 * grid.width, 0.12 * grid.width, 0.9)
-
-        def ratio_fn(f: ClosedFormFunction, g: Grid) -> float:
-            su = sample(f, g)
-            kc = endpoint_constant(su, alpha, Side.LEFT)
-            with np.errstate(invalid="ignore"):
-                diff = su.values - kc.c_value * kappa(alpha, Side.LEFT, g).values
-            lhs = lp_norm(SampledFunction(g, diff), r, exclude_singular=True)
-            rhs = lp_norm(rl_derivative(su, alpha, Side.LEFT), p, exclude_singular=True)
-            if rhs == 0.0:
-                return 0.0 if lhs <= 1e-10 else math.inf
-            return lhs / rhs
-
         return _ratio_battery_report(
             "sobolev_inequality.interval",
             {
@@ -826,7 +812,7 @@ def check_sobolev_inequality(
                 "n": grid.n,
                 "interval": [grid.a, grid.b],
             },
-            ratio_fn,
+            lambda f, g: _norm_ratio(f, g, alpha, r, p, True),
             battery,
             held_out,
             grid,
@@ -837,23 +823,19 @@ def check_sobolev_inequality(
     if held_out is None:
         held_out = Gaussian(0.3, 1.7)
 
-    def line_ratio(f: ClosedFormFunction, n: int, lam: float = 1.0) -> float:
-        g = line_grid(half_width, n)
-        vals = f.value(lam * g.nodes)
-        lf = LineFunction(half_width, vals).check_decay()
+    def line_ratio(f: ClosedFormFunction, g: Grid, lam: float = 1.0) -> float:
+        lf = LineFunction(half_width, f.value(lam * g.nodes)).check_decay()
         lhs = lp_norm(lf, r)
         rhs = lp_norm(marchaud_derivative(lf, alpha, Side.LEFT), p)
         return lhs / max(rhs, _TINY)
 
-    coarse = [line_ratio(f, n_line) for f in battery.members]
-    fine = [line_ratio(f, 2 * n_line) for f in battery.members]
-    drift = abs(max(fine) - max(coarse)) / max(max(coarse), _TINY)
-    held_ratio = line_ratio(held_out, 2 * n_line)
-    held_entry = held_ratio / max(1.5 * max(fine), _TINY)
+    window = line_grid(half_width, n_line)
+    fine, residuals, details = _battery_drift(line_ratio, battery, held_out, window)
+    del details["battery_max_coarse"]  # the line report never carried it
 
     lambdas = (1.0, 2.0, 4.0, 8.0)
     probe_f = battery.members[0]
-    probe = [line_ratio(probe_f, n_line, lam) for lam in lambdas]
+    probe = [line_ratio(probe_f, window, lam) for lam in lambdas]
     rel = [pr / probe[0] - 1.0 for pr in probe]
     probe_drift = max(abs(d) for d in rel)
     at_critical = abs(r - p_star) <= 1e-9
@@ -869,7 +851,6 @@ def check_sobolev_inequality(
             "(off-critical exponent: invariance must fail), else 2"
         )
 
-    residuals = [drift / 0.10, held_entry, probe_entry]
     return _finish(
         "sobolev_inequality.line",
         {
@@ -883,18 +864,13 @@ def check_sobolev_inequality(
             "n": n_line,
             "lambdas": list(lambdas),
         },
-        residuals,
+        [*residuals, probe_entry],
         fine,
         1.0,
         "residuals = (max-ratio drift / 10%, held-out ratio / (1.5 x battery max), "
         + probe_note
         + "); ratios are per-member values at the doubled grid",
-        details={
-            "battery_max": max(fine),
-            "held_out_ratio": held_ratio,
-            "dilation_drift": probe_drift,
-            "max_ratio_drift": drift,
-        },
+        details={**details, "dilation_drift": probe_drift},
     )
 
 

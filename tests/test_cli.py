@@ -155,6 +155,12 @@ class TestNormCommand:
         assert r.returncode == 2
         assert "besov" in r.stderr
 
+    def test_explicit_zero_p_is_not_the_default(self, capsys):
+        code = main(["norm", "--space", "one_sided_left", "--alpha", "0.3", "--p", "0",
+                     "--fn", "const:1", "--grid", "0,1,256"])
+        assert code == 2
+        assert "p must lie in [1, inf], got 0.0" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_named_check_without_overrides(self, tmp_path):
@@ -193,6 +199,12 @@ class TestVerifyCommand:
                     "--tolerance", "1e-18")
         assert r.returncode == 1
         assert r.stdout.startswith("FAIL")
+
+    def test_explicit_zero_tolerance_is_not_the_default(self, capsys):
+        code = main(["verify", "ftwfc", "--alpha", "0.5", "--fn", "const:1",
+                     "--grid", "0,1,256", "--tolerance", "0"])
+        assert code == 2
+        assert "tolerance must be positive, got 0.0" in capsys.readouterr().err
 
     def test_json_reports_are_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

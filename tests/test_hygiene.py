@@ -1,0 +1,32 @@
+"""Source hygiene: every name the package defines is used somewhere."""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fracsobolev"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def test_every_defined_name_is_used():
+    """Each function, class and method name under ``src/fracsobolev`` must
+    appear, as a whole word, more often in ``src/``, ``tests/`` and
+    ``perfbench/`` than it is defined.  Dunder methods are called by the
+    language and are exempt."""
+    defined: Counter[str] = Counter()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] += 1
+    # a name is an identifier, so its whole-word occurrences are \w+ tokens
+    words: Counter[str] = Counter()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert not unused, f"defined but never used: {unused}"

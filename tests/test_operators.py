@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from fracsobolev.oracle import (
 from fracsobolev.operators import (
     _DIRECT_SIZE,
     KernelConstant,
-    OperatorSpec,
     _toeplitz,
     caputo_derivative,
     endpoint_constant,
@@ -564,14 +564,6 @@ class TestDispatcher:
         expected = nodal_derivative(u)
         assert np.max(np.abs(d.values - expected.values)) == 0.0
 
-    def test_operator_spec_validation(self):
-        from fracsobolev.core import FracOrder
-
-        spec = OperatorSpec(FracOrder(0.5), Side.LEFT, "grunwald")
-        assert spec.scheme == "grunwald"
-        with pytest.raises(ValueError):
-            OperatorSpec(FracOrder(0.5), Side.LEFT, "simpson")
-
 
 class TestOperatorProperties:
     @given(
@@ -628,3 +620,31 @@ class TestOperatorProperties:
             mirrored = op(u.reflected(), "left").values[::-1]
             m = np.isfinite(right) & np.isfinite(mirrored)
             assert np.max(np.abs(right[m] - mirrored[m])) == 0.0
+        # line operators: right = reflect, left, reflect, with an unchecked result
+        line = sample_line(Gaussian(1.0, 1.0), 16.0, 1024)
+        assert line.decay_checked
+        for op in (marchaud_derivative, gl_derivative):
+            right = op(line, 0.4, "right")
+            mirrored = op(line.reflected(), 0.4, "left").reflected()
+            assert isinstance(right, LineFunction) and not right.decay_checked
+            assert np.array_equal(right.values, mirrored.values)
+        mirrored_c = replace(endpoint_constant(u.reflected(), 0.4), side=Side.RIGHT)
+        assert endpoint_constant(u, 0.4, "right") == mirrored_c
+
+    def test_warnings_name_the_caller_on_both_sides(self):
+        x = np.linspace(-16.0, 16.0, 1025)
+        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
+        g = unit_grid(256)
+        with np.errstate(divide="ignore"):
+            hard = SampledFunction(g, (g.nodes - g.a) ** -0.8, left_power=(1.0, -0.8))
+        for call, text in (
+            (lambda: marchaud_derivative(slow, 0.5, "left"), "window-tail"),
+            (lambda: marchaud_derivative(slow, 0.5, "right"), "window-tail"),
+            (lambda: endpoint_constant(hard, 0.5, "left"), "did not settle"),
+            (lambda: endpoint_constant(hard.reflected(), 0.5, "right"), "did not settle"),
+        ):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                call()
+            hits = [w for w in rec if text in str(w.message)]
+            assert hits and all(w.filename == __file__ for w in hits), text
