@@ -195,19 +195,22 @@ class LineFunction:
     def x(self) -> np.ndarray:
         return self.grid.nodes
 
-    def check_decay(self) -> LineFunction:
+    def check_decay(self, stacklevel: int = 2) -> LineFunction:
         """Verify the samples have decayed at both ends of the window.
 
         Emits a warning (and leaves ``decay_checked`` False) when the
         endpoint values exceed 1e-8 times the max magnitude, since
         Fourier-side operators then see an artificial periodic jump.
+        ``stacklevel`` is passed to :func:`warnings.warn`: the default names
+        the direct caller, and library code that checks on behalf of its
+        own caller adds one per frame in between.
         """
         scale = float(np.max(np.abs(self.values))) or 1.0
         edge = max(abs(float(self.values[0])), abs(float(self.values[-1])))
         if edge > 1e-8 * scale:
             warnings.warn(
                 f"function has not decayed at +-L: edge/max = {edge / scale:.3e}",
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
             return self
         return replace(self, decay_checked=True)
@@ -440,10 +443,11 @@ def _spectrum(u: LineFunction) -> tuple[np.ndarray, np.ndarray]:
     """:func:`discrete_fourier` of the periodic samples, after the decay test.
 
     Warns, naming the caller of the public function, when more than 1e-8 of
-    the spectral energy sits in the top frequency quartile (aliasing).
+    the spectral energy sits in the top frequency quartile (aliasing), and
+    when ``u`` has not decayed.
     """
     if not u.decay_checked:
-        u.check_decay()
+        u.check_decay(stacklevel=4)
     xi, uhat = discrete_fourier(u.samples(), u.half_width)
     energy = np.abs(uhat) ** 2
     top = np.abs(xi) >= 0.75 * float(np.max(np.abs(xi)))

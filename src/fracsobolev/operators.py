@@ -26,6 +26,18 @@ base node, which the endpoint extrapolation and the singular-power fit
 read, are therefore exact sums at every grid size, and the FFT roundoff
 of an output is relative to terms at most a few levels further out.
 
+What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
+head taps, the level boundaries and pads, and the kernel's spectrum on
+every level.  The grid kernels depend only on the order and the grid
+size, and callers apply one operator at one order on one grid to many
+functions, so :func:`_plan` keeps the last plan of each kind (product
+trapezoid, L1 slope, Grunwald-Letnikov) keyed by ``(alpha, n)`` in three
+slots, shared by both sides and by every caller.  A plan over
+``_PLAN_BYTES`` (1 MiB; grids of about ``2^15`` cells and more) is built
+for its call and dropped, as is Marchaud's kernel, which also depends on
+the step and the window.  A kept plan gives bitwise the output of a fresh
+one.
+
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.  On the uniform
 grid the Marchaud integral is linear in the samples with a fixed kernel,
@@ -53,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,43 +106,117 @@ _ANNIHILATION_TOL = 1e-12
 _DIRECT_SIZE = 256
 # past the direct head, outputs [L, 8 L) come from the first 8 L samples
 _LEVEL_FACTOR = 8
+# a kernel plan with more array bytes than this (grids of about 2^15 cells
+# and more) is used once and not kept, the same 1 MB budget as the Gagliardo
+# blocks: keeping plans of every size raised the peak RSS of the interval
+# benchmark (grids up to 2^16 cells) from 74 to 80 MB
+_PLAN_BYTES = 1 << 20
 
 
-def _toeplitz(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A kernel made ready for :func:`_toeplitz` products with ``n`` samples.
+
+    ``head`` holds the first ``min(n, _DIRECT_SIZE)`` taps, summed
+    directly; ``levels`` holds ``(start, stop, size, spectrum)`` for each
+    FFT level, with ``spectrum = rfft(k[:stop], size)``.  ``right`` is the
+    product kernel's right-end taps, which :func:`frac_integral` subtracts
+    at the base node (None for other kernels).  Every array is read-only.
+    """
+
+    n: int
+    head: np.ndarray
+    levels: tuple[tuple[int, int, int, np.ndarray], ...]
+    right: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, k: np.ndarray, n: int, right: np.ndarray | None = None) -> _Plan:
+        """Plan the kernel ``k`` (at least ``n`` entries; later ones are ignored)."""
+        levels = []
+        start = _DIRECT_SIZE
+        while start < n:
+            stop = _LEVEL_FACTOR * start
+            if 4 * stop > n:
+                stop = n
+            # no term wraps around: the pad is the power of two >= 2 stop - 1
+            size = 1 << (2 * stop - 2).bit_length()
+            levels.append((start, stop, size, np.fft.rfft(k[:stop], size)))
+            start = stop
+        plan = cls(n, k[: min(n, _DIRECT_SIZE)].copy(), tuple(levels), right)
+        for array in plan.arrays():
+            array.flags.writeable = False
+        return plan
+
+    def arrays(self) -> list[np.ndarray]:
+        extra = [] if self.right is None else [self.right]
+        return [self.head, *(level[3] for level in self.levels), *extra]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.arrays())
+
+
+# the last plan of each kernel kind, keyed by its build function; see _plan
+_plans: dict[Callable[[float, int], _Plan], tuple[tuple[float, int], _Plan]] = {}
+
+
+def _plan(build: Callable[[float, int], _Plan], alpha: float, n: int) -> _Plan:
+    """``build(alpha, n)``, reusing the last plan of that kind when the key repeats.
+
+    One slot per build function: a miss replaces the slot's plan, and a
+    plan over ``_PLAN_BYTES`` leaves the slot empty.  Plans depend on
+    ``(alpha, n)`` alone, so a reused plan gives bitwise the result of a
+    fresh one.
+    """
+    entry = _plans.get(build)
+    if entry is not None and entry[0] == (alpha, n):
+        return entry[1]
+    _plans.pop(build, None)  # free the old plan before building the new one
+    plan = build(alpha, n)
+    if plan.nbytes <= _PLAN_BYTES:
+        _plans[build] = ((alpha, n), plan)
+    return plan
+
+
+def _toeplitz(x: np.ndarray, k: np.ndarray | _Plan) -> np.ndarray:
     """First ``len(x)`` terms of the convolution ``x * k``.
 
     This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
-    k[j-i] x[i]`` (``k`` needs at least ``len(x)`` entries; later ones are
-    ignored).  The path depends only on ``n = len(x)``: for ``n <=
-    _DIRECT_SIZE`` every output is a direct sum.  Otherwise the first
-    ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in levels:
-    outputs ``[L, 8 L)`` from the product of the first ``8 L`` samples
-    for ``L = _DIRECT_SIZE, 8 _DIRECT_SIZE, ...`` while ``4 * 8 L <= n``,
-    and the remaining outputs from the product of all ``n``.  Each product is
-    one ``rfft``/``irfft`` pair zero-padded to the power of two at least
-    ``2 stop - 1`` (so no term wraps around).  An FFT's error is relative
-    to the largest terms it sums, so the small values next to the base
-    node are exact sums, and each level's roundoff is relative to terms at
-    most ``8`` (on the top level ``32``) times further out instead of to the
-    far end of the grid.  The lower levels cost at most about a third of
-    the top product.
+    k[j-i] x[i]``.  ``k`` is a :class:`_Plan` for ``len(x)`` samples, or a
+    raw kernel of at least ``len(x)`` entries, which is planned for this
+    one product and dropped.  The path depends only on ``n = len(x)``: for
+    ``n <= _DIRECT_SIZE`` every output is a direct sum.  Otherwise the
+    first ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in
+    levels: outputs ``[L, 8 L)`` from the product of the first ``8 L``
+    samples for ``L = _DIRECT_SIZE, 8 _DIRECT_SIZE, ...`` while ``4 * 8 L
+    <= n``, and the remaining outputs from the product of all ``n``.  Each
+    product is one ``rfft``/``irfft`` pair zero-padded to the power of two
+    at least ``2 stop - 1`` (so no term wraps around).  An FFT's error is
+    relative to the largest terms it sums, so the small values next to the
+    base node are exact sums, and each level's roundoff is relative to
+    terms at most ``8`` (on the top level ``32``) times further out instead
+    of to the far end of the grid.  The lower levels cost at most about a
+    third of the top product.
+
+    The plan holds the kernel's spectrum for every level, so a kernel
+    applied to many inputs is transformed once.  The pad is not trimmed to
+    the ``2 stop - 1 - start`` terms a level keeps: measured on
+    ``frac_integral``, the trimmed pad gave 1.5-2x the largest relative
+    error, and the canonical suite's worst error grew from 10^-14.40 to
+    10^-14.20.
     """
     n = x.size
-    k = k[:n]
+    plan = k if isinstance(k, _Plan) else _Plan.build(k, n)
+    if plan.n != n:
+        raise ValueError(f"kernel plan for {plan.n} samples applied to {n}")
     if n <= _DIRECT_SIZE:
-        return np.convolve(x, k)[:n]
+        return np.convolve(x, plan.head)[:n]
     out = np.empty(n)
     head = slice(_DIRECT_SIZE)
-    out[head] = np.convolve(x[head], k[head])[head]
-    start = _DIRECT_SIZE
-    while start < n:
-        stop = _LEVEL_FACTOR * start
-        if 4 * stop > n:
-            stop = n
-        size = 1 << (2 * stop - 2).bit_length()
-        level = np.fft.irfft(np.fft.rfft(x[:stop], size) * np.fft.rfft(k[:stop], size), size)
+    out[head] = np.convolve(x[head], plan.head)[head]
+    for start, stop, size, spectrum in plan.levels:
+        level = np.fft.irfft(np.fft.rfft(x[:stop], size) * spectrum, size)
         out[start:stop] = level[start:stop]
-        start = stop
     return out
 
 
@@ -266,6 +353,19 @@ def _euler_image(
 # the integral
 
 
+def _product_plan(alpha: float, n: int) -> _Plan:
+    """Merged product-trapezoid kernel of both cell ends, for ``n + 1`` samples.
+
+    Cell ``m`` contributes ``fL(m) u[j-m] + fR(m) u[j-m+1]``, so tap ``m``
+    is ``fR(m+1) + fL(m)``; ``right`` keeps the ``fR`` taps alone.
+    """
+    f_left, f_right = product_kernels(alpha, n)
+    right = np.append(f_right, 0.0)
+    kernel = right.copy()
+    kernel[1:] += f_left
+    return _Plan.build(kernel, n + 1, right=right)
+
+
 @_reflection_conjugate
 def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """One-sided fractional integral of the piecewise-linear interpolant.
@@ -279,14 +379,10 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     regular, power = _split_left_singular(u)
     grid = u.grid
     n = grid.n
-    f_left, f_right = product_kernels(alpha, n)
-    # cell m contributes fL(m) u[j-m] + fR(m) u[j-m+1]: one kernel for both ends
-    right = np.append(f_right, 0.0)
-    kernel = right.copy()
-    kernel[1:] += f_left
+    plan = _plan(_product_plan, alpha, grid.n)
     # the right-end kernel also reaches the missing cell m = j + 1 through u[0]
-    spurious = regular[0] * right
-    out = (grid.h**alpha / gamma_fn(alpha)) * (_toeplitz(regular, kernel) - spurious)
+    spurious = regular[0] * plan.right
+    out = (grid.h**alpha / gamma_fn(alpha)) * (_toeplitz(regular, plan) - spurious)
 
     out_power: tuple[float, float] | None = None
     if power is not None:
@@ -303,13 +399,17 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
 # derivatives on the grid
 
 
+def _slope_plan(alpha: float, n: int) -> _Plan:
+    """Kernel ``m^(1-alpha) - (m-1)^(1-alpha)``, ``m = 1..n``, of the slope integral."""
+    m = np.arange(1, n + 1, dtype=float)
+    return _Plan.build(np.power(m, 1.0 - alpha) - np.power(m - 1.0, 1.0 - alpha), n)
+
+
 def _l1_slope_sum(regular: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     """``I^{1-alpha}`` of the interpolant's slope, at nodes 1..n (index 0 unused)."""
     n = grid.n
     slopes = np.diff(regular) / grid.h
-    m = np.arange(1, n + 1, dtype=float)
-    g = np.power(m, 1.0 - alpha) - np.power(m - 1.0, 1.0 - alpha)
-    conv = _toeplitz(slopes, g)
+    conv = _toeplitz(slopes, _plan(_slope_plan, alpha, n))
     out = np.zeros(n + 1)
     out[1:] = (grid.h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * conv
     return out
@@ -348,6 +448,11 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     return SampledFunction(grid, out, left_power=out_power)
 
 
+def _gl_plan(alpha: float, n: int) -> _Plan:
+    """Grunwald-Letnikov weights ``w_0..w_n`` for ``n + 1`` samples."""
+    return _Plan.build(gl_weights(alpha, n), n + 1)
+
+
 @_reflection_conjugate
 def gl_derivative(
     u: SampledFunction | LineFunction, alpha: float, side: Side | str = Side.LEFT
@@ -365,7 +470,7 @@ def gl_derivative(
     vals = u.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("Grunwald-Letnikov needs finite nodal values everywhere")
-    out = _toeplitz(vals, gl_weights(alpha, u.grid.n)) / u.grid.h**alpha
+    out = _toeplitz(vals, _plan(_gl_plan, alpha, u.grid.n)) / u.grid.h**alpha
     if isinstance(u, LineFunction):
         return LineFunction(u.half_width, out)
     return SampledFunction(u.grid, out)

@@ -357,7 +357,8 @@ def _endpoint_power(f: ClosedFormFunction, base: float, side: Side) -> tuple[flo
 def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> LineFunction:
     """Evaluate ``f`` over ``[-L, L]`` and run the decay check."""
     grid = line_grid(half_width, n)
-    return LineFunction(half_width, np.asarray(f.value(grid.nodes), dtype=float)).check_decay()
+    values = np.asarray(f.value(grid.nodes), dtype=float)
+    return LineFunction(half_width, values).check_decay(stacklevel=3)
 
 
 def gaussian_spectral_reference(

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 
+from fracsobolev import cli, operators, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
 from fracsobolev.core import Grid, SampledFunction
 
@@ -34,6 +35,24 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
         env=env,
         timeout=300,
     )
+
+
+def package_state() -> dict[tuple[str, str], int]:
+    """Size of every module-level container and ``functools`` cache in the
+    package, except the kernel plan slots and the interpreter's own
+    ``__dunder__`` bookkeeping (such as the warnings registry)."""
+    state = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if not module_name.startswith("fracsobolev"):
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__") or (module_name, attr) == ("fracsobolev.operators", "_plans"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                state[module_name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                state[module_name, attr] = value.cache_info().currsize
+    return state
 
 
 def read_rows(path: Path) -> dict[float, str]:
@@ -258,6 +277,49 @@ class TestSuiteCommand:
         assert lines[-1] == "18 passed, 0 failed, 18 total"
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert_reproduces_golden(out.read_text())
+
+    def test_kept_kernel_plans_give_the_bytes_of_fresh_ones(self, tmp_path, monkeypatch):
+        """The suite report is the same whether kernel plans are kept or
+        built afresh for every call, with the slots cleared before every
+        check; the only state a pass leaves behind is the plan slots, and
+        each held plan is a function of its key alone."""
+        builds = []
+        build = operators._Plan.build.__func__
+
+        def counted(cls, k, n, right=None):
+            builds.append(n)
+            return build(cls, k, n, right)
+
+        def cleared_checks():
+            def cleared(runner):
+                def run():
+                    operators._plans.clear()
+                    return runner()
+                return run
+            return {name: cleared(run) for name, run in verify.canonical_checks().items()}
+
+        monkeypatch.setattr(operators._Plan, "build", classmethod(counted))
+        before = package_state()
+        reports, counts = [], []
+        for checks, plan_bytes in ((cleared_checks, 0), (verify.canonical_checks, operators._PLAN_BYTES)):
+            monkeypatch.setattr(cli, "canonical_checks", checks)
+            monkeypatch.setattr(operators, "_PLAN_BYTES", plan_bytes)  # 0 keeps no plan
+            operators._plans.clear()
+            builds.clear()
+            out = tmp_path / f"{checks.__name__}.json"
+            assert main(["suite", "all", "--json", str(out)]) == 0
+            reports.append(out.read_bytes())
+            counts.append(len(builds))
+        assert reports[0] == reports[1]
+        # the second pass reused plans, and kept nothing but plans
+        assert counts[1] < counts[0]
+        assert package_state() == before
+        assert operators._plans
+        for kind, (key, plan) in operators._plans.items():
+            fresh = kind(*key)
+            assert [level[:3] for level in plan.levels] == [level[:3] for level in fresh.levels]
+            pairs = zip(plan.arrays(), fresh.arrays(), strict=True)
+            assert all(np.array_equal(a, b) for a, b in pairs)
 
     def test_reports_validate_against_the_schema(self):
         reports = json.loads(GOLDEN.read_text())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from fracsobolev.core import (
     trapezoid,
     uniform_grid,
 )
+from fracsobolev.operators import spectral_derivative
+from fracsobolev.oracle import Gaussian, sample_line
+from fracsobolev.spaces import fourier_seminorm
 
 # Reference values computed independently with mpmath at 30 digits.
 GAMMA_HALF = 1.7724538509055160273
@@ -292,6 +296,22 @@ class TestDataModel:
         with pytest.warns(UserWarning):
             bad = LineFunction(L, np.cos(x)).check_decay()
         assert not bad.decay_checked
+
+    def test_decay_warning_names_the_caller(self):
+        x = line_grid(16.0, 1024).nodes
+        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
+        wide = LineFunction(16.0, np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
+        for call in (
+            lambda: fourier_seminorm(slow, 0.5, 2.0),
+            lambda: spectral_derivative(wide, 0.5),
+            lambda: sample_line(Gaussian(0.0, 3.0), 16.0, 1024),
+            lambda: wide.check_decay(),
+        ):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                call()
+            hits = [w for w in rec if "has not decayed" in str(w.message)]
+            assert len(hits) == 1 and hits[0].filename == __file__
 
     def test_frac_order_split(self):
         assert FracOrder(0.3).m == 0 and FracOrder(0.3).sigma == pytest.approx(0.3)

@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev.core import Grid, LineFunction, SampledFunction, trapezoid
+from fracsobolev import operators
+from fracsobolev.core import (
+    Grid,
+    LineFunction,
+    SampledFunction,
+    gamma_fn,
+    gl_weights,
+    product_kernels,
+    trapezoid,
+)
 from fracsobolev.oracle import (
     Bump,
     Gaussian,
@@ -171,6 +180,94 @@ class TestToeplitzProduct:
         for computed, exact in cases:
             rel = np.abs(computed.values[1:] - exact[1:]) / exact[1:]
             assert np.max(rel) <= 1e-13
+
+
+def fresh_operator(name: str, u: SampledFunction, alpha: float) -> np.ndarray:
+    """Reference: the left operator body on the raw kernel, planned afresh.
+
+    ``u`` must be finite; for the derivatives its base value is 0, so no
+    base-node kernel term is added.
+    """
+    v, h, n = u.values, u.grid.h, u.grid.n
+    if name == "frac_integral":
+        f_left, f_right = product_kernels(alpha, n)
+        right = np.append(f_right, 0.0)
+        kernel = right.copy()
+        kernel[1:] += f_left
+        return (h**alpha / gamma_fn(alpha)) * (_toeplitz(v, kernel) - v[0] * right)
+    if name == "gl_derivative":
+        return _toeplitz(v, gl_weights(alpha, n)) / h**alpha
+    m = np.arange(1, n + 1, dtype=float)
+    slope_kernel = np.power(m, 1.0 - alpha) - np.power(m - 1.0, 1.0 - alpha)
+    out = np.zeros(n + 1)
+    out[1:] = (h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * _toeplitz(np.diff(v) / h, slope_kernel)
+    if name == "rl_derivative":
+        out[0] = math.inf
+    return out
+
+
+PLANNED = {
+    "frac_integral": operators._product_plan,
+    "rl_derivative": operators._slope_plan,
+    "caputo_derivative": operators._slope_plan,
+    "gl_derivative": operators._gl_plan,
+}
+
+
+class TestKernelPlans:
+    """One plan per kernel kind is kept and reused; reuse never changes a bit."""
+
+    @staticmethod
+    def samples(n: int, seed: int) -> SampledFunction:
+        vals = np.random.default_rng(seed).standard_normal(n + 1)
+        vals[0] = vals[-1] = 0.0  # no base-node kernel term on either side
+        return SampledFunction(unit_grid(n), vals)
+
+    @pytest.mark.parametrize("n", [256, 257, 2048, 20000])
+    @pytest.mark.parametrize("name", sorted(PLANNED))
+    def test_reused_plans_match_fresh_products(self, name, n):
+        op = getattr(operators, name)
+        alpha = 0.35
+        for side in ("left", "right"):
+            u = self.samples(n, n)
+            if name == "frac_integral":  # a non-zero base reaches the right-end taps
+                u = SampledFunction(u.grid, u.values + 0.75)
+            op(self.samples(n, 1), alpha, side)  # fills the slot
+            assert operators._plans[PLANNED[name]][0] == (alpha, n)
+            out = op(u, alpha, side).values
+            if side == "left":
+                expected = fresh_operator(name, u, alpha)
+            else:
+                expected = fresh_operator(name, u.reflected(), alpha)[::-1]
+            assert np.array_equal(out, expected)
+
+    def test_alternating_orders_give_the_bits_of_fresh_plans(self):
+        u = self.samples(3000, 7)
+        for name in sorted(PLANNED):
+            op = getattr(operators, name)
+            for alpha in (0.3, 0.6, 0.3):
+                kept = op(u, alpha).values
+                operators._plans.clear()
+                assert np.array_equal(kept, op(u, alpha).values)
+
+    def test_cached_arrays_are_read_only(self):
+        u = self.samples(4096, 3)
+        for name in sorted(PLANNED):
+            getattr(operators, name)(u, 0.45)
+            _, plan = operators._plans[PLANNED[name]]
+            for array in plan.arrays():
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_large_grids_hold_no_plan(self):
+        for n in (1 << 10, 1 << 14, 1 << 15, 1 << 16):
+            u = self.samples(n, n)
+            for name in sorted(PLANNED):
+                for side in ("left", "right"):
+                    getattr(operators, name)(u, 0.55, side)
+                    held = sum(plan.nbytes for _, plan in operators._plans.values())
+                    assert held <= 3 * operators._PLAN_BYTES
+        assert not operators._plans
 
 
 class TestRlDerivative:

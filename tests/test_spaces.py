@@ -404,6 +404,18 @@ class TestHolderQuotient:
         for exponent, window in ((0.25, (0.25, 1.0)), (0.35, (g.h, 1.0)), (0.5, (0.0, 1.0))):
             assert holder_quotient(k, exponent, window) == holder_gap_loop(k, exponent, window)
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_best_quotient_at_the_widest_gap(self, n):
+        # x^(-1/4) at exponent 1/4: no early exit, so every block of gaps runs
+        g = unit_grid(n)
+        k = kappa(0.75, "left", g)
+        window = (0.25, 1.0)
+        vals = k.values[g.nodes >= 0.25]
+        widest = abs(vals[-1] - vals[0]) / ((vals.size - 1) * g.h) ** 0.25
+        q = holder_quotient(k, 0.25, window)
+        assert q == holder_gap_loop(k, 0.25, window)
+        assert q == widest
+
     def test_two_flagged_nodes_in_one_difference(self):
         vals = np.linspace(0.0, 1.0, 65)
         vals[0] = vals[-1] = math.inf
