@@ -830,12 +830,18 @@ def check_sobolev_inequality(
         return lhs / max(rhs, _TINY)
 
     window = line_grid(half_width, n_line)
-    fine, residuals, details = _battery_drift(line_ratio, battery, held_out, window)
-    del details["battery_max_coarse"]  # the line report never carried it
-
     lambdas = (1.0, 2.0, 4.0, 8.0)
     probe_f = battery.members[0]
-    probe = [line_ratio(probe_f, window, lam) for lam in lambdas]
+    # line_ratio runs at two stack depths, so no one stacklevel names the
+    # caller: its decay and window-tail warnings are re-emitted from here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fine, residuals, details = _battery_drift(line_ratio, battery, held_out, window)
+        probe = [line_ratio(probe_f, window, lam) for lam in lambdas]
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
+    del details["battery_max_coarse"]  # the line report never carried it
+
     rel = [pr / probe[0] - 1.0 for pr in probe]
     probe_drift = max(abs(d) for d in rel)
     at_critical = abs(r - p_star) <= 1e-9
@@ -954,13 +960,18 @@ def extend_trivial(
     tail_num = np.asarray(deriv.values)[tail_mask]
 
     # independent route: direct quadrature of the explicit kernel integral,
-    # on a tail subsample to keep the pairwise-distance table small
+    # on a tail subsample to keep the pairwise-distance table small; cells
+    # with both nodes outside the support add exact zeros, so the table
+    # keeps only the nodes from one before the first nonzero sample to one
+    # after the last
     stride = max(1, tail_x.size // 512)
     sub_x, sub_num = tail_x[::stride], tail_num[::stride]
     coef = 1.0 / gamma_fn(-alpha)
-    diffs = sub_x[:, None] - grid.nodes[None, :]
+    nonzero = np.flatnonzero(vals)
+    cover = slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, vals.size))
+    diffs = sub_x[:, None] - grid.nodes[None, cover]
     kernel = coef * np.power(diffs, -1.0 - alpha)
-    cell = np.asarray(vals) * kernel
+    cell = vals[cover] * kernel
     tail_ora = np.sum(0.5 * grid.h * (cell[:, :-1] + cell[:, 1:]), axis=1)
     pollution_rel = float(np.max(np.abs(sub_num - tail_ora))) / max(
         float(np.max(np.abs(tail_ora))), _TINY

@@ -367,8 +367,8 @@ class TestIoBehaviour:
 
 class TestColdStart:
     def test_importing_the_cli_loads_no_scipy(self):
-        # scipy is imported lazily, only for the zeta function in spaces;
-        # importing it at start-up took most of a short command's time
+        # the package does not use scipy; importing it at start-up took
+        # most of a short command's time
         code = (
             "import fracsobolev.cli, sys; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -378,6 +378,20 @@ class TestColdStart:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_a_fourier_norm_loads_no_scipy(self):
+        # the zeta function of the kink correction is numpy-only
+        code = (
+            "import sys; from fracsobolev import cli; "
+            "rc = cli.main(['norm', '--space', 'fourier', '--alpha', '0.5', "
+            "'--fn', 'gauss:mu=0;s=1', '--line', '8,1024']); "
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestCsvFormat:

@@ -20,6 +20,7 @@ from fracsobolev.oracle import Bump, Gaussian, PowerSum, Step, sample, sample_li
 from fracsobolev.spaces import (
     NormSpec,
     _gagliardo_integral,
+    _zeta,
     TraceValue,
     fourier_seminorm,
     gagliardo_seminorm,
@@ -46,6 +47,16 @@ FOURIER_S0 = 22.273311987326831  # 4 pi sqrt(pi): twice Parseval
 HOLDER_KAPPA = 0.4451014394796432  # (sqrt(2)-1) / 0.75^{0.25}
 SQRT2 = 1.4142135623730950488
 TWO_OVER_SQRT_PI = 1.1283791670955126
+# zeta at the binary value of each float argument (1 + 1e-6 is not exact)
+ZETA = {
+    1 + 1e-6: 1000000.57729800435532656531022,
+    1.05: 20.5808443020369848299843450341,
+    1.5: 2.61237534868548834334856756792,
+    2.0: 1.64493406684822643647241516665,
+    3.2: 1.16677337098446699260489850858,
+    6.0: 1.01734306198444913971451792979,
+    12.0: 1.00024608655330804829863799805,
+}
 
 
 def unit_grid(n: int) -> Grid:
@@ -237,6 +248,14 @@ class TestSeminormRatio:
             assert v == pytest.approx(moment, rel=1e-5)
 
 
+class TestZeta:
+    def test_frozen_values(self):
+        # measured: at most 1.8e-16 relative at these points and 4.3e-16
+        # over x = 1 + 1e-11 .. 23; the bar of 2e-15 leaves about 4.6x
+        for x, value in ZETA.items():
+            assert _zeta(x) == pytest.approx(value, rel=2e-15), x
+
+
 class TestFourierSeminorm:
     def test_zero(self):
         u = LineFunction(8.0, np.zeros(257))
@@ -332,7 +351,7 @@ class TestBatchedGagliardo:
     """The offset-batched Gagliardo integral against the per-offset loop."""
 
     @pytest.mark.parametrize("n", [64, 1000, 4096])
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_line_is_bitwise_the_offset_loop(self, n, p):
         rng = np.random.default_rng(n)
         smooth = sample_line(Gaussian(0.3, 1.2), 12.0, n)
@@ -353,6 +372,56 @@ class TestBatchedGagliardo:
             for alpha in (0.25, 0.5, 0.75):
                 ref = gagliardo_offset_loop(u, alpha, p)
                 assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    @pytest.mark.parametrize("domain", ["line", "interval"])
+    def test_p2_matches_the_offset_loop(self, domain, n):
+        # p = 2 sums each row from lag sums and one FFT autocorrelation, so
+        # only roundoff separates it from the interpolated rows.  Measured
+        # on this grid: at most 8.6e-15 relative (interval, smooth, n = 4096,
+        # alpha = 0.9); the bar of 1e-13 leaves a margin of about 12x.
+        rng = np.random.default_rng(n)
+        if domain == "line":
+            smooth = sample_line(Gaussian(0.3, 1.2), 12.0, n)
+            rough = LineFunction(12.0, smooth.values + 1e-3 * rng.standard_normal(n + 1))
+        else:
+            g = unit_grid(n)
+            smooth = SampledFunction(g, np.sin(3.0 * g.nodes))
+            rough = SampledFunction(g, rng.standard_normal(n + 1))
+        for u in (smooth, rough):
+            for alpha in (0.25, 0.5, 0.75, 0.9):
+                ref = gagliardo_offset_loop(u, alpha, 2.0)
+                assert _gagliardo_integral(u, alpha, 2.0) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("domain", ["line", "interval"])
+    def test_p2_interpolates_nothing_and_ffts_once_per_integral(self, domain, monkeypatch):
+        calls = {"interp": 0, "fft": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for cls in (LineFunction, SampledFunction):
+            monkeypatch.setattr(cls, "interp", counted("interp", cls.interp))
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+
+        fft_calls = []
+        for n in (1024, 4096):  # 266 and 314 offsets
+            calls["fft"] = 0
+            if domain == "line":
+                u = sample_line(Gaussian(0.3, 1.2), 12.0, n)
+            else:
+                g = unit_grid(n)
+                u = SampledFunction(g, np.sin(3.0 * g.nodes))
+            assert gagliardo_seminorm(u, 0.5, 2.0) > 0.0
+            fft_calls.append(calls["fft"])
+        assert calls["interp"] == 0
+        # three integrals (n, n/2, n/4), one rfft/irfft pair each
+        assert fft_calls == [6, 6]
 
 
 def holder_gap_loop(u, exponent: float, subinterval) -> float:

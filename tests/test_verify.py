@@ -384,6 +384,23 @@ class TestSobolevInequality:
         assert rep.passed
         assert rep.residuals[-1] == 0.0
 
+    def test_line_warnings_name_the_caller(self):
+        # Gaussian(0, 4) has not decayed at +-12: the decay and window-tail
+        # warnings come from inside the check, at two stack depths
+        battery = [
+            Gaussian(0.1 * i - 0.4, width)
+            for i, width in enumerate(np.linspace(0.5, 1.3, 9))
+        ] + [Gaussian(0.0, 4.0)]
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            check_sobolev_inequality(battery, 0.3, 2.0, domain="line", n_line=1024)
+        texts = [str(w.message) for w in rec]
+        assert any("has not decayed" in t for t in texts)
+        assert any("window-tail" in t for t in texts)
+        assert all(w.filename == __file__ for w in rec), [
+            (w.filename, w.lineno) for w in rec
+        ]
+
     def test_rejects_supercritical_exponent(self):
         g = unit_grid(256)
         with pytest.raises(ValueError):
