@@ -59,8 +59,9 @@ __all__ = [
     "weighted_spectral_integral",
 ]
 
-# offsets x nodes per interp call in the Gagliardo integral, and gaps x nodes
-# per block of the Hölder quotient: keeps each temporary array near 1 MB
+# offsets x nodes per block of shifted slices in the p != 2 Gagliardo
+# integral, and gaps x nodes per block of the Hölder quotient: keeps each
+# temporary array near 1 MB
 _GAGLIARDO_BLOCK = 1 << 17
 # the p = 2 Gagliardo rows take the lag sums up to this many cells directly
 # and the longer lags from an FFT autocorrelation (see _square_row_sums);
@@ -403,11 +404,17 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
     the nodes past ``x_{n-k}`` add ``u(x_j)^2`` each.  The result agrees
     with the interpolated rows to roundoff, not bitwise.
 
-    Other ``p`` interpolate the 2-D array ``x + t`` for a block of offsets
-    at a time and take one trapezoid per row: on the line every row is the
-    full window, so the result is bitwise that of one offset at a time; on
-    an interval each row is zero past the last node with ``x + t <= b``,
-    which changes only the summation order.
+    Other ``p`` build ``_GAGLIARDO_BLOCK // (n + 1)`` rows at a time from
+    contiguous windows of the samples, zero-padded on the right, and of
+    their steps: a row reads ``v[j+k] - v[j] + theta (v[j+k+1] - v[j+k])``
+    for every node, then takes ``|.|^p`` and one trapezoid.  The one node
+    per offset whose shift leaves the window, ``x_{n-k}``, is read with
+    ``u.interp`` instead (one call per block), since there the interpolant
+    is 0 and not ``(1-theta) u[n]``.  On an interval each row is zero past
+    the last node with ``x + t <= b``.  ``p = 1`` skips the power, which is
+    exact.  The rows agree with interpolating each offset to roundoff, not
+    bitwise: ``x_j + t`` is split into cell and fraction once per offset
+    rather than by ``np.interp`` per node.
     """
     grid = u.grid
     h = grid.h
@@ -430,11 +437,12 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
         # nodes with x + t inside the interval; rows keep a zero tail past them
         last = np.searchsorted(x, grid.b - offsets + 1e-12 * grid.width, side="right") - 1
         inner = np.zeros(offsets.size)
+    # on the uniform grid an offset t = (k + theta) h reads the interpolant
+    # at x_j + t as v[j+k] + theta (v[j+k+1] - v[j+k]) while j + k < n
+    n = x.size - 1
+    k, theta = np.divmod(offsets / h, 1.0)
+    k = k.astype(int)
     if p == 2.0:
-        n = x.size - 1
-        k, theta = np.divmod(offsets / h, 1.0)
-        k = k.astype(int)
-
         def row_end(j: np.ndarray) -> np.ndarray:
             shifted = np.interp(x[j] + offsets, x, vals, left=0.0, right=0.0)
             return (shifted - vals[j]) ** 2
@@ -449,17 +457,34 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
             row_sums += np.where(last >= n - k, leaving, 0.0)
         inner += h * (row_sums - 0.5 * (row_end(np.zeros_like(k)) + row_end(last)))
     else:
+        # row k of here/step reads v[j+k] and v[j+k+1] - v[j+k] for j = 0..n,
+        # with zeros right of the window
+        pad = np.concatenate([vals, np.zeros(n + 1)])
+        here = sliding_window_view(pad, n + 1)
+        step = sliding_window_view(np.diff(pad), n + 1)
         cols = np.arange(x.size)
         rows = max(1, _GAGLIARDO_BLOCK // x.size)
         for start in range(0, offsets.size, rows):
             block = slice(start, start + rows)
-            diff = np.abs(u.interp(x + offsets[block, None]) - vals) ** p
+            kb = k[block]
+            diff = here[kb]
+            diff -= vals
+            slope = step[kb]
+            slope *= theta[block, None]
+            diff += slope
+            # unless theta = 0, x_{n-k} + t lies right of x_n, where the
+            # interpolant is 0 and not (1-theta) v[n]: read it through interp
+            edge = n - kb
+            diff[np.arange(kb.size), edge] = u.interp(x[edge] + offsets[block]) - vals[edge]
             if not on_line:
                 diff[cols > last[block, None]] = 0.0
+            np.abs(diff, out=diff)
+            if p != 1.0:  # x ** 1.0 == x, but has no fast path
+                diff **= p
             ends = diff[:, 0] + np.take_along_axis(diff, last[block, None], axis=1)[:, 0]
             inner[block] += h * (np.sum(diff, axis=1) - 0.5 * ends)
     total = 0.0
-    for w, t, v, j in zip(weights, offsets, inner, last):
+    for w, t, v, j in zip(weights.tolist(), offsets.tolist(), inner.tolist(), last.tolist()):
         if j < 1:  # fewer than 2 nodes left inside the interval
             continue
         # extra t: Jacobian of the log substitution
@@ -485,8 +510,10 @@ def gagliardo_seminorm(
     ``p = 2`` costs ``O(n log n)``: every offset's inner integral comes from
     one FFT autocorrelation of the samples plus directly summed short lags
     (see :func:`_gagliardo_integral`), and agrees with interpolating each
-    offset to about 1e-14 relative.  Other ``p`` interpolate every offset,
-    ``O(n)`` per offset.
+    offset to about 1e-14 relative.  Other ``p`` cost ``O(n)`` per offset:
+    each row is read from shifted slices of the samples, with one
+    interpolated node per offset where the shift leaves the window, and
+    agrees with interpolating each offset to about 1e-14 relative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
@@ -644,6 +671,7 @@ def holder_quotient(
     g = u.grid
     if lo < g.a - 1e-12 * g.width or hi > g.b + 1e-12 * g.width or not lo < hi:
         raise ValueError(f"subinterval ({lo}, {hi}) not inside ({g.a}, {g.b})")
+    h = g.h
     m = (g.nodes >= lo) & (g.nodes <= hi)
     vals = np.asarray(u.values, dtype=float)[m]
     n = vals.size
@@ -653,7 +681,7 @@ def holder_quotient(
     if not np.all(np.isfinite(vals)):
         with np.errstate(invalid="ignore"):
             for d in range(1, n):
-                step = float(np.max(np.abs(vals[d:] - vals[:-d]))) / (d * g.h) ** exponent
+                step = float(np.max(np.abs(vals[d:] - vals[:-d]))) / (d * h) ** exponent
                 if math.isnan(step):  # two flagged nodes in one difference
                     return math.inf
                 best = max(best, step)
@@ -665,12 +693,12 @@ def holder_quotient(
     shifted = sliding_window_view(np.concatenate([vals, np.full(n - 1, np.nan)]), n)
     rows = max(1, _GAGLIARDO_BLOCK // n)
     start = 1
-    while start < n and spread / (start * g.h) ** exponent > best:
+    while start < n and spread / (start * h) ** exponent > best:
         stop = min(max(2, 2 * start - 1), n, start + rows)
         width = n - start  # every row of the block is NaN from here on
         diff = shifted[start:stop, :width] - vals[:width]
         largest = np.fmax.reduce(np.abs(diff, out=diff), axis=1)
-        gaps = np.array([(d * g.h) ** exponent for d in range(start, stop)])
+        gaps = np.array([(d * h) ** exponent for d in range(start, stop)])
         best = max(best, float(np.max(largest / gaps)))
         start = stop
     return best

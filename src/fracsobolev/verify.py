@@ -887,6 +887,17 @@ def check_sobolev_inequality(
 _SLOPE_FIT_WINDOW = (1.0 / 3.0, 0.95)
 
 
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope ``sum (x - xbar)(y - ybar) / sum (x - xbar)^2``.
+
+    Closed form with ``np.sum`` rather than ``np.polyfit``, whose ``lstsq``
+    goes through BLAS and changes its last bits with the BLAS kernel.
+    """
+    dx = x - np.sum(x) / x.size
+    dy = y - np.sum(y) / y.size
+    return float(np.sum(dx * dy) / np.sum(dx * dx))
+
+
 def extend_trivial(
     u: SampledFunction,
     alpha: float,
@@ -984,7 +995,7 @@ def extend_trivial(
         logs = np.log(s[fit_mask])
         logt = np.log(np.abs(tail_num[fit_mask]))
     keep = np.isfinite(logt)
-    slope = float(np.polyfit(logs[keep], logt[keep], 1)[0])
+    slope = _fit_slope(logs[keep], logt[keep])
     slope_err = abs(slope - (-(1.0 + alpha)))
 
     report = _finish(

@@ -14,10 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev.core import FracOrder, Grid, LineFunction, SampledFunction, Side, trapezoid
+from fracsobolev.core import (
+    FracOrder,
+    Grid,
+    LineFunction,
+    SampledFunction,
+    Side,
+    _log_offsets,
+    trapezoid,
+)
 from fracsobolev.operators import frac_derivative, kappa
 from fracsobolev.oracle import Bump, Gaussian, PowerSum, Step, sample, sample_line
 from fracsobolev.spaces import (
+    _GAGLIARDO_BLOCK,
     NormSpec,
     _gagliardo_integral,
     _zeta,
@@ -353,18 +362,26 @@ class TestBatchedGagliardo:
     @pytest.mark.parametrize("n", [64, 1000, 4096])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_line_is_bitwise_the_offset_loop(self, n, p):
+        # p != 2 reads each row from shifted slices rather than np.interp
+        # per node, so the two agree to roundoff, no longer bitwise.
+        # Measured on this grid: at most 7.9e-16 relative (rough, p = 1);
+        # the bar of 1e-13 is the one of test_p2_matches_the_offset_loop.
+        # ``edge`` has not decayed at +L (v[n] = 0.17), so the
+        # node whose shift leaves the window reads 0, not (1-theta) v[n].
         rng = np.random.default_rng(n)
         smooth = sample_line(Gaussian(0.3, 1.2), 12.0, n)
         rough = LineFunction(12.0, smooth.values + 1e-3 * rng.standard_normal(n + 1))
-        for u in (smooth, rough):
+        edge = LineFunction(12.0, np.exp(-(((smooth.x - 10.0) / 1.5) ** 2)))
+        for u in (smooth, rough, edge):
             for alpha in (0.25, 0.5, 0.75):
-                assert _gagliardo_integral(u, alpha, p) == gagliardo_offset_loop(u, alpha, p)
+                ref = gagliardo_offset_loop(u, alpha, p)
+                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_interval_matches_the_offset_loop(self, n, p):
         # the longest offsets leave fewer than 2 nodes inside the interval;
-        # the batched rows sum zero tails, so only the summation order changes
+        # the rows sum zero tails past them
         rng = np.random.default_rng(n)
         g = unit_grid(n)
         for vals in (np.sin(3.0 * g.nodes), rng.standard_normal(n + 1)):
@@ -372,6 +389,48 @@ class TestBatchedGagliardo:
             for alpha in (0.25, 0.5, 0.75):
                 ref = gagliardo_offset_loop(u, alpha, p)
                 assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_interval_other_p_match_the_offset_loop(self, n, p):
+        # Measured on this grid: at most 9.2e-15 relative (noise, p = 3,
+        # where |.|^3 widens the rows' dynamic range); the bar of 1e-13
+        # leaves a margin of about 11x.
+        rng = np.random.default_rng(n)
+        g = unit_grid(n)
+        for vals in (np.sin(3.0 * g.nodes), rng.standard_normal(n + 1)):
+            u = SampledFunction(g, vals)
+            for alpha in (0.25, 0.5, 0.75):
+                ref = gagliardo_offset_loop(u, alpha, p)
+                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("domain", ["line", "interval"])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_other_p_interpolate_one_point_per_offset(self, domain, p, monkeypatch):
+        points = []
+
+        def counted(fn):
+            def wrapper(self, x):
+                points.append(np.size(x))
+                return fn(self, x)
+
+            return wrapper
+
+        for cls in (LineFunction, SampledFunction):
+            monkeypatch.setattr(cls, "interp", counted(cls.interp))
+        n = 2048
+        if domain == "line":
+            u = sample_line(Gaussian(0.3, 1.2), 12.0, n)
+            t_max = 24.0
+        else:
+            g = unit_grid(n)
+            u = SampledFunction(g, np.sin(3.0 * g.nodes))
+            t_max = 1.0
+        offsets = _log_offsets(u.grid.h / 2.0, t_max)[0].size
+        assert _gagliardo_integral(u, 0.5, p) > 0.0
+        # one interp call per block of _GAGLIARDO_BLOCK // (n + 1) rows
+        assert len(points) == -(-offsets // (_GAGLIARDO_BLOCK // (n + 1)))
+        assert sum(points) == offsets
 
     @pytest.mark.parametrize("n", [64, 1000, 4096])
     @pytest.mark.parametrize("domain", ["line", "interval"])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsobolev import verify
 from fracsobolev.core import Grid, SampledFunction, Side, uniform_grid
 from fracsobolev.operators import rl_derivative
 from fracsobolev.oracle import (
@@ -438,6 +439,22 @@ class TestTrivialExtension:
         assert rep.ratios[0] == rep.details["norm_ratio"]
         assert 1.0 <= rep.details["norm_ratio"] < 10.0
         assert ext.grid.n == AMBIENT.n
+
+    def test_slope_fit_matches_polyfit_on_the_check_data(self, monkeypatch):
+        # the closed-form slope sums without BLAS; on the canonical check's
+        # log-log tail it must agree with np.polyfit's lstsq to 1e-12 relative
+        fits = []
+        fit = verify._fit_slope
+
+        def recorded(x, y):
+            fits.append((x, y))
+            return fit(x, y)
+
+        monkeypatch.setattr(verify, "_fit_slope", recorded)
+        slope = canonical_checks()["extend_trivial"]().details["tail_slope"]
+        [(x, y)] = fits
+        assert x.size > 100
+        assert slope == pytest.approx(float(np.polyfit(x, y, 1)[0]), rel=1e-12)
 
     def test_zero_function_extends_to_zero(self):
         g = unit_grid(512)
