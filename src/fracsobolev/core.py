@@ -257,6 +257,11 @@ def gamma_fn(x):
     layer encodes ``1/Gamma(pole) = 0`` explicitly where annihilation is
     the intended meaning).
     """
+    if isinstance(x, (int, float)):  # np.float64 too: skips the array round trip
+        value = float(x)
+        if value <= 0.0 and (value.is_integer() or value == -math.inf):
+            raise ValueError(f"gamma pole at non-positive integer argument {value}")
+        return _gamma(value)
     arr = np.asarray(x, dtype=float)
     at_pole = (arr <= 0) & (arr == np.floor(arr))
     if np.any(at_pole):

@@ -19,12 +19,13 @@ Every one-sided grid operator is a Volterra convolution, and all of them
 go through the one primitive :func:`_toeplitz`, which picks its path from
 the input length alone: up to ``_DIRECT_SIZE`` samples it sums directly;
 longer inputs have their first ``_DIRECT_SIZE`` outputs summed directly
-and the rest from zero-padded real FFT products over prefixes that grow
-by ``_LEVEL_FACTOR`` (the Hairer-Lubich-Schlichte split into a direct
-head and an FFT tail, with the tail in levels).  The values next to the
-base node, which the endpoint extrapolation and the singular-power fit
-read, are therefore exact sums at every grid size, and the FFT roundoff
-of an output is relative to terms at most a few levels further out.
+and the rest from real FFT products over prefixes that grow by
+``_LEVEL_FACTOR``, each padded only as far as the outputs it keeps need
+(the Hairer-Lubich-Schlichte split into a direct head and an FFT tail,
+with the tail in levels).  The values next to the base node, which the
+endpoint extrapolation and the singular-power fit read, are therefore
+exact sums at every grid size, and the FFT roundoff of an output is
+relative to terms at most a few levels further out.
 
 What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
 head taps, the level boundaries and pads, and the kernel's spectrum on
@@ -33,9 +34,10 @@ size, and callers apply one operator at one order on one grid to many
 functions, so :func:`_plan` keeps the last plan of each kind (product
 trapezoid, L1 slope, Grunwald-Letnikov) keyed by ``(alpha, n)`` in three
 slots, shared by both sides and by every caller.  A plan over
-``_PLAN_BYTES`` (1 MiB; grids of about ``2^15`` cells and more) is built
-for its call and dropped, as is Marchaud's kernel, which also depends on
-the step and the window.  A kept plan gives bitwise the output of a fresh
+``_PLAN_BYTES`` (1 MiB: the product-trapezoid plan from ``2^15`` cells,
+the slope and Grunwald-Letnikov plans from ``2^16``) is built for its call
+and dropped, as is Marchaud's kernel, which also depends on the step and
+the window.  A kept plan gives bitwise the output of a fresh
 one.
 
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
@@ -104,12 +106,14 @@ _ANNIHILATION_TOL = 1e-12
 # convolutions of up to this many samples, and this many leading outputs
 # of longer ones, are direct sums (see _toeplitz)
 _DIRECT_SIZE = 256
-# past the direct head, outputs [L, 8 L) come from the first 8 L samples
-_LEVEL_FACTOR = 8
-# a kernel plan with more array bytes than this (grids of about 2^15 cells
-# and more) is used once and not kept, the same 1 MB budget as the Gagliardo
-# blocks: keeping plans of every size raised the peak RSS of the interval
-# benchmark (grids up to 2^16 cells) from 74 to 80 MB
+# past the direct head, outputs [L, 4 L) come from the first 4 L samples;
+# the top level keeps [L, n), n < 8 L, from all n samples
+_LEVEL_FACTOR = 4
+# a kernel plan with more array bytes than this is used once and not kept:
+# the product-trapezoid plan from 2^15 cells (1.13 MB there), the slope and
+# Grunwald-Letnikov plans from 2^16.  It is the same 1 MB budget as the
+# Gagliardo blocks: keeping plans of every size raised the peak RSS of the
+# interval benchmark (grids up to 2^16 cells) from 70 to 74 MB
 _PLAN_BYTES = 1 << 20
 
 
@@ -119,7 +123,9 @@ class _Plan:
 
     ``head`` holds the first ``min(n, _DIRECT_SIZE)`` taps, summed
     directly; ``levels`` holds ``(start, stop, size, spectrum)`` for each
-    FFT level, with ``spectrum = rfft(k[:stop], size)``.  ``right`` is the
+    FFT level, which keeps outputs ``[start, stop)``, with ``spectrum =
+    rfft(k[:stop], size)`` and ``size`` the power of two at least ``2 stop
+    - 1 - start`` (see :func:`_toeplitz`).  ``right`` is the
     product kernel's right-end taps, which :func:`frac_integral` subtracts
     at the base node (None for other kernels).  Every array is read-only.
     """
@@ -132,14 +138,17 @@ class _Plan:
     @classmethod
     def build(cls, k: np.ndarray, n: int, right: np.ndarray | None = None) -> _Plan:
         """Plan the kernel ``k`` (at least ``n`` entries; later ones are ignored)."""
+        if k.size < n:
+            raise ValueError(f"kernel of {k.size} entries planned for {n} samples")
         levels = []
         start = _DIRECT_SIZE
         while start < n:
             stop = _LEVEL_FACTOR * start
-            if 4 * stop > n:
+            if 2 * stop > n:
                 stop = n
-            # no term wraps around: the pad is the power of two >= 2 stop - 1
-            size = 1 << (2 * stop - 2).bit_length()
+            # wrapped terms land only below start: the pad is the power of two
+            # >= 2 stop - 1 - start
+            size = 1 << (2 * stop - 2 - start).bit_length()
             levels.append((start, stop, size, np.fft.rfft(k[:stop], size)))
             start = stop
         plan = cls(n, k[: min(n, _DIRECT_SIZE)].copy(), tuple(levels), right)
@@ -187,23 +196,28 @@ def _toeplitz(x: np.ndarray, k: np.ndarray | _Plan) -> np.ndarray:
     one product and dropped.  The path depends only on ``n = len(x)``: for
     ``n <= _DIRECT_SIZE`` every output is a direct sum.  Otherwise the
     first ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in
-    levels: outputs ``[L, 8 L)`` from the product of the first ``8 L``
-    samples for ``L = _DIRECT_SIZE, 8 _DIRECT_SIZE, ...`` while ``4 * 8 L
-    <= n``, and the remaining outputs from the product of all ``n``.  Each
-    product is one ``rfft``/``irfft`` pair zero-padded to the power of two
-    at least ``2 stop - 1`` (so no term wraps around).  An FFT's error is
-    relative to the largest terms it sums, so the small values next to the
-    base node are exact sums, and each level's roundoff is relative to
-    terms at most ``8`` (on the top level ``32``) times further out instead
-    of to the far end of the grid.  The lower levels cost at most about a
-    third of the top product.
+    levels: outputs ``[L, 4 L)`` from the product of the first ``4 L``
+    samples for ``L = _DIRECT_SIZE, 4 _DIRECT_SIZE, ...`` while ``2 * 4 L
+    <= n``, and the remaining outputs from the product of all ``n``.  A
+    level ``[start, stop)`` is one ``rfft``/``irfft`` pair zero-padded to
+    the power of two at least ``2 stop - 1 - start``: the terms that wrap
+    around land on outputs below ``start``, which the level discards.  An
+    FFT's error is relative to the largest terms it sums, so the small
+    values next to the base node are exact sums, and each level's roundoff
+    is relative to terms at most ``4`` (on the top level ``8``) times
+    further out instead of to the far end of the grid.  The lower levels
+    cost at most about 0.6 of the top product.
 
     The plan holds the kernel's spectrum for every level, so a kernel
-    applied to many inputs is transformed once.  The pad is not trimmed to
-    the ``2 stop - 1 - start`` terms a level keeps: measured on
-    ``frac_integral``, the trimmed pad gave 1.5-2x the largest relative
-    error, and the canonical suite's worst error grew from 10^-14.40 to
-    10^-14.20.
+    applied to many inputs is transformed once.  The trimmed pad halves the
+    top product of the ``n + 1`` samples of :func:`frac_integral` and
+    :func:`gl_derivative` on ``2^m`` cells, to the pad of the ``n`` slopes
+    of :func:`rl_derivative`.  With levels growing by 8, the trim cost
+    accuracy: ``frac_integral`` of ``x`` at 1024 and 2048 cells had a worst
+    relative error of 6.4e-15 against 3.8e-15 untrimmed, and the canonical
+    suite's worst error grew from 10^-14.40 to 10^-14.20.  Levels growing
+    by 4 read the values just past the direct head from a product of 1024
+    samples, and with the trim they give 2.2e-15 and 10^-14.69.
     """
     n = x.size
     plan = k if isinstance(k, _Plan) else _Plan.build(k, n)

@@ -70,11 +70,19 @@ class TestGamma:
         assert gamma_fn(-0.5) == pytest.approx(GAMMA_NEG_HALF, rel=1e-13)
 
     def test_poles_raise(self):
-        for bad in (0.0, -1.0, -2.0, -17.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, -2.0, -17.0, -3, np.float64(-2.0), np.array(-4.0)):
+            with pytest.raises(ValueError, match="gamma pole"):
                 gamma_fn(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma pole"):
             gamma_fn(np.array([1.0, -3.0]))
+
+    def test_scalars_give_the_bits_of_arrays(self):
+        x = np.concatenate([np.linspace(-4.75, 60.0, 257), [1.0, 3.0]])
+        expected = gamma_fn(x)
+        # Python floats, np.float64 and 0-d arrays
+        for values in ([float(v) for v in x], list(x), [np.array(v) for v in x]):
+            assert np.array_equal([gamma_fn(v) for v in values], expected)
+        assert gamma_fn(3) == gamma_fn(np.array([3.0]))[0] == 2.0
 
     def test_overflow_is_infinite(self):
         assert gamma_fn(180.0) == math.inf

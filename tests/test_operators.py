@@ -117,6 +117,25 @@ class TestFracIntegral:
         with pytest.raises(ValueError):
             frac_integral(u, 1.3)
 
+    def test_linear_is_accurate_past_the_direct_head(self):
+        # worst relative error over these 12 cases: 2.2e-15 (2.3e-15 with
+        # NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4,X86_V3).  The
+        # bar leaves a margin of 1.5x.  Levels growing by 8 gave 6.4e-15
+        # (8.5e-15) with these pads and 3.8e-15 (5.0e-15) with pads of
+        # 2 stop - 1, so the bar fails both.
+        for n in (1024, 2048):
+            g = unit_grid(n)
+            x, s = g.nodes, 1.0 - g.nodes
+            u = SampledFunction(g, x.copy())
+            for alpha in (0.25, 0.5, 0.75):
+                left = x ** (1.0 + alpha) / math.gamma(2.0 + alpha)
+                right = x * s**alpha / math.gamma(1.0 + alpha)
+                right += alpha * s ** (1.0 + alpha) / math.gamma(2.0 + alpha)
+                for side, exact, nodes in (("left", left, slice(1, None)), ("right", right, slice(-1))):
+                    out = frac_integral(u, alpha, side).values
+                    rel = np.abs(out[nodes] - exact[nodes]) / exact[nodes]
+                    assert np.max(rel) <= 3.5e-15
+
     def test_non_integrable_base_rejected(self):
         g = unit_grid(64)
         with np.errstate(divide="ignore"):
@@ -157,14 +176,62 @@ class TestToeplitzProduct:
 
 
     def test_levels_agree_with_direct_sums(self):
-        # 8193 and 20000 samples take one and two FFT levels below the top
+        # 8193, 20000 and 16385 samples take two FFT levels below the top,
+        # 2048 to 4097 one, and 257 to 1025 the top product alone; the sizes
+        # sit at and one past 1024, 2048, 4096 and 16384, where a level stops
+        # or the top level merges
         rng = np.random.default_rng(6)
-        for n in (8193, 20000):
+        for n in (8193, 20000, 257, 1024, 1025, 2048, 2049, 4096, 4097, 16385):
             x = rng.standard_normal(n)
             k = rng.standard_normal(n)
             direct = np.convolve(x, k)[:n]
             scale = np.max(np.abs(x)) * np.sum(np.abs(k))
             assert np.max(np.abs(_toeplitz(x, k) - direct)) <= 1e-14 * scale
+
+    def test_short_raw_kernel_is_rejected(self):
+        x = np.ones(300)
+        for n in (_DIRECT_SIZE, x.size):
+            with pytest.raises(ValueError, match="kernel of"):
+                _toeplitz(x[:n], np.ones(n - 1))
+
+    @pytest.mark.parametrize("m", [10, 11, 14, 16])
+    def test_pads_fit_the_outputs_each_level_keeps(self, m, monkeypatch):
+        # the n + 1 samples of frac_integral and gl_derivative need no larger
+        # pad than the n slopes of rl_derivative on the same grid
+        n = 1 << m
+        calls = []
+
+        def recorded(kind, fft):
+            def wrapper(a, size, *args, **kwargs):
+                calls.append((kind, np.shape(a)[-1], size))
+                return fft(a, size, *args, **kwargs)
+
+            return wrapper
+
+        for kind in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, kind, recorded(kind, getattr(np.fft, kind)))
+        g = unit_grid(n)
+        u = SampledFunction(g, np.sin(3.0 * g.nodes))
+        largest = {}
+        for name in ("frac_integral", "gl_derivative", "rl_derivative"):
+            plan = PLANNED[name](0.4, n)
+            operators._plans.clear()
+            calls.clear()
+            getattr(operators, name)(u, 0.4)
+            # the levels tile the outputs past the direct head
+            starts = [level[0] for level in plan.levels]
+            stops = [level[1] for level in plan.levels]
+            assert starts == [_DIRECT_SIZE, *stops[:-1]] and stops[-1] == plan.n
+            for start, stop, size, _ in plan.levels:
+                kept = 2 * stop - 1 - start
+                assert size & (size - 1) == 0 and size // 2 < kept <= size
+            # one kernel and one sample transform per level, and one inverse
+            levels = sorted((stop, size) for _, stop, size, _ in plan.levels)
+            assert sorted(c[1:] for c in calls if c[0] == "rfft") == sorted(levels * 2)
+            assert sorted(c[2] for c in calls if c[0] == "irfft") == [size for _, size in levels]
+            largest[name] = max(size for _, size in levels)
+        assert largest["frac_integral"] <= largest["rl_derivative"]
+        assert largest["gl_derivative"] <= largest["rl_derivative"]
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_every_node_is_accurate_on_a_large_grid(self, alpha):
