@@ -257,7 +257,8 @@ def gamma_fn(x):
     layer encodes ``1/Gamma(pole) = 0`` explicitly where annihilation is
     the intended meaning).
     """
-    if isinstance(x, (int, float)):  # np.float64 too: skips the array round trip
+    # Python and numpy scalars and 0-d arrays skip the array round trip
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
         value = float(x)
         if value <= 0.0 and (value.is_integer() or value == -math.inf):
             raise ValueError(f"gamma pole at non-positive integer argument {value}")
@@ -265,10 +266,7 @@ def gamma_fn(x):
     arr = np.asarray(x, dtype=float)
     at_pole = (arr <= 0) & (arr == np.floor(arr))
     if np.any(at_pole):
-        bad = arr[at_pole].flat[0] if arr.ndim else float(arr)
-        raise ValueError(f"gamma pole at non-positive integer argument {bad}")
-    if arr.ndim == 0:
-        return _gamma(float(arr))
+        raise ValueError(f"gamma pole at non-positive integer argument {arr[at_pole][0]}")
     return np.vectorize(_gamma, otypes=[float])(arr)
 
 

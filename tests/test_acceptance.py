@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 from golden_report import assert_reproduces_golden
+from test_cli import run_cli
 
 from fracsobolev.core import Grid, Side, uniform_grid
 from fracsobolev.operators import (
@@ -328,13 +327,7 @@ def test_15_suite_runs_clean_and_reproduces_the_golden_report(tmp_path):
     """
     out = tmp_path / "suite.json"
     started = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "fracsobolev.cli", "suite", "all",
-         "--json", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    result = run_cli("suite", "all", "--json", str(out))
     elapsed = time.perf_counter() - started
     assert result.returncode == 0, result.stdout + result.stderr
     assert elapsed <= 120.0

@@ -20,21 +20,25 @@ import numpy as np
 import pytest
 from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 
+import fracsobolev
 from fracsobolev import cli, operators, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
 from fracsobolev.core import Grid, SampledFunction
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_python(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports the package this process tests."""
+    src = str(Path(fracsobolev.__file__).resolve().parents[1])
     env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "fracsobolev.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+    return run_python("-m", "fracsobolev.cli", *args, env_extra=env_extra)
 
 
 def package_state() -> dict[tuple[str, str], int]:
@@ -373,9 +377,7 @@ class TestColdStart:
             "import fracsobolev.cli, sys; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
+        r = run_python("-c", code)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
 
@@ -387,9 +389,7 @@ class TestColdStart:
             "'--fn', 'gauss:mu=0;s=1', '--line', '8,1024']); "
             "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
+        r = run_python("-c", code)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip().splitlines()[-1] == "0 []"
 

@@ -117,25 +117,6 @@ class TestFracIntegral:
         with pytest.raises(ValueError):
             frac_integral(u, 1.3)
 
-    def test_linear_is_accurate_past_the_direct_head(self):
-        # worst relative error over these 12 cases: 2.2e-15 (2.3e-15 with
-        # NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4,X86_V3).  The
-        # bar leaves a margin of 1.5x.  Levels growing by 8 gave 6.4e-15
-        # (8.5e-15) with these pads and 3.8e-15 (5.0e-15) with pads of
-        # 2 stop - 1, so the bar fails both.
-        for n in (1024, 2048):
-            g = unit_grid(n)
-            x, s = g.nodes, 1.0 - g.nodes
-            u = SampledFunction(g, x.copy())
-            for alpha in (0.25, 0.5, 0.75):
-                left = x ** (1.0 + alpha) / math.gamma(2.0 + alpha)
-                right = x * s**alpha / math.gamma(1.0 + alpha)
-                right += alpha * s ** (1.0 + alpha) / math.gamma(2.0 + alpha)
-                for side, exact, nodes in (("left", left, slice(1, None)), ("right", right, slice(-1))):
-                    out = frac_integral(u, alpha, side).values
-                    rel = np.abs(out[nodes] - exact[nodes]) / exact[nodes]
-                    assert np.max(rel) <= 3.5e-15
-
     def test_non_integrable_base_rejected(self):
         g = unit_grid(64)
         with np.errstate(divide="ignore"):
@@ -233,20 +214,39 @@ class TestToeplitzProduct:
         assert largest["frac_integral"] <= largest["rl_derivative"]
         assert largest["gl_derivative"] <= largest["rl_derivative"]
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.7])
-    def test_every_node_is_accurate_on_a_large_grid(self, alpha):
+    @pytest.mark.parametrize(
+        "n, alpha, bar",
+        [
+            pytest.param(65536, 0.3, 1e-13, id="0.3"),
+            pytest.param(65536, 0.7, 1e-13, id="0.7"),
+            *(
+                pytest.param(n, alpha, 3.5e-15, id=f"{n}-{alpha}")
+                for n in (1024, 2048)
+                for alpha in (0.25, 0.5, 0.75)
+            ),
+        ],
+    )
+    def test_every_node_is_accurate_on_a_large_grid(self, n, alpha, bar):
         # one FFT over all 65537 samples left relative errors near 2e-12 just
-        # past the direct head (nodes 256..300), where the values are small
-        g = unit_grid(65536)
-        x = g.nodes
+        # past the direct head (nodes 256..300), where the values are small.
+        # On 1024 and 2048 cells (numpy 2.4.6, x86-64) the worst error is
+        # 2.2e-15, or 2.3e-15 with numpy's AVX2 and AVX-512 paths disabled;
+        # levels growing by 8 gave 3.8e-15 with pads of 2 stop - 1 and 6.4e-15
+        # with trimmed pads.  The bar sits just below the former.  It is not
+        # measured on numpy 1.x, whose pocketfft rounds differently.
+        g = unit_grid(n)
+        x, s = g.nodes, 1.0 - g.nodes
         u = SampledFunction(g, x.copy())
+        right = x * s**alpha / math.gamma(1.0 + alpha)
+        right += alpha * s ** (1.0 + alpha) / math.gamma(2.0 + alpha)
         cases = (
-            (frac_integral(u, alpha), x ** (1.0 + alpha) / math.gamma(2.0 + alpha)),
-            (rl_derivative(u, alpha), x ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
+            (frac_integral(u, alpha), x ** (1.0 + alpha) / math.gamma(2.0 + alpha), slice(1, None)),
+            (frac_integral(u, alpha, "right"), right, slice(-1)),
+            (rl_derivative(u, alpha), x ** (1.0 - alpha) / math.gamma(2.0 - alpha), slice(1, None)),
         )
-        for computed, exact in cases:
-            rel = np.abs(computed.values[1:] - exact[1:]) / exact[1:]
-            assert np.max(rel) <= 1e-13
+        for computed, exact, nodes in cases:
+            rel = np.abs(computed.values[nodes] - exact[nodes]) / exact[nodes]
+            assert np.max(rel) <= bar
 
 
 def fresh_operator(name: str, u: SampledFunction, alpha: float) -> np.ndarray:
