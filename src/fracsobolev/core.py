@@ -230,6 +230,22 @@ class LineFunction:
         return SampledFunction(self.grid, self.values)
 
 
+def _coarsened(u: SampledFunction | LineFunction, step: int) -> SampledFunction | LineFunction:
+    """Every ``step``-th node of ``u``: an exact, artifact-free resolution change.
+
+    Interpolation-based refinement of a function with an endpoint
+    singularity plants spurious curvature in the first cells, and the
+    fractional derivative amplifies it; subsampling cannot.
+    """
+    n = u.grid.n
+    if n % step:
+        raise ValueError(f"need a multiple of {step} cells to coarsen, got {n}")
+    values = u.values[::step].copy()
+    if isinstance(u, LineFunction):
+        return replace(u, values=values)
+    return replace(u, grid=Grid(u.grid.a, u.grid.b, n // step), values=values)
+
+
 @dataclass(frozen=True)
 class FracOrder:
     """Fractional order ``alpha = m + sigma`` with integer part ``m`` and

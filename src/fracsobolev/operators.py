@@ -111,9 +111,9 @@ _DIRECT_SIZE = 256
 _LEVEL_FACTOR = 4
 # a kernel plan with more array bytes than this is used once and not kept:
 # the product-trapezoid plan from 2^15 cells (1.13 MB there), the slope and
-# Grunwald-Letnikov plans from 2^16.  It is the same 1 MB budget as the
-# Gagliardo blocks: keeping plans of every size raised the peak RSS of the
-# interval benchmark (grids up to 2^16 cells) from 70 to 74 MB
+# Grunwald-Letnikov plans from 2^16.  Keeping plans of every size raised the
+# peak RSS of the interval benchmark (grids up to 2^16 cells) from 70 to
+# 74 MB
 _PLAN_BYTES = 1 << 20
 
 

@@ -35,6 +35,7 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
+    _coarsened,
     _log_offsets,
     _spectrum,
     discrete_fourier,
@@ -61,8 +62,11 @@ __all__ = [
 
 # offsets x nodes per block of shifted slices in the p != 2 Gagliardo
 # integral, and gaps x nodes per block of the Hölder quotient: keeps each
-# temporary array near 1 MB
-_GAGLIARDO_BLOCK = 1 << 17
+# temporary array near 256 KB.  At 1 MB, glibc's dynamic mmap threshold
+# made these loops 1.4x slower in a process that had not yet freed some
+# larger array (which raises the threshold) than in one that had; at
+# 256 KB both run at the same speed
+_GAGLIARDO_BLOCK = 1 << 15
 # the p = 2 Gagliardo rows take the lag sums up to this many cells directly
 # and the longer lags from an FFT autocorrelation (see _square_row_sums);
 # against the per-offset loop (Gaussians and sin 3x, n = 1000 and 4096,
@@ -210,21 +214,6 @@ def _default_scheme(u: SampledFunction | LineFunction) -> str:
     return "spectral" if isinstance(u, LineFunction) else "product_rl"
 
 
-def _one_sided_parts(
-    u: SampledFunction | LineFunction, alpha: FracOrder, p: float, side: Side
-) -> tuple[list[float], float]:
-    """(classical W^{m,p} part p-powers, fractional part p-power)."""
-    d = frac_derivative(u, alpha.alpha, side, scheme=_default_scheme(u))
-    if math.isinf(p):
-        classical = [lp_norm(w, p, exclude_singular=True) for w in _integer_derivatives(u, alpha.m)]
-        return classical, lp_norm(d, p, exclude_singular=True)
-    classical = [
-        _lp_power_integral(w, p, exclude_singular=True)
-        for w in _integer_derivatives(u, alpha.m)
-    ]
-    return classical, _lp_power_integral(d, p, exclude_singular=True)
-
-
 def _refined(u: SampledFunction, factor: int) -> SampledFunction:
     """Resample on a grid ``factor`` times finer, honouring singularity metadata."""
     fine = Grid(u.grid.a, u.grid.b, u.grid.n * factor)
@@ -258,9 +247,7 @@ def _truncated_norm(u: SampledFunction, spec: NormSpec) -> float:
 
 def _diagnose_divergence(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     if isinstance(u, SampledFunction):
-        tail = []
-        for factor in (1, 2, 4):
-            tail.append(_truncated_norm(_refined(u, factor) if factor > 1 else u, spec))
+        tail = [_truncated_norm(_refined(u, f) if f > 1 else u, spec) for f in (1, 2, 4)]
         n = u.grid.n
         if tail[0] < tail[1] < tail[2]:
             trend = "grow without bound"
@@ -270,9 +257,24 @@ def _diagnose_divergence(u: SampledFunction | LineFunction, spec: NormSpec) -> f
             f"{spec.family} norm diverges (non-integrable endpoint singularity): "
             f"truncated values {tail[0]:.6g}, {tail[1]:.6g}, {tail[2]:.6g} at "
             f"n={n}, {2 * n}, {4 * n} {trend}",
-            stacklevel=3,
+            stacklevel=4,  # names the caller of sobolev_norm
         )
     return math.inf
+
+
+def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
+    """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call."""
+    p = spec.p
+    side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
+    d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
+    chain = [] if spec.family.startswith("zero_trace") else _integer_derivatives(u, spec.alpha.m)
+    if math.isinf(p):
+        top = lp_norm(d, p, exclude_singular=True)
+        return max(lp_norm(w, p, exclude_singular=True) for w in chain) + top if chain else top
+    total = float(np.sum([_lp_power_integral(w, p, exclude_singular=True) for w in chain + [d]]))
+    if not math.isfinite(total):
+        return _diagnose_divergence(u, spec)
+    return total ** (1.0 / p)
 
 
 def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
@@ -293,36 +295,24 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
 
     if family == "gagliardo":
         chain = _integer_derivatives(u, alpha.m)
-        semi = gagliardo_seminorm(chain[-1], alpha.sigma, p)
+        semi = _gagliardo_seminorm(chain[-1], alpha.sigma, p)
         if math.isinf(p):
             return max(lp_norm(w, p, True) for w in chain) + semi
         parts = [_lp_power_integral(w, p, True) for w in chain]
         total = float(np.sum(parts)) + semi**p
         if not math.isfinite(total):
-            return _diagnose_divergence(u, spec)
+            return math.inf  # from the seminorm (finite samples only), which warned
         return total ** (1.0 / p)
 
-    if family == "symmetric":
-        left = sobolev_norm(u, NormSpec("one_sided_left", alpha, p))
-        right = sobolev_norm(u, NormSpec("one_sided_right", alpha, p))
-        if math.isinf(p):
-            return left + right
-        return (left**p + right**p) ** (1.0 / p)
-
-    side = Side.RIGHT if family.endswith("right") else Side.LEFT
-    classical, fractional = _one_sided_parts(u, alpha, p, side)
-    if family.startswith("zero_trace"):
-        pieces: list[float] = [fractional]
-    else:
-        pieces = classical + [fractional]
+    if family != "symmetric":
+        return _one_sided_norm(u, spec)
+    left = _one_sided_norm(u, NormSpec("one_sided_left", alpha, p))
+    if math.isinf(left):  # it has warned; one warning per call
+        return left
+    right = _one_sided_norm(u, NormSpec("one_sided_right", alpha, p))
     if math.isinf(p):
-        if family.startswith("zero_trace"):
-            return fractional
-        return max(classical) + fractional
-    total = float(np.sum(pieces))
-    if not math.isfinite(total):
-        return _diagnose_divergence(u, spec)
-    return total ** (1.0 / p)
+        return left + right
+    return (left**p + right**p) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,7 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
     offset ``t = (k + theta) h`` has the row sum ``S_DD + 2 theta S_DE +
     theta^2 S_EE``, with the lags up to ``_DIRECT_LAGS`` summed directly and
     the rest from one FFT autocorrelation.  Three nodes per offset are
-    read with ``np.interp`` as before: ``x_{n-k}``, whose shift may leave
+    read with ``np.interp``: ``x_{n-k}``, whose shift may leave
     the window, where the interpolant is 0 and not ``(1-theta) u[n]``, and
     the two trapezoid ends, whose halves are taken back out.  On the line
     the nodes past ``x_{n-k}`` add ``u(x_j)^2`` each.  The result agrees
@@ -495,6 +485,37 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
     return 2.0 * total
 
 
+def _gagliardo_seminorm(
+    u: SampledFunction | LineFunction, alpha: float, p: float
+) -> float:
+    """:func:`gagliardo_seminorm`, for it and :func:`sobolev_norm` alone to call."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
+    if math.isinf(p):
+        g = u.grid
+        return holder_quotient(u, alpha, (g.a, g.b))
+    if p < 1.0:
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("difference-quotient seminorm needs finite samples")
+
+    full = _gagliardo_integral(u, alpha, p)
+    n = u.grid.n
+    if n % 4 == 0 and n >= 16:
+        v1 = _gagliardo_integral(_coarsened(u, 4), alpha, p)
+        v2 = _gagliardo_integral(_coarsened(u, 2), alpha, p)
+        d1, d2 = v2 - v1, full - v2
+        if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
+            warnings.warn(
+                "difference-quotient seminorm grows without bound under "
+                f"refinement (p-th powers {v1:.6g}, {v2:.6g}, {full:.6g} at "
+                f"n={n // 4}, {n // 2}, {n}); reporting +inf",
+                stacklevel=3,  # names the caller of either
+            )
+            return math.inf
+    return full ** (1.0 / p)
+
+
 def gagliardo_seminorm(
     u: SampledFunction | LineFunction, alpha: float, p: float
 ) -> float:
@@ -515,37 +536,7 @@ def gagliardo_seminorm(
     interpolated node per offset where the shift leaves the window, and
     agrees with interpolating each offset to about 1e-14 relative.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
-    if math.isinf(p):
-        g = u.grid
-        return holder_quotient(u, alpha, (g.a, g.b))
-    if p < 1.0:
-        raise ValueError(f"p must lie in [1, inf], got {p}")
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("difference-quotient seminorm needs finite samples")
-
-    full = _gagliardo_integral(u, alpha, p)
-    n = u.grid.n
-    if n % 4 == 0 and n >= 16:
-        if isinstance(u, LineFunction):
-            quarter = LineFunction(u.half_width, u.values[::4].copy())
-            half = LineFunction(u.half_width, u.values[::2].copy())
-        else:
-            quarter = SampledFunction(Grid(u.grid.a, u.grid.b, n // 4), u.values[::4].copy())
-            half = SampledFunction(Grid(u.grid.a, u.grid.b, n // 2), u.values[::2].copy())
-        v1 = _gagliardo_integral(quarter, alpha, p)
-        v2 = _gagliardo_integral(half, alpha, p)
-        d1, d2 = v2 - v1, full - v2
-        if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
-            warnings.warn(
-                "difference-quotient seminorm grows without bound under "
-                f"refinement (p-th powers {v1:.6g}, {v2:.6g}, {full:.6g} at "
-                f"n={n // 4}, {n // 2}, {n}); reporting +inf",
-                stacklevel=2,
-            )
-            return math.inf
-    return full ** (1.0 / p)
+    return _gagliardo_seminorm(u, alpha, p)
 
 
 def gagliardo_small_offset_bound(
@@ -662,8 +653,8 @@ def holder_quotient(
     gaps (at most ``_GAGLIARDO_BLOCK`` differences each), and stop before a
     block once ``(max u - min u) / (d h)^exponent`` is no larger than the
     best quotient so far: no later gap can beat it, so the result is
-    bitwise that of the full loop over every gap.  Non-finite samples take
-    every gap, one at a time.
+    bitwise that of the full loop over every gap.  A non-finite sample
+    gives +inf.
     """
     if not 0.0 < exponent <= 1.0:
         raise ValueError(f"Hölder exponent must lie in (0, 1], got {exponent}")
@@ -677,15 +668,10 @@ def holder_quotient(
     n = vals.size
     if n < 2:
         return 0.0
-    best = 0.0
     if not np.all(np.isfinite(vals)):
-        with np.errstate(invalid="ignore"):
-            for d in range(1, n):
-                step = float(np.max(np.abs(vals[d:] - vals[:-d]))) / (d * h) ** exponent
-                if math.isnan(step):  # two flagged nodes in one difference
-                    return math.inf
-                best = max(best, step)
-        return best
+        # every node is in a gap-1 difference, which the flag makes inf or nan
+        return math.inf
+    best = 0.0
     # no difference exceeds the range and the gaps grow with d; rounding is
     # monotone, so the computed quotients keep that order
     spread = float(np.max(vals) - np.min(vals))

@@ -42,6 +42,7 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
+    _coarsened,
     discrete_fourier,
     gamma_fn,
     line_grid,
@@ -373,23 +374,6 @@ def _pair(
     ok = np.isfinite(prod[:-1]) & np.isfinite(prod[1:])
     total += float(np.sum((0.5 * h * (prod[:-1] + prod[1:]))[ok]))
     return total
-
-
-def _coarsened(u: SampledFunction) -> SampledFunction:
-    """Every second node — an exact, artifact-free resolution change.
-
-    Interpolation-based refinement of a function with an endpoint
-    singularity plants spurious curvature in the first cells, and the
-    fractional derivative amplifies it; subsampling cannot.
-    """
-    values = u.values[::2].copy()
-    return SampledFunction(_coarsened_grid(u.grid), values, u.left_power, u.right_power)
-
-
-def _coarsened_grid(g: Grid) -> Grid:
-    if g.n % 2:
-        raise ValueError(f"need an even number of cells to coarsen, got {g.n}")
-    return Grid(g.a, g.b, g.n // 2)
 
 
 def _interior_mask(grid: Grid, margin: float = 0.1) -> np.ndarray:
@@ -898,6 +882,24 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(dx * dy) / np.sum(dx * dx))
 
 
+def _zero_extension(u: SampledFunction, ambient: Grid) -> SampledFunction:
+    """``u`` zero-padded onto ``ambient``, once it is shown to vanish near its ends."""
+    grid = u.grid
+    if not (ambient.a <= grid.a + 1e-12 and ambient.b >= grid.b - 1e-12):
+        raise ValueError("the ambient grid must contain the original interval")
+    vals = u.values
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("trivial extension needs finite samples")
+    scale = float(np.max(np.abs(vals)))
+    band = int(np.ceil(0.02 * grid.n))
+    if scale > 0.0 and (
+        np.any(np.abs(vals[: band + 1]) > 1e-14 * scale)
+        or np.any(np.abs(vals[-band - 1 :]) > 1e-14 * scale)
+    ):
+        raise ValueError("samples do not vanish near the endpoints: not compactly supported")
+    return SampledFunction(ambient, u.interp(ambient.nodes))
+
+
 def extend_trivial(
     u: SampledFunction,
     alpha: float,
@@ -917,21 +919,10 @@ def extend_trivial(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("the extension checks cover 0 < alpha < 1")
+    ext = _zero_extension(u, ambient)
     grid = u.grid
-    if not (ambient.a <= grid.a + 1e-12 and ambient.b >= grid.b - 1e-12):
-        raise ValueError("the ambient grid must contain the original interval")
-    vals = np.asarray(u.values, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("trivial extension needs finite samples")
+    vals = u.values
     scale = float(np.max(np.abs(vals)))
-    band = int(np.ceil(0.02 * grid.n))
-    if scale > 0.0 and (
-        np.any(np.abs(vals[: band + 1]) > 1e-14 * scale)
-        or np.any(np.abs(vals[-band - 1 :]) > 1e-14 * scale)
-    ):
-        raise ValueError("samples do not vanish near the endpoints: not compactly supported")
-
-    ext = SampledFunction(ambient, u.interp(ambient.nodes))
     inputs = {
         "u": _describe(u),
         "alpha": alpha,
@@ -954,6 +945,19 @@ def extend_trivial(
         )
         return ext, report
 
+    support_idx = np.nonzero(np.abs(vals) > 1e-14 * scale)[0]
+    edge = float(grid.nodes[support_idx[-1]])
+    x = ambient.nodes
+    tail_mask = x > grid.b + 2.0 * ambient.h
+    tail_x = x[tail_mask]
+    s = tail_x - edge
+    span = float(s[-1]) if s.size else 0.0
+    fit_mask = (s >= _SLOPE_FIT_WINDOW[0] * span) & (s <= _SLOPE_FIT_WINDOW[1] * span)
+    if np.count_nonzero(fit_mask) < 2:
+        raise ValueError(
+            "the ambient window leaves fewer than 2 slope-fit points past the support"
+        )
+
     spec = NormSpec("one_sided_left", FracOrder(alpha), p)
     norm_in = sobolev_norm(u, spec)
     if not math.isfinite(norm_in):
@@ -961,13 +965,7 @@ def extend_trivial(
     norm_out = sobolev_norm(ext, spec)
     norm_ratio = norm_out / max(norm_in, _TINY)
 
-    support_idx = np.nonzero(np.abs(vals) > 1e-14 * scale)[0]
-    edge = float(grid.nodes[support_idx[-1]])
-
     deriv = rl_derivative(ext, alpha, Side.LEFT)
-    x = ambient.nodes
-    tail_mask = x > grid.b + 2.0 * ambient.h
-    tail_x = x[tail_mask]
     tail_num = np.asarray(deriv.values)[tail_mask]
 
     # independent route: direct quadrature of the explicit kernel integral,
@@ -988,9 +986,6 @@ def extend_trivial(
         float(np.max(np.abs(tail_ora))), _TINY
     )
 
-    s = tail_x - edge
-    span = float(s[-1])
-    fit_mask = (s >= _SLOPE_FIT_WINDOW[0] * span) & (s <= _SLOPE_FIT_WINDOW[1] * span)
     with np.errstate(divide="ignore"):
         logs = np.log(s[fit_mask])
         logt = np.log(np.abs(tail_num[fit_mask]))
@@ -1015,6 +1010,32 @@ def extend_trivial(
         },
     )
     return ext, report
+
+
+def _measured_constant(
+    u: SampledFunction,
+    ext: SampledFunction,
+    spec: NormSpec,
+    extend: Callable[[SampledFunction, Grid], SampledFunction],
+    extra: Callable[[SampledFunction], float] = lambda su: 0.0,
+) -> tuple[float, float, float]:
+    """``C = norm(Eu) / (norm(u) + extra(u))`` at n/2 and n, and its drift.
+
+    ``ext`` is ``extend(u, ambient)``; at n/2 every second sample of ``u``
+    is extended onto every second ambient node.
+    """
+    norm_u = sobolev_norm(u, spec)
+    if not math.isfinite(norm_u):
+        raise ValueError(
+            "the norm of u diverges; it is not a member of the space being extended"
+        )
+    c_n = sobolev_norm(ext, spec) / max(norm_u + extra(u), _TINY)
+    u_half = _coarsened(u, 2)
+    ext_half = extend(u_half, _coarsened(ext, 2).grid)
+    c_half = sobolev_norm(ext_half, spec) / max(
+        sobolev_norm(u_half, spec) + extra(u_half), _TINY
+    )
+    return c_half, c_n, abs(c_n - c_half) / max(c_n, _TINY)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -1044,6 +1065,8 @@ def extend_interior(
     including kernel-type singular behaviour, as long as the window
     stays away from it.  The report certifies nodal equality on the
     window, support containment, and a refinement-stable norm ratio.
+    ``ambient`` (by default three widths) must contain the domain but needs
+    no room past it: no far-field tail is audited here.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("the extension checks cover 0 < alpha < 1")
@@ -1061,23 +1084,17 @@ def extend_interior(
     k_lo = lo - 0.5 * (lo - grid.a)
     k_hi = hi + 0.5 * (grid.b - hi)
 
-    def cutoff(nodes: np.ndarray) -> np.ndarray:
-        up = _smoothstep((nodes - k_lo) / (lo - k_lo))
-        down = _smoothstep((k_hi - nodes) / (k_hi - hi))
-        return up * down
-
-    def windowed(su: SampledFunction) -> SampledFunction:
-        psi = cutoff(su.grid.nodes)
-        vals = np.asarray(su.values, dtype=float)
-        out = np.zeros_like(vals)
+    def extend(su: SampledFunction, g_amb: Grid) -> SampledFunction:
+        x, vals = su.grid.nodes, su.values
+        psi = _smoothstep((x - k_lo) / (lo - k_lo)) * _smoothstep((k_hi - x) / (k_hi - hi))
         live = psi > 0.0
         if np.any(live & ~np.isfinite(vals)):
             raise ValueError("the inner window must stay away from singular nodes")
+        out = np.zeros_like(vals)
         out[live] = vals[live] * psi[live]
-        return SampledFunction(su.grid, out)
+        return _zero_extension(SampledFunction(su.grid, out), g_amb)
 
-    star = windowed(u)
-    ext, _ = extend_trivial(star, alpha, p, ambient)
+    ext = extend(u, ambient)
 
     in_window = (grid.nodes >= lo) & (grid.nodes <= hi)
     window_vals = np.asarray(u.values, dtype=float)[in_window]
@@ -1090,17 +1107,7 @@ def extend_interior(
     containment_entry = 0.0 if containment == 0.0 else 2.0
 
     spec = NormSpec("one_sided_left", FracOrder(alpha), p)
-    norm_u = sobolev_norm(u, spec)
-    if not math.isfinite(norm_u):
-        raise ValueError(
-            "the norm of u diverges; it is not a member of the space being extended"
-        )
-    ratio_n = sobolev_norm(ext, spec) / max(norm_u, _TINY)
-    u_half = _coarsened(u)
-    star_half = windowed(u_half)
-    ext_half, _ = extend_trivial(star_half, alpha, p, _coarsened_grid(ambient))
-    ratio_half = sobolev_norm(ext_half, spec) / max(sobolev_norm(u_half, spec), _TINY)
-    drift = abs(ratio_n - ratio_half) / max(ratio_n, _TINY)
+    ratio_half, ratio_n, drift = _measured_constant(u, ext, spec, extend)
 
     report = _finish(
         "extension.interior",
@@ -1178,7 +1185,7 @@ def extend_exterior(
 
     collar = 0.2 * w
 
-    def build(g_amb: Grid, su: SampledFunction) -> SampledFunction:
+    def build(su: SampledFunction, g_amb: Grid) -> SampledFunction:
         x = g_amb.nodes
         if side is Side.LEFT:
             shifted = su.interp(x - w)
@@ -1192,7 +1199,7 @@ def extend_exterior(
         vals[copy_zone] = shifted[copy_zone] * taper[copy_zone]
         return SampledFunction(g_amb, vals)
 
-    ext = build(ambient, u)
+    ext = build(u, ambient)
 
     # (i) the domain is untouched
     inside = (ambient.nodes >= grid.a - 1e-12 * w) & (ambient.nodes <= grid.b + 1e-12 * w)
@@ -1215,18 +1222,7 @@ def extend_exterior(
     # (iii) the measured constant, at two resolutions
     family = "one_sided_left" if side is Side.LEFT else "one_sided_right"
     spec = NormSpec(family, FracOrder(alpha), p)
-    norm_u = sobolev_norm(u, spec)
-    if not math.isfinite(norm_u):
-        raise ValueError(
-            "the norm of u diverges; it is not a member of the space being extended"
-        )
-    denom = norm_u + mu_norm
-    c_n = sobolev_norm(ext, spec) / max(denom, _TINY)
-    u_half = _coarsened(u)
-    ext_half = build(_coarsened_grid(ambient), u_half)
-    denom_half = sobolev_norm(u_half, spec) + lp_norm(u_half, mu)
-    c_half = sobolev_norm(ext_half, spec) / max(denom_half, _TINY)
-    drift = abs(c_n - c_half) / max(c_n, _TINY)
+    c_half, c_n, drift = _measured_constant(u, ext, spec, build, lambda su: lp_norm(su, mu))
 
     report = _finish(
         "extension.exterior",

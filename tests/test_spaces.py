@@ -139,6 +139,27 @@ class TestSobolevNorm:
         assert v == math.inf
         assert any("grow without bound" in str(w.message) for w in rec)
 
+    @pytest.mark.parametrize(
+        "family, f, alpha",
+        [
+            ("one_sided_left", PowerSum(0.0, ((1.0, 0.0),)), 0.6),
+            ("zero_trace_right", PowerSum(0.0, ((1.0, 0.0),)), 0.6),
+            # both sides diverge: the left one is reported
+            ("symmetric", PowerSum(0.0, ((1.0, 0.0),)), 0.6),
+            ("gagliardo", Step(0.5, 1.0), 0.75),
+        ],
+        ids=["one_sided_left", "zero_trace_right", "symmetric", "gagliardo"],
+    )
+    def test_one_divergence_warning_naming_the_caller(self, family, f, alpha):
+        u = sample(f, unit_grid(1024))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = sobolev_norm(u, NormSpec(family, FracOrder(alpha), 2.0))
+        assert v == math.inf
+        assert len(rec) == 1
+        assert rec[0].filename == __file__
+        assert "without bound" in str(rec[0].message)
+
     def test_zero_trace_vanishes_exactly_on_kernel(self):
         g = unit_grid(1024)
         spec = NormSpec("zero_trace_left", FracOrder(0.5), 2.0)
@@ -549,6 +570,17 @@ class TestHolderQuotient:
         vals[0] = vals[-1] = math.inf
         u = SampledFunction(unit_grid(64), vals)
         assert holder_quotient(u, 0.5, (0.0, 1.0)) == math.inf
+
+    @pytest.mark.parametrize("flag", [math.inf, math.nan])
+    def test_one_flagged_node_is_infinite(self, flag):
+        # every node sits in a gap-1 difference, so the full loop ends in inf
+        g = unit_grid(2048)
+        vals = np.sin(3.0 * g.nodes)
+        vals[700] = flag
+        u = SampledFunction(g, vals)
+        for window in ((0.0, 1.0), (0.25, 1.0)):
+            assert holder_quotient(u, 0.25, window) == holder_gap_loop(u, 0.25, window)
+            assert holder_quotient(u, 0.25, window) == math.inf
 
     def test_exponent_and_window_validation(self):
         u = SampledFunction(unit_grid(64), np.ones(65))

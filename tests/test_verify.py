@@ -470,6 +470,15 @@ class TestTrivialExtension:
         with pytest.raises(ValueError):
             extend_trivial(u, 0.5, 2.0, Grid(-1.0, 2.0, 1536))
 
+    @pytest.mark.parametrize("ambient", [unit_grid(512), Grid(0.0, 1.01, 517)])
+    def test_rejects_an_ambient_window_without_a_tail_to_fit(self, ambient):
+        # no node, or too few, in the slope-fit window past the support
+        u = sample(Bump(0.2, 0.05), unit_grid(512))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="slope-fit points"):
+                extend_trivial(u, 0.5, 2.0, ambient)
+
 
 class TestInteriorExtension:
     def test_agrees_on_the_inner_window_exactly(self):
@@ -489,6 +498,12 @@ class TestInteriorExtension:
         u = sample(Gaussian(0.5, 0.2), g)
         ext, rep = extend_interior(u, 0.4, 2.0, (0.3, 0.7))
         assert rep.passed
+
+    def test_ambient_needs_no_room_past_the_domain(self):
+        g = unit_grid(1024)
+        ext, rep = extend_interior(sample(Gaussian(0.5, 0.2), g), 0.4, 2.0, (0.3, 0.7), ambient=g)
+        assert rep.passed
+        assert ext.grid == g
 
     def test_rejects_non_member_input(self):
         # the same Gaussian at alpha p = 1 has a divergent norm: there is
