@@ -326,10 +326,57 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_function_check(
-    name: str, args: argparse.Namespace
-) -> VerificationReport:
-    """Adapter for the checks that accept one user-supplied function."""
+def _tolerance(args: argparse.Namespace) -> dict:
+    return {} if args.tolerance is None else {"tolerance": args.tolerance}
+
+
+def _verify_ftwfc(args, f, u, grid, side) -> VerificationReport:
+    return check_ftwfc(u, args.alpha, side, **_tolerance(args))
+
+
+def _verify_weak_pairing(args, f, u, grid, side) -> VerificationReport:
+    v = rl_derivative(u, args.alpha, side)
+    return check_weak_pairing(u, v, args.alpha, side, **_tolerance(args))
+
+
+def _verify_w1p(args, f, u, grid, side) -> VerificationReport:
+    if isinstance(f, SampledFunction):
+        raise _UsageError("w1p_consistency needs a closed-form --fn")
+    return check_consistency_w1p(f, args.alpha, args.p, grid, **_tolerance(args))
+
+
+def _verify_inclusivity(args, f, u, grid, side) -> VerificationReport:
+    if args.beta is None:
+        raise _UsageError("verify inclusivity needs --beta")
+    return check_inclusivity(u, args.alpha, args.beta, args.p, **_tolerance(args))
+
+
+def _verify_density(args, f, u, grid, side) -> VerificationReport:
+    return check_density(u, args.alpha, args.p, args.mode or "smooth")
+
+
+# check name -> (flags its adapter reads besides --fn, --alpha, --side, --grid, --line; adapter)
+_FN_CHECKS = {
+    "ftwfc": (("tolerance",), _verify_ftwfc),
+    "weak_pairing": (("tolerance",), _verify_weak_pairing),
+    "w1p_consistency": (("p", "tolerance"), _verify_w1p),
+    "inclusivity": (("beta", "p", "tolerance"), _verify_inclusivity),
+    "density": (("p", "mode"), _verify_density),
+}
+_VERIFY_FLAGS = ("alpha", "p", "side", "grid", "line", "beta", "mode", "tolerance")
+
+
+def _reject_unused(args: argparse.Namespace, used: tuple[str, ...]) -> None:
+    """A flag (or config key) that the run would silently drop is a usage error."""
+    for flag in _VERIFY_FLAGS:
+        if flag not in used and getattr(args, flag) is not None:
+            with_fn = "with" if args.fn else "without"
+            raise _UsageError(f"verify {args.check} {with_fn} --fn does not use --{flag}")
+
+
+def _single_function_check(name: str, args: argparse.Namespace) -> VerificationReport:
+    flags, adapter = _FN_CHECKS[name]
+    _reject_unused(args, ("alpha", "side", "grid", "line", *flags))
     side = Side.parse(args.side or "left")
     grid, line = _domain(args)
     if line is not None:
@@ -338,45 +385,27 @@ def _single_function_check(
         grid = uniform_grid(0.0, 1.0, _default_n())
     if args.alpha is None:
         raise _UsageError(f"verify {name} needs --alpha")
-    f = _resolve_function(args.fn, grid, side)
     # unset flags take the library's defaults; an explicit 0 goes to the library
-    p = 2.0 if args.p is None else args.p
-    tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
-
-    if name == "ftwfc":
-        u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_ftwfc(u, args.alpha, side, **tol)
-    if name == "weak_pairing":
-        u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        v = rl_derivative(u, args.alpha, side)
-        return check_weak_pairing(u, v, args.alpha, side, **tol)
-    if name == "w1p_consistency":
-        if isinstance(f, SampledFunction):
-            raise _UsageError("w1p_consistency needs a closed-form --fn")
-        return check_consistency_w1p(f, args.alpha, p, grid, **tol)
-    if name == "inclusivity":
-        if args.beta is None:
-            raise _UsageError("verify inclusivity needs --beta")
-        u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_inclusivity(u, args.alpha, args.beta, p, **tol)
-    if name == "density":
-        u = f if isinstance(f, SampledFunction) else sample(f, grid)
-        return check_density(u, args.alpha, p, args.mode or "smooth")
-    raise _UsageError(f"verify {name!r} does not take --fn; run it without flags")
+    args.p = 2.0 if args.p is None else args.p
+    f = _resolve_function(args.fn, grid, side)
+    u = f if isinstance(f, SampledFunction) else sample(f, grid)
+    return adapter(args, f, u, grid, side)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks = canonical_checks()
-    overridable = ("ftwfc", "weak_pairing", "w1p_consistency", "inclusivity", "density")
     name = args.check
-    if name not in checks and name not in overridable:
-        known = ", ".join(sorted(set(checks) | set(overridable)))
+    if name not in checks and name not in _FN_CHECKS:
+        known = ", ".join(sorted(set(checks) | set(_FN_CHECKS)))
         raise _UsageError(f"unknown check {name!r}; known checks: {known}")
     if args.fn:
+        if name not in _FN_CHECKS:
+            raise _UsageError(f"verify {name!r} does not take --fn; run it without flags")
         report = _single_function_check(name, args)
     else:
         if name not in checks:
             raise _UsageError(f"verify {name} needs --fn")
+        _reject_unused(args, ())
         report = checks[name]()
 
     status = "PASS" if report.passed else "FAIL"

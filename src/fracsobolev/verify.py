@@ -471,16 +471,13 @@ def check_ftwfc(
     side: Side | str = Side.LEFT,
     grid: Grid | None = None,
     tolerance: float = 1e-2,
-    probe_scale: float = 1.0,
 ) -> VerificationReport:
     """Reconstruct ``u`` as ``c·kappa + I^α D^α u`` and measure the gap.
 
     ``c`` comes from endpoint extrapolation, the derivative from the
     product-integration scheme, and the re-integration from the exact
     -on-piecewise-linear integral — three independently coded routes
-    whose composition must return the input.  ``probe_scale`` multiplies
-    the reconstruction and exists as a falsification handle: 1.05 must
-    make the check fail, guarding the residual against vacuity.
+    whose composition must return the input.
     """
     side = Side.parse(side)
     if not 0.0 < alpha < 1.0:
@@ -492,14 +489,11 @@ def check_ftwfc(
     with np.errstate(invalid="ignore"):  # c = 0 times the base marker is 0 * inf
         kernel_part = kc.c_value * kappa(alpha, side, g).values
     recon = kernel_part + frac_integral(deriv, alpha, side).values
-    recon = probe_scale * recon
     residual = _rel_linf(recon, su.values, _interior_mask(g))
     notes = (
         "relative sup-norm gap over the interior 80% of nodes between u and "
         "c*kappa + I^alpha D^alpha u; ratios[0] is the recovered c"
     )
-    if probe_scale != 1.0:
-        notes += f"; NEGATIVE CONTROL: reconstruction scaled by {probe_scale}"
     return _finish(
         "fundamental_theorem",
         {
@@ -533,7 +527,6 @@ def check_ibp(
     variant: str = "symmetric",
     side: Side | str = Side.LEFT,
     tolerance: float = 1e-3,
-    probe_scale: float = 1.0,
 ) -> VerificationReport:
     """``∫ u D^±α v = (-1)^m ∫ v D^∓α u`` under the variant's hypotheses.
 
@@ -580,16 +573,10 @@ def check_ibp(
         du = rl_derivative(u, alpha, u_side)
         dv = rl_derivative(v, alpha, u_side.opposite)
         lhs = _pair(du, v)
-        rhs = sign * probe_scale * _pair(dv, u)
+        rhs = sign * _pair(dv, u)
         scale = max(_pair(du, v, absolute=True), _pair(dv, u, absolute=True), scale_floor)
         residuals.append(abs(lhs - rhs) / scale)
 
-    notes = (
-        f"{variant} identity, residual per orientation normalized by the "
-        "absolute-integrand scale"
-    )
-    if probe_scale != 1.0:
-        notes += f"; NEGATIVE CONTROL: right-hand side scaled by {probe_scale}"
     return _finish(
         "integration_by_parts." + variant,
         {
@@ -604,7 +591,8 @@ def check_ibp(
         residuals,
         [r / tolerance for r in residuals],
         tolerance,
-        notes,
+        f"{variant} identity, residual per orientation normalized by the "
+        "absolute-integrand scale",
     )
 
 
@@ -1348,7 +1336,6 @@ def check_consistency_w1p(
     p: float,
     grid: Grid | None = None,
     tolerance: float = 1e-3,
-    probe_scale: float = 1.0,
 ) -> VerificationReport:
     """The two-term formula for differentiable functions, both routes.
 
@@ -1381,7 +1368,6 @@ def check_consistency_w1p(
     rhs = kernel_term + frac_integral(
         SampledFunction(grid, du_vals), 1.0 - alpha, Side.LEFT
     ).values
-    rhs = probe_scale * rhs
     mask = grid.nodes >= grid.a + 0.05 * grid.width
     residual = _rel_linf(rhs, np.asarray(lhs), mask)
 
@@ -1397,8 +1383,6 @@ def check_consistency_w1p(
     )
     if caught:
         notes += "; the norm computation reported: " + str(caught[0].message)
-    if probe_scale != 1.0:
-        notes += f"; NEGATIVE CONTROL: right-hand side scaled by {probe_scale}"
     return _finish(
         "w1p_consistency",
         {
@@ -1429,7 +1413,6 @@ def check_line_equivalences(
     alpha: float,
     half_width: float = 12.0,
     n: int = 4096,
-    probe_scale: float = 1.0,
 ) -> VerificationReport:
     """Difference-quotient, spectral, and two-sided norms on the line.
 
@@ -1441,7 +1424,7 @@ def check_line_equivalences(
     paths; (3) the one-sided H^α norm matches the Gagliardo-built norm
     once the seminorm is rescaled by the exact seminorm-ratio constant,
     within a 2% band, with ≤ 2% spread across the family; and (4) the
-    left- and right-sided норms agree to 1e-10 for real functions.
+    left- and right-sided norms agree to 1e-10 for real functions.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("the line equivalences cover 0 < alpha < 1")
@@ -1478,7 +1461,7 @@ def check_line_equivalences(
             dxi / (2.0 * math.pi)
             * float(np.sum(np.abs(xi) ** (2.0 * alpha) * np.abs(uhat) ** 2))
         )
-        plancherel.append(abs(probe_scale * phys - freq) / max(freq, _TINY))
+        plancherel.append(abs(phys - freq) / max(freq, _TINY))
 
         l2 = lp_norm(lf, 2.0)
         norm_left = sobolev_norm(lf, spec_l)
@@ -1497,14 +1480,6 @@ def check_line_equivalences(
         + [spread / 0.02]
         + [r / 1e-10 for r in left_right]
     )
-    notes = (
-        "residual blocks, in order: difference-quotient L1 bound ratio / 1.05 "
-        "per member; Parseval mismatch / 1e-10 per member; |one-sided vs "
-        "rescaled-Gagliardo norm ratio - 1| / 2% per member; family spread of "
-        "that ratio / 2%; left-right norm mismatch / 1e-10 per member"
-    )
-    if probe_scale != 1.0:
-        notes += f"; NEGATIVE CONTROL: spectral-derivative norm scaled by {probe_scale}"
     return _finish(
         "line_equivalences",
         {
@@ -1516,7 +1491,10 @@ def check_line_equivalences(
         residuals,
         bound_ratios + band_ratios,
         1.0,
-        notes,
+        "residual blocks, in order: difference-quotient L1 bound ratio / 1.05 "
+        "per member; Parseval mismatch / 1e-10 per member; |one-sided vs "
+        "rescaled-Gagliardo norm ratio - 1| / 2% per member; family spread of "
+        "that ratio / 2%; left-right norm mismatch / 1e-10 per member",
         details={
             "max_bound_ratio": max(bound_ratios),
             "max_parseval_mismatch": max(plancherel),
@@ -1640,7 +1618,6 @@ def check_inclusivity(
     p: float = 2.0,
     grid: Grid | None = None,
     tolerance: float = 1e-2,
-    probe_scale: float = 1.0,
 ) -> VerificationReport:
     """Rebuild the order-α derivative from order-β data alone.
 
@@ -1669,15 +1646,7 @@ def check_inclusivity(
             t, -alpha
         )
     term2 = np.asarray(frac_integral(d_beta, beta - alpha, Side.LEFT).values)
-    rhs = probe_scale * (term1 + term2)
-
-    residual = _rel_linf(rhs, lhs, _interior_mask(g))
-    notes = (
-        "relative sup-norm gap over the interior 80% of nodes between the "
-        "order-alpha derivative and its reconstruction from order-beta data"
-    )
-    if probe_scale != 1.0:
-        notes += f"; NEGATIVE CONTROL: reconstruction scaled by {probe_scale}"
+    residual = _rel_linf(term1 + term2, lhs, _interior_mask(g))
     return _finish(
         "order_inclusion",
         {
@@ -1691,7 +1660,8 @@ def check_inclusivity(
         [residual],
         [residual / tolerance],
         tolerance,
-        notes,
+        "relative sup-norm gap over the interior 80% of nodes between the "
+        "order-alpha derivative and its reconstruction from order-beta data",
         details={"gamma_ratio": gamma_ratio},
     )
 

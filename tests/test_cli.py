@@ -266,6 +266,38 @@ class TestVerifyCommand:
                     "--config", str(cfg), "--tolerance", "1e-2")
         assert r.returncode == 0, r.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "0.5"), ("--p", "3"), ("--side", "right"), ("--grid", "0,1,512"),
+        ("--line", "8,512"), ("--beta", "0.7"), ("--mode", "smooth"), ("--tolerance", "1e-9"),
+    ])
+    def test_canonical_run_rejects_flags_it_does_not_use(self, flag, value, capsys):
+        code = main(["verify", "ibp_zero_trace", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"verify ibp_zero_trace without --fn does not use {flag}\n" in err
+
+    def test_config_keys_are_checked_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 1e-9}))
+        assert main(["verify", "ibp_zero_trace", "--config", str(cfg)]) == 2
+        assert "does not use --tolerance" in capsys.readouterr().err
+
+    def test_density_rejects_a_tolerance(self, capsys):
+        code = main(["verify", "density", "--alpha", "0.5", "--fn", "bump:c=0.5;r=0.3",
+                     "--grid", "0,1,512", "--tolerance", "1e-30"])
+        assert code == 2
+        assert "verify density with --fn does not use --tolerance" in capsys.readouterr().err
+
+    def test_canonical_only_check_does_not_take_a_function(self, capsys):
+        code = main(["verify", "poincare_mathring", "--fn", "const:1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "verify 'poincare_mathring' does not take --fn; run it without flags" in err
+
+    def test_density_needs_a_function(self, capsys):
+        assert main(["verify", "density"]) == 2
+        assert "verify density needs --fn" in capsys.readouterr().err
+
     def test_missing_config_is_an_io_error(self):
         r = run_cli("verify", "ftwfc", "--fn", "const:1",
                     "--config", "/no/such/config.json")

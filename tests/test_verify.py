@@ -3,8 +3,9 @@
 The strategy throughout: every check gets at least one input whose
 answer is pinned by an independent route (a closed form, an exact
 annihilation, or the transpose structure of the product-integration
-weights), one perturbed input that must fail loudly, and one
-hypothesis-violation that must be rejected before any numerics run.
+weights), one fault from the table in ``faults.py`` under which it must
+fail loudly, and one hypothesis-violation that must be rejected before
+any numerics run.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from faults import FAULTS, Fault, inject, right_side
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,9 +224,10 @@ class TestFundamentalTheorem:
         assert rep.details["recovered_c"] == pytest.approx(1.0, abs=1e-12)
         assert rep.residuals[0] == 0.0
 
-    def test_scaled_probe_fails(self):
+    def test_scaled_probe_fails(self, monkeypatch):
         g = unit_grid(2048)
-        rep = check_ftwfc(sample(Bump(0.5, 0.25), g), 0.5, probe_scale=1.05)
+        inject(monkeypatch, FAULTS["ftwfc"])
+        rep = check_ftwfc(sample(Bump(0.5, 0.25), g), 0.5)
         assert not rep.passed
         assert max(rep.residuals) > 3.0 * rep.tolerance
 
@@ -301,11 +304,12 @@ class TestIntegrationByParts:
         with pytest.raises(ValueError):
             check_ibp(u, v, 0.5, variant="one_sided_zero_trace")
 
-    def test_scaled_probe_fails(self):
+    def test_scaled_probe_fails(self, monkeypatch):
         g = unit_grid(2048)
         u = sample(Bump(0.4, 0.2), g)
         v = sample(Bump(0.6, 0.25), g)
-        rep = check_ibp(u, v, 0.5, variant="one_sided_zero_trace", probe_scale=1.05)
+        inject(monkeypatch, (Fault("rl_derivative", "scale", 1.05, right_side),))
+        rep = check_ibp(u, v, 0.5, variant="one_sided_zero_trace")
         assert not rep.passed
 
 
@@ -624,10 +628,10 @@ class TestW1pConsistency:
         with pytest.raises(ValueError):
             check_consistency_w1p(Step(0.5, 1.0), 0.5, 2.0, unit_grid(512))
 
-    def test_scaled_probe_fails(self):
+    def test_scaled_probe_fails(self, monkeypatch):
+        inject(monkeypatch, FAULTS["w1p_consistency"])
         rep = check_consistency_w1p(
-            PowerSum(0.0, ((1.0, 0.0), (1.0, 1.0))), 0.5, 2.0, unit_grid(2048),
-            probe_scale=1.05,
+            PowerSum(0.0, ((1.0, 0.0), (1.0, 1.0))), 0.5, 2.0, unit_grid(2048)
         )
         assert not rep.passed
 
@@ -645,10 +649,9 @@ class TestLineEquivalences:
         with pytest.raises(ValueError):
             check_line_equivalences(batt, 0.5, n=1024)
 
-    def test_scaled_probe_fails(self):
-        rep = check_line_equivalences(
-            TestBattery.line_default(), 0.5, n=2048, probe_scale=1.05
-        )
+    def test_scaled_probe_fails(self, monkeypatch):
+        inject(monkeypatch, FAULTS["line_equivalences"])
+        rep = check_line_equivalences(TestBattery.line_default(), 0.5, n=2048)
         assert not rep.passed
 
 
@@ -733,11 +736,10 @@ class TestOrderInclusion:
             with pytest.raises(ValueError):
                 check_inclusivity(u, alpha, beta, grid=g)
 
-    def test_scaled_probe_fails(self):
+    def test_scaled_probe_fails(self, monkeypatch):
         g = unit_grid(2048)
-        rep = check_inclusivity(
-            sample(Bump(0.5, 0.25), g), 0.4, 0.7, grid=g, probe_scale=1.05
-        )
+        inject(monkeypatch, FAULTS["inclusivity"])
+        rep = check_inclusivity(sample(Bump(0.5, 0.25), g), 0.4, 0.7, grid=g)
         assert not rep.passed
         assert max(rep.residuals) > 3.0 * rep.tolerance
 
@@ -764,3 +766,18 @@ class TestCanonicalRegistry:
             first = checks[name]().to_dict()
             second = checks[name]().to_dict()
             assert first == second
+
+    def test_every_check_has_a_fault(self):
+        assert sorted(FAULTS) == sorted(canonical_checks())
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_every_check_fails_under_its_fault(self, name, monkeypatch):
+        # the clean rerun after the patch is undone must give the same
+        # bytes: no fault survives in the kernel-plan cache
+        runner = canonical_checks()[name]
+        clean = runner().to_dict()
+        with monkeypatch.context() as patched:
+            inject(patched, FAULTS[name])
+            faulted = runner()
+        assert faulted.passed is False
+        assert runner().to_dict() == clean
