@@ -29,16 +29,15 @@ relative to terms at most a few levels further out.
 
 What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
 head taps, the level boundaries and pads, and the kernel's spectrum on
-every level.  The grid kernels depend only on the order and the grid
-size, and callers apply one operator at one order on one grid to many
-functions, so :func:`_plan` keeps the last plan of each kind (product
-trapezoid, L1 slope, Grunwald-Letnikov) keyed by ``(alpha, n)`` in three
-slots, shared by both sides and by every caller.  A plan over
-``_PLAN_BYTES`` (1 MiB: the product-trapezoid plan from ``2^15`` cells,
-the slope and Grunwald-Letnikov plans from ``2^16``) is built for its call
-and dropped, as is Marchaud's kernel, which also depends on the step and
-the window.  A kept plan gives bitwise the output of a fresh
-one.
+every level.  The kernels depend only on the order and the grid (for
+Marchaud also the window), and callers apply one operator at one order on
+one grid to many functions, so :func:`_plan` keeps the last plan of each
+kind (product trapezoid, L1 slope, Grunwald-Letnikov, Marchaud) in one
+slot per kind, keyed by the arguments it was built from and shared by
+both sides and by every caller.  Every plan is kept, whatever its size:
+the spectra take 18 to 27 bytes per cell and ``base`` 8 more (1.4 and
+1.9 MB at ``2^16`` cells).  A kept plan gives bitwise the output of a
+fresh one.
 
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.  On the uniform
@@ -83,6 +82,7 @@ from .core import (
     gamma_fn,
     gl_weights,
     inverse_discrete_fourier,
+    line_grid,
     product_kernels,
     spectral_multiplier,
 )
@@ -109,12 +109,6 @@ _DIRECT_SIZE = 256
 # past the direct head, outputs [L, 4 L) come from the first 4 L samples;
 # the top level keeps [L, n), n < 8 L, from all n samples
 _LEVEL_FACTOR = 4
-# a kernel plan with more array bytes than this is used once and not kept:
-# the product-trapezoid plan from 2^15 cells (1.13 MB there), the slope and
-# Grunwald-Letnikov plans from 2^16.  Keeping plans of every size raised the
-# peak RSS of the interval benchmark (grids up to 2^16 cells) from 70 to
-# 74 MB
-_PLAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +119,20 @@ class _Plan:
     directly; ``levels`` holds ``(start, stop, size, spectrum)`` for each
     FFT level, which keeps outputs ``[start, stop)``, with ``spectrum =
     rfft(k[:stop], size)`` and ``size`` the power of two at least ``2 stop
-    - 1 - start`` (see :func:`_toeplitz`).  ``right`` is the
-    product kernel's right-end taps, which :func:`frac_integral` subtracts
-    at the base node (None for other kernels).  Every array is read-only.
+    - 1 - start`` (see :func:`_toeplitz`).  ``base`` holds the taps the
+    operator adds as ``x[0] * base`` to the product, for a base value the
+    Toeplitz form counts wrongly: the product kernel's right-end taps,
+    negated, and Marchaud's blend of ``x[0]`` with the zero left of the
+    window (None for the other kernels).  Every array is read-only.
     """
 
     n: int
     head: np.ndarray
     levels: tuple[tuple[int, int, int, np.ndarray], ...]
-    right: np.ndarray | None = None
+    base: np.ndarray | None = None
 
     @classmethod
-    def build(cls, k: np.ndarray, n: int, right: np.ndarray | None = None) -> _Plan:
+    def build(cls, k: np.ndarray, n: int, base: np.ndarray | None = None) -> _Plan:
         """Plan the kernel ``k`` (at least ``n`` entries; later ones are ignored)."""
         if k.size < n:
             raise ValueError(f"kernel of {k.size} entries planned for {n} samples")
@@ -151,39 +147,34 @@ class _Plan:
             size = 1 << (2 * stop - 2 - start).bit_length()
             levels.append((start, stop, size, np.fft.rfft(k[:stop], size)))
             start = stop
-        plan = cls(n, k[: min(n, _DIRECT_SIZE)].copy(), tuple(levels), right)
+        plan = cls(n, k[: min(n, _DIRECT_SIZE)].copy(), tuple(levels), base)
         for array in plan.arrays():
             array.flags.writeable = False
         return plan
 
     def arrays(self) -> list[np.ndarray]:
-        extra = [] if self.right is None else [self.right]
+        extra = [] if self.base is None else [self.base]
         return [self.head, *(level[3] for level in self.levels), *extra]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self.arrays())
 
 
 # the last plan of each kernel kind, keyed by its build function; see _plan
-_plans: dict[Callable[[float, int], _Plan], tuple[tuple[float, int], _Plan]] = {}
+_plans: dict[Callable[..., _Plan], tuple[tuple, _Plan]] = {}
 
 
-def _plan(build: Callable[[float, int], _Plan], alpha: float, n: int) -> _Plan:
-    """``build(alpha, n)``, reusing the last plan of that kind when the key repeats.
+def _plan(build: Callable[..., _Plan], *key) -> _Plan:
+    """``build(*key)``, reusing the last plan of that kind when the key repeats.
 
-    One slot per build function: a miss replaces the slot's plan, and a
-    plan over ``_PLAN_BYTES`` leaves the slot empty.  Plans depend on
-    ``(alpha, n)`` alone, so a reused plan gives bitwise the result of a
-    fresh one.
+    One slot per build function, which keeps the plan of the last key at
+    every size: a miss frees the slot's plan, then builds and keeps the
+    new one.  A plan depends on its key alone, so a reused plan gives
+    bitwise the result of a fresh one.
     """
     entry = _plans.get(build)
-    if entry is not None and entry[0] == (alpha, n):
+    if entry is not None and entry[0] == key:
         return entry[1]
     _plans.pop(build, None)  # free the old plan before building the new one
-    plan = build(alpha, n)
-    if plan.nbytes <= _PLAN_BYTES:
-        _plans[build] = ((alpha, n), plan)
+    plan = build(*key)
+    _plans[build] = (key, plan)
     return plan
 
 
@@ -315,8 +306,12 @@ def _base_power(u: SampledFunction) -> tuple[float, float] | None:
 def _split_left_singular(
     u: SampledFunction,
 ) -> tuple[np.ndarray, tuple[float, float] | None]:
-    """Return (regular part nodal values, power part) with u = regular + power."""
-    vals = np.array(u.values, dtype=float)
+    """Return (regular part nodal values, power part) with u = regular + power.
+
+    With a finite base node the regular part is ``u.values`` itself, not a
+    copy: callers only read it.
+    """
+    vals = u.values
     if np.isfinite(vals[0]):
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite samples away from the base node")
@@ -324,6 +319,7 @@ def _split_left_singular(
     power = _base_power(u)
     if power is None:
         # no credible power behaviour: patch the marker node and move on
+        vals = vals.copy()
         vals[0] = 2.0 * vals[1] - vals[2]
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite samples away from the base node")
@@ -331,8 +327,9 @@ def _split_left_singular(
     coeff, exponent = power
     t = u.grid.nodes - u.grid.a
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = coeff * np.power(t, exponent)
-        regular = vals - w  # the base node is inf - inf; overwritten just below
+        regular = coeff * np.power(t, exponent)
+        # the base node is inf - inf; overwritten just below
+        np.subtract(vals, regular, out=regular)
     regular[0] = 0.0
     if not np.all(np.isfinite(regular)):
         raise ValueError("samples keep a singular residue after removing the fitted power")
@@ -371,13 +368,13 @@ def _product_plan(alpha: float, n: int) -> _Plan:
     """Merged product-trapezoid kernel of both cell ends, for ``n + 1`` samples.
 
     Cell ``m`` contributes ``fL(m) u[j-m] + fR(m) u[j-m+1]``, so tap ``m``
-    is ``fR(m+1) + fL(m)``; ``right`` keeps the ``fR`` taps alone.
+    is ``fR(m+1) + fL(m)``; ``base`` keeps the ``fR`` taps alone, negated.
     """
     f_left, f_right = product_kernels(alpha, n)
-    right = np.append(f_right, 0.0)
-    kernel = right.copy()
+    kernel = np.append(f_right, 0.0)
+    base = -kernel
     kernel[1:] += f_left
-    return _Plan.build(kernel, n + 1, right=right)
+    return _Plan.build(kernel, n + 1, base=base)
 
 
 @_reflection_conjugate
@@ -392,11 +389,12 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
         raise ValueError("frac_integral implemented for 0 < alpha <= 1")
     regular, power = _split_left_singular(u)
     grid = u.grid
-    n = grid.n
     plan = _plan(_product_plan, alpha, grid.n)
-    # the right-end kernel also reaches the missing cell m = j + 1 through u[0]
-    spurious = regular[0] * plan.right
-    out = (grid.h**alpha / gamma_fn(alpha)) * (_toeplitz(regular, plan) - spurious)
+    out = _toeplitz(regular, plan)
+    if regular[0] != 0.0:
+        # the right-end kernel also reaches the missing cell m = j + 1 through u[0]
+        out += regular[0] * plan.base
+    out *= grid.h**alpha / gamma_fn(alpha)
 
     out_power: tuple[float, float] | None = None
     if power is not None:
@@ -425,7 +423,7 @@ def _l1_slope_sum(regular: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     slopes = np.diff(regular) / grid.h
     conv = _toeplitz(slopes, _plan(_slope_plan, alpha, n))
     out = np.zeros(n + 1)
-    out[1:] = (grid.h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * conv
+    np.multiply(grid.h ** (1.0 - alpha) / gamma_fn(2.0 - alpha), conv, out=out[1:])
     return out
 
 
@@ -442,15 +440,13 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
         raise ValueError("rl_derivative implemented for 0 < alpha < 1")
     regular, power = _split_left_singular(u)
     grid = u.grid
-    t = grid.nodes - grid.a
     out = _l1_slope_sum(regular, grid, alpha)
     base_val = regular[0]
-    if base_val != 0.0:
-        with np.errstate(divide="ignore"):
-            out[1:] += base_val * np.power(t[1:], -alpha) / gamma_fn(1.0 - alpha)
-
     singular_terms: list[tuple[float, float]] = []
     if base_val != 0.0:
+        t = grid.nodes - grid.a
+        with np.errstate(divide="ignore"):
+            out[1:] += base_val * np.power(t[1:], -alpha) / gamma_fn(1.0 - alpha)
         singular_terms.append((base_val / gamma_fn(1.0 - alpha), -alpha))
     if power is not None:
         image = _euler_image(*power, shift=-alpha)
@@ -568,6 +564,26 @@ def _compose_integer(u: SampledFunction | LineFunction, m: int) -> SampledFuncti
 # derivatives on the line
 
 
+def _marchaud_plan(alpha: float, half_width: float, n: int) -> _Plan:
+    """Kernel of :func:`marchaud_derivative` on a window of ``n`` cells."""
+    h = line_grid(half_width, n).h
+    offsets, weight = _log_offsets(h / 2.0, 2.0 * half_width)
+    # (u(x)-u(x-t)) t^{-1-alpha} summed by the trapezoid rule in log-offset
+    # space, whose Jacobian t leaves the weight w t^{-alpha} per offset
+    weight *= offsets**-alpha
+    # each offset t = (k + theta) h adds to taps k and k+1, and u(x_j) to tap 0
+    k, theta = np.divmod(offsets / h, 1.0)
+    k = k.astype(int)
+    size = n + 2
+    near = weight * (1.0 - theta)
+    kernel = -(np.bincount(k, near, size) + np.bincount(k + 1, weight * theta, size))
+    kernel[0] += weight.sum()
+    # base: the (1-theta) u[0] taps at outputs j = k with theta > 0, which
+    # the interpolant reads as the 0 left of the window
+    behind = theta > 0.0
+    return _Plan.build(kernel, n + 1, base=np.bincount(k[behind], near[behind], n + 1))
+
+
 @_reflection_conjugate
 def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.LEFT) -> LineFunction:
     """Marchaud form of the one-sided derivative on the truncated line.
@@ -588,31 +604,14 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("marchaud_derivative implemented for 0 < alpha < 1")
-    grid = u.grid
-    h = grid.h
-    x = grid.nodes
+    h = u.grid.h
     # t_max = window diameter: from any x, offsets beyond it look back past
     # the window edge, where the zero extension makes the tail analytic
     t_min, t_max = h / 2.0, 2.0 * u.half_width
-    offsets, weight = _log_offsets(t_min, t_max)
-
     vals = u.values
-    # (u(x)-u(x-t)) t^{-1-alpha} summed by the trapezoid rule in log-offset
-    # space, whose Jacobian t leaves the weight w t^{-alpha} per offset
-    weight *= offsets**-alpha
-    # u(x_j - t) = (1-theta) u[j-k] + theta u[j-k-1] for t = (k + theta) h:
-    # each offset adds to taps k and k+1, and u(x_j) to tap 0
-    k, theta = np.divmod(offsets / h, 1.0)
-    k = k.astype(int)
-    size = x.size + 1
-    near = weight * (1.0 - theta)
-    kernel = -(np.bincount(k, near, size) + np.bincount(k + 1, weight * theta, size))
-    kernel[0] += weight.sum()
-    integral = _toeplitz(vals, kernel)
-    # left of the window np.interp gives 0, not (1-theta) u[0]: that tap
-    # reaches output j = k when theta > 0, so take it back out
-    behind = theta > 0.0
-    integral += vals[0] * np.bincount(k[behind], near[behind], size)[: x.size]
+    plan = _plan(_marchaud_plan, alpha, u.half_width, u.n)
+    integral = _toeplitz(vals, plan)
+    integral += vals[0] * plan.base
 
     # sub-grid offsets, modelled at first order through the local slope
     slope = np.gradient(vals, h, edge_order=2)

@@ -322,9 +322,9 @@ class TestSuiteCommand:
         builds = []
         build = operators._Plan.build.__func__
 
-        def counted(cls, k, n, right=None):
+        def counted(cls, k, n, base=None):
             builds.append(n)
-            return build(cls, k, n, right)
+            return build(cls, k, n, base)
 
         def cleared_checks():
             def cleared(runner):
@@ -337,9 +337,13 @@ class TestSuiteCommand:
         monkeypatch.setattr(operators._Plan, "build", classmethod(counted))
         before = package_state()
         reports, counts = [], []
-        for checks, plan_bytes in ((cleared_checks, 0), (verify.canonical_checks, operators._PLAN_BYTES)):
+        passes = (
+            (cleared_checks, lambda kind, *key: kind(*key)),  # keeps no plan
+            (verify.canonical_checks, operators._plan),
+        )
+        for checks, plan in passes:
             monkeypatch.setattr(cli, "canonical_checks", checks)
-            monkeypatch.setattr(operators, "_PLAN_BYTES", plan_bytes)  # 0 keeps no plan
+            monkeypatch.setattr(operators, "_plan", plan)
             operators._plans.clear()
             builds.clear()
             out = tmp_path / f"{checks.__name__}.json"

@@ -290,7 +290,7 @@ class TestKernelPlans:
         vals[0] = vals[-1] = 0.0  # no base-node kernel term on either side
         return SampledFunction(unit_grid(n), vals)
 
-    @pytest.mark.parametrize("n", [256, 257, 2048, 20000])
+    @pytest.mark.parametrize("n", [256, 257, 2048, 20000, 65536])
     @pytest.mark.parametrize("name", sorted(PLANNED))
     def test_reused_plans_match_fresh_products(self, name, n):
         op = getattr(operators, name)
@@ -310,12 +310,13 @@ class TestKernelPlans:
 
     def test_alternating_orders_give_the_bits_of_fresh_plans(self):
         u = self.samples(3000, 7)
-        for name in sorted(PLANNED):
-            op = getattr(operators, name)
+        calls = [(getattr(operators, name), u) for name in sorted(PLANNED)]
+        calls.append((marchaud_derivative, LineFunction(12.0, u.values)))
+        for op, v in calls:
             for alpha in (0.3, 0.6, 0.3):
-                kept = op(u, alpha).values
+                kept = op(v, alpha).values
                 operators._plans.clear()
-                assert np.array_equal(kept, op(u, alpha).values)
+                assert np.array_equal(kept, op(v, alpha).values)
 
     def test_cached_arrays_are_read_only(self):
         u = self.samples(4096, 3)
@@ -326,15 +327,83 @@ class TestKernelPlans:
                 with pytest.raises(ValueError):
                     array[0] = 1.0
 
-    def test_large_grids_hold_no_plan(self):
-        for n in (1 << 10, 1 << 14, 1 << 15, 1 << 16):
+    def test_each_kind_holds_its_last_key(self):
+        """Plans are kept at every size, and a new key frees the old plan."""
+        operators._plans.clear()
+        for n in (1 << 16, 1 << 10):
             u = self.samples(n, n)
             for name in sorted(PLANNED):
                 for side in ("left", "right"):
                     getattr(operators, name)(u, 0.55, side)
-                    held = sum(plan.nbytes for _, plan in operators._plans.values())
-                    assert held <= 3 * operators._PLAN_BYTES
-        assert not operators._plans
+            marchaud_derivative(LineFunction(12.0, u.values), 0.55)
+            keys = {kind: key for kind, (key, _) in operators._plans.items()}
+            expected = dict.fromkeys(PLANNED.values(), (0.55, n))
+            assert keys == {**expected, operators._marchaud_plan: (0.55, 12.0, n)}
+        # every held array owns its buffer: the held bytes are the plans' arrays
+        held = [array for _, plan in operators._plans.values() for array in plan.arrays()]
+        assert all(array.base is None for array in held)
+        fresh = [array for kind, (key, _) in operators._plans.items() for array in kind(*key).arrays()]
+        assert sum(array.nbytes for array in held) == sum(array.nbytes for array in fresh)
+
+
+def read_only(u):
+    """``u`` with a read-only copy of its samples."""
+    vals = u.values.copy()
+    vals.flags.writeable = False
+    return replace(u, values=vals)
+
+
+def outcome(op, u, side):
+    """The bytes of ``op(u, 0.4, side)``, or the error it raises."""
+    try:
+        out = op(u, 0.4, side)
+    except ValueError as err:
+        return repr(err)
+    if isinstance(out, KernelConstant):
+        return repr(out)
+    return out.values.tobytes()
+
+
+class TestInputsStayUntouched:
+    """Operators only read their input: a read-only one gives the same bits."""
+
+    @staticmethod
+    def inputs():
+        g = unit_grid(1024)
+        x = g.nodes
+        with np.errstate(divide="ignore"):
+            singular = 1.5 * x**-0.25 + np.cos(x)
+        marker = np.cos(x)  # no decaying power: the base marker is patched
+        marker[0] = math.inf
+        return [
+            SampledFunction(g, 1.0 + np.exp(x) * np.sin(3.0 * x)),
+            SampledFunction(g, singular, left_power=(1.5, -0.25)),
+            SampledFunction(g, singular),
+            SampledFunction(g, marker),
+        ]
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "op",
+        [frac_integral, rl_derivative, caputo_derivative, gl_derivative, endpoint_constant],
+    )
+    def test_grid_operators(self, op, side):
+        for u in self.inputs():
+            if side == "right":
+                u = u.reflected()
+            before = u.values.tobytes()
+            assert outcome(op, read_only(u), side) == outcome(op, u, side)
+            assert u.values.tobytes() == before
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_marchaud(self, side):
+        u = sample_line(Gaussian(0.3, 1.2), 12.0, 2048)
+        before = u.values.tobytes()
+        assert outcome(marchaud_derivative, read_only(u), side) == outcome(
+            marchaud_derivative, u, side
+        )
+        assert u.values.tobytes() == before
 
 
 class TestRlDerivative:
