@@ -417,6 +417,17 @@ def _log_offsets(t_min: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(s), weights
 
 
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope ``sum (x - xbar)(y - ybar) / sum (x - xbar)^2``.
+
+    Closed form with ``np.sum`` rather than a library fit, whose least-squares
+    solve goes through BLAS and changes its last bits with the BLAS kernel.
+    """
+    dx = x - np.sum(x) / x.size
+    dy = y - np.sum(y) / y.size
+    return float(np.sum(dx * dy) / np.sum(dx * dx))
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -43,6 +43,7 @@ from .core import (
     SampledFunction,
     Side,
     _coarsened,
+    _fit_slope,
     discrete_fourier,
     gamma_fn,
     line_grid,
@@ -857,17 +858,6 @@ def check_sobolev_inequality(
 
 
 _SLOPE_FIT_WINDOW = (1.0 / 3.0, 0.95)
-
-
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope ``sum (x - xbar)(y - ybar) / sum (x - xbar)^2``.
-
-    Closed form with ``np.sum`` rather than ``np.polyfit``, whose ``lstsq``
-    goes through BLAS and changes its last bits with the BLAS kernel.
-    """
-    dx = x - np.sum(x) / x.size
-    dy = y - np.sum(y) / y.size
-    return float(np.sum(dx * dy) / np.sum(dx * dx))
 
 
 def _zero_extension(u: SampledFunction, ambient: Grid) -> SampledFunction:

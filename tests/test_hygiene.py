@@ -30,3 +30,25 @@ def test_every_defined_name_is_used():
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     unused = sorted(name for name, count in defined.items() if words[name] <= count)
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_no_blas_least_squares_in_the_package():
+    """Verdicts and report values must not change with the BLAS kernel, so
+    no code under ``src/fracsobolev`` reaches ``np.polyfit``, ``np.linalg``
+    or a ``lstsq`` solve; slopes come from ``core._fit_slope``.  Only code
+    is searched: a docstring may name what is avoided."""
+    banned = {"polyfit", "linalg", "lstsq"}
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+                names += (getattr(node, "module", None) or "").split(".")
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert not found, f"BLAS least squares in the package: {found}"

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsobolev import spaces
 from fracsobolev.core import (
     FracOrder,
     Grid,
     LineFunction,
     SampledFunction,
     Side,
+    _coarsened,
     _log_offsets,
     trapezoid,
 )
@@ -240,6 +242,97 @@ class TestGagliardoSeminorm:
     def test_rejects_singular_samples(self):
         with pytest.raises(ValueError, match="finite samples"):
             gagliardo_seminorm(kappa(0.5, "left", unit_grid(64)), 0.5, 2.0)
+
+
+def refinement_seminorm(u, alpha: float, p: float) -> float:
+    """Reference: the seminorm from the n, n/2, n/4 rule alone.
+
+    This is how :func:`gagliardo_seminorm` decided divergence before it read
+    the modulus: +inf when the integral keeps growing on the subsamples.
+    """
+    full = _gagliardo_integral(u, alpha, p)
+    v1 = _gagliardo_integral(_coarsened(u, 4), alpha, p)
+    v2 = _gagliardo_integral(_coarsened(u, 2), alpha, p)
+    d1, d2 = v2 - v1, full - v2
+    if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
+        return math.inf
+    return full ** (1.0 / p)
+
+
+def rough_battery(g: Grid):
+    """Steps, bumps, cusps and base powers, each with the exponent ``s`` of
+    ``omega_p(t)^p ~ t^s``: the seminorm is finite iff ``alpha p < s``."""
+    x = g.nodes
+    yield sample(Step(0.5, 1.0), g), lambda p: 1.0
+    yield sample(Bump(0.5, 0.3), g), lambda p: p
+    for beta in (0.05, 0.3, 0.7):
+        for vals in (np.abs(x - 0.43) ** beta, x**beta):
+            yield SampledFunction(g, vals), lambda p, beta=beta: min(p, beta * p + 1.0)
+
+
+class TestGagliardoVerdicts:
+    """The modulus decides "finite" only; every +inf comes from refinement."""
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_no_finite_verdict_where_refinement_and_theory_say_inf(self, n, p):
+        changed = []
+        for u, s in rough_battery(unit_grid(n)):
+            for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    v = gagliardo_seminorm(u, alpha, p)
+                ref = refinement_seminorm(u, alpha, p)
+                theory_finite = alpha * p < s(p)
+                if math.isfinite(v) and math.isfinite(ref):
+                    assert v == ref  # both are the same integral's root
+                assert math.isfinite(v) or v == ref
+                if v != ref:
+                    changed.append((alpha, s(p), theory_finite))
+        # a verdict may only move from the refinement's +inf to finite, and
+        # only where the seminorm is finite in theory
+        assert all(theory_finite for _, _, theory_finite in changed), changed
+
+    @pytest.mark.parametrize(
+        "alpha, p",
+        [(0.95, 1.0), (1.0, 1.0), (0.475, 2.0), (0.5, 2.0), (0.525, 2.0),
+         (0.95 / 3.0, 3.0), (1.0 / 3.0, 3.0), (1.05 / 3.0, 3.0)],
+    )
+    def test_step_near_its_threshold_keeps_the_refinement_verdict(self, alpha, p):
+        # alpha p = 1 is a log divergence; 0.95 and 1.05 sit either side
+        step = sample(Step(0.5, 1.0), unit_grid(1024))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert gagliardo_seminorm(step, alpha, p) == refinement_seminorm(step, alpha, p)
+
+    def test_smooth_data_take_the_modulus_verdict(self, monkeypatch):
+        subsampled = []
+        monkeypatch.setattr(spaces, "_coarsened", lambda u, step: subsampled.append(step))
+        bump = sample(Bump(0.5, 0.3), unit_grid(1024))
+        for alpha, p in ((0.25, 1.0), (0.5, 1.0), (0.5, 2.0), (0.25, 3.0)):
+            assert gagliardo_seminorm(bump, alpha, p) == refinement_seminorm(bump, alpha, p)
+        assert subsampled == []
+
+    @pytest.mark.parametrize("n", [1022, 14])
+    def test_unrefinable_grid_warns_that_divergence_was_not_checked(self, n):
+        # on 1024 cells the same step is +inf (test_step_diverges_when_rough)
+        step = sample(Step(0.5, 1.0), unit_grid(n))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = gagliardo_seminorm(step, 0.75, 2.0)
+        assert math.isfinite(v)
+        assert len(rec) == 1
+        assert rec[0].filename == __file__
+        assert f"not checked on n={n} cells" in str(rec[0].message)
+
+    def test_unrefinable_grid_is_silent_when_the_modulus_decides(self):
+        # on 14 cells the fit window spans the whole interval, whose shrinking
+        # overlap bends the modulus down: sin 3x would warn there too
+        g = unit_grid(1022)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(gagliardo_seminorm(SampledFunction(g, np.sin(3.0 * g.nodes)), 0.5, 2.0))
+            assert gagliardo_seminorm(SampledFunction(g, np.full(1023, 2.0)), 0.5, 2.0) == 0.0
 
 
 class TestSeminormRatio:
@@ -473,8 +566,9 @@ class TestBatchedGagliardo:
                 ref = gagliardo_offset_loop(u, alpha, 2.0)
                 assert _gagliardo_integral(u, alpha, 2.0) == pytest.approx(ref, rel=1e-13)
 
-    @pytest.mark.parametrize("domain", ["line", "interval"])
-    def test_p2_interpolates_nothing_and_ffts_once_per_integral(self, domain, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch) -> dict[str, int]:
+        """Count ``interp`` calls and FFTs from here on."""
         calls = {"interp": 0, "fft": 0}
 
         def counted(kind, fn):
@@ -488,7 +582,11 @@ class TestBatchedGagliardo:
             monkeypatch.setattr(cls, "interp", counted("interp", cls.interp))
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+        return calls
 
+    @pytest.mark.parametrize("domain", ["line", "interval"])
+    def test_p2_interpolates_nothing_and_ffts_once_per_integral(self, domain, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         fft_calls = []
         for n in (1024, 4096):  # 266 and 314 offsets
             calls["fft"] = 0
@@ -500,8 +598,19 @@ class TestBatchedGagliardo:
             assert gagliardo_seminorm(u, 0.5, 2.0) > 0.0
             fft_calls.append(calls["fft"])
         assert calls["interp"] == 0
-        # three integrals (n, n/2, n/4), one rfft/irfft pair each
-        assert fft_calls == [6, 6]
+        # smooth data: the modulus shows convergence, so one integral, one
+        # rfft/irfft pair
+        assert fft_calls == [2, 2]
+
+    def test_rough_data_still_ffts_once_per_integral(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        step = sample(Step(0.5, 1.0), unit_grid(1024))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert gagliardo_seminorm(step, 0.75, 2.0) == math.inf
+        assert calls["interp"] == 0
+        # a jump at alpha p = 1.5 is refined: three integrals (n, n/2, n/4)
+        assert calls["fft"] == 6
 
 
 def holder_gap_loop(u, exponent: float, subinterval) -> float:
