@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +45,23 @@ __all__ = [
     "trapezoid",
     "spectral_multiplier",
 ]
+
+
+def _warn(message: str) -> None:
+    """Emit a ``UserWarning`` that names the first frame outside this package.
+
+    A quantity that does not exist comes back as +inf with a warning, so
+    the warning must point at the call that asked for it, however deep in
+    the package it is raised.  Every frame whose module is ``fracsobolev``
+    or ``fracsobolev.*`` is skipped; ``python -m fracsobolev.cli`` runs as
+    ``__main__``, so the command line's warnings name a line of ``cli.py``.
+    """
+    frame, level = sys._getframe(1), 2  # stacklevel 2 names the caller
+    while frame is not None:
+        if frame.f_globals.get("__name__", "").partition(".")[0] != "fracsobolev":
+            break
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class Side(enum.Enum):
@@ -195,23 +213,17 @@ class LineFunction:
     def x(self) -> np.ndarray:
         return self.grid.nodes
 
-    def check_decay(self, stacklevel: int = 2) -> LineFunction:
+    def check_decay(self) -> LineFunction:
         """Verify the samples have decayed at both ends of the window.
 
         Emits a warning (and leaves ``decay_checked`` False) when the
         endpoint values exceed 1e-8 times the max magnitude, since
         Fourier-side operators then see an artificial periodic jump.
-        ``stacklevel`` is passed to :func:`warnings.warn`: the default names
-        the direct caller, and library code that checks on behalf of its
-        own caller adds one per frame in between.
         """
         scale = float(np.max(np.abs(self.values))) or 1.0
         edge = max(abs(float(self.values[0])), abs(float(self.values[-1])))
         if edge > 1e-8 * scale:
-            warnings.warn(
-                f"function has not decayed at +-L: edge/max = {edge / scale:.3e}",
-                stacklevel=stacklevel,
-            )
+            _warn(f"function has not decayed at +-L: edge/max = {edge / scale:.3e}")
             return self
         return replace(self, decay_checked=True)
 
@@ -472,21 +484,19 @@ def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
 def _spectrum(u: LineFunction) -> tuple[np.ndarray, np.ndarray]:
     """:func:`discrete_fourier` of the periodic samples, after the decay test.
 
-    Warns, naming the caller of the public function, when more than 1e-8 of
-    the spectral energy sits in the top frequency quartile (aliasing), and
-    when ``u`` has not decayed.
+    Warns when more than 1e-8 of the spectral energy sits in the top
+    frequency quartile (aliasing), and when ``u`` has not decayed.
     """
     if not u.decay_checked:
-        u.check_decay(stacklevel=4)
+        u.check_decay()
     xi, uhat = discrete_fourier(u.samples(), u.half_width)
     energy = np.abs(uhat) ** 2
     top = np.abs(xi) >= 0.75 * float(np.max(np.abs(xi)))
     fraction = float(np.sum(energy[top])) / (float(np.sum(energy)) or 1.0)
     if fraction > 1e-8:
-        warnings.warn(
+        _warn(
             f"aliasing suspected: fraction {fraction:.2e} of the spectral "
-            "energy sits in the top frequency quartile",
-            stacklevel=3,
+            "energy sits in the top frequency quartile"
         )
     return xi, uhat
 

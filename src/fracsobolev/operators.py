@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -79,6 +78,7 @@ from .core import (
     Side,
     _log_offsets,
     _spectrum,
+    _warn,
     gamma_fn,
     gl_weights,
     inverse_discrete_fourier,
@@ -178,13 +178,12 @@ def _plan(build: Callable[..., _Plan], *key) -> _Plan:
     return plan
 
 
-def _toeplitz(x: np.ndarray, k: np.ndarray | _Plan) -> np.ndarray:
-    """First ``len(x)`` terms of the convolution ``x * k``.
+def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
+    """First ``len(x)`` terms of the convolution ``x * k`` of the planned kernel ``k``.
 
     This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
-    k[j-i] x[i]``.  ``k`` is a :class:`_Plan` for ``len(x)`` samples, or a
-    raw kernel of at least ``len(x)`` entries, which is planned for this
-    one product and dropped.  The path depends only on ``n = len(x)``: for
+    k[j-i] x[i]``, with ``plan`` a :class:`_Plan` of ``k`` for ``len(x)``
+    samples.  The path depends only on ``n = len(x)``: for
     ``n <= _DIRECT_SIZE`` every output is a direct sum.  Otherwise the
     first ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in
     levels: outputs ``[L, 4 L)`` from the product of the first ``4 L``
@@ -211,7 +210,6 @@ def _toeplitz(x: np.ndarray, k: np.ndarray | _Plan) -> np.ndarray:
     samples, and with the trim they give 2.2e-15 and 10^-14.69.
     """
     n = x.size
-    plan = k if isinstance(k, _Plan) else _Plan.build(k, n)
     if plan.n != n:
         raise ValueError(f"kernel plan for {plan.n} samples applied to {n}")
     if n <= _DIRECT_SIZE:
@@ -257,8 +255,7 @@ def _reflection_conjugate(op):
     """Run the left-sided body ``op`` for either ``side``: reflect, left, reflect.
 
     ``op`` is called as ``op(u, alpha)``; its ``side`` parameter only keeps
-    the public signature.  ``op`` runs one frame below the public call, so
-    ``stacklevel=3`` in it names the caller on both sides.
+    the public signature.
     """
 
     @functools.wraps(op)
@@ -627,10 +624,9 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     tail_estimate = edge * u.half_width**-alpha / gamma_fn(1.0 - alpha)
     result_scale = float(np.max(np.abs(result))) or 1.0
     if tail_estimate > 1e-6 * result_scale:
-        warnings.warn(
+        _warn(
             f"window-tail contribution estimate {tail_estimate / result_scale:.2e} "
-            "of the result: the input has not decayed at the window edges",
-            stacklevel=3,
+            "of the result: the input has not decayed at the window edges"
         )
     return LineFunction(u.half_width, result)
 
@@ -741,8 +737,5 @@ def endpoint_constant(
     g_scale = float(np.max(np.abs(finite_g))) if finite_g.size else 0.0
     scale = max(abs(c), g_scale / abs(gamma_a), 1e-300)
     if residual > 1e-2 * scale:
-        warnings.warn(
-            f"endpoint extrapolation did not settle: spread {residual:.3e} vs c = {c:.3e}",
-            stacklevel=3,
-        )
+        _warn(f"endpoint extrapolation did not settle: spread {residual:.3e} vs c = {c:.3e}")
     return KernelConstant(c, Side.LEFT, FracOrder(alpha), order_used, residual)

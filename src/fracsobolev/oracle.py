@@ -358,7 +358,7 @@ def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> LineFunctio
     """Evaluate ``f`` over ``[-L, L]`` and run the decay check."""
     grid = line_grid(half_width, n)
     values = np.asarray(f.value(grid.nodes), dtype=float)
-    return LineFunction(half_width, values).check_decay(stacklevel=3)
+    return LineFunction(half_width, values).check_decay()
 
 
 def gaussian_spectral_reference(

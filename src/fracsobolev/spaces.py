@@ -1,6 +1,6 @@
 """Norms, seminorms, traces, and regularity predicates.
 
-Four norm families are provided through :func:`sobolev_norm`:
+Seven norm families are provided through :func:`sobolev_norm`:
 
 * ``one_sided_left`` / ``one_sided_right`` — classical Sobolev part plus the
   p-norm of the one-sided fractional derivative,
@@ -23,7 +23,6 @@ rather than take it on faith.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +39,7 @@ from .core import (
     _fit_slope,
     _log_offsets,
     _spectrum,
+    _warn,
     discrete_fourier,
     gamma_fn,
     trapezoid,
@@ -75,22 +75,26 @@ _GAGLIARDO_BLOCK = 1 << 15
 # alpha up to 0.9) the worst relative error was 5.6e-13 with 1 direct lag,
 # 6.4e-14 with 8 and 8.6e-15 with 32
 _DIRECT_LAGS = 32
-# _gagliardo_seminorm takes the integral as finite without refining it when
-# the modulus omega_p(t)^p fits t^s over 2h <= t <= 64h with s/p >= alpha +
-# this margin.  s/p is the smoothness of omega_p(t) itself; the fit's bias
-# grows with p, so the margin is on s/p, not on s.  The fit mostly reads
-# low before the asymptotic range, which errs toward refining.  Measured:
-# the suite's Gaussians and bumps on the line (n = 2048, alpha = 0.5) read
-# s/p >= 0.984 at p = 1 and >= 0.977 at p = 2, above the 0.9 needed.  On
-# steps, a bump, cusps |x - c|^beta and base powers x^beta (beta = 0.02 ..
-# 0.7; n = 512, 2048, 8192; p = 1, 2, 3, 6; alpha = 0.05 .. 1; 3840 calls)
-# 1006 calls skipped the refinement and one verdict moved, from +inf to
-# finite, where theory says finite.  On 21000 calls (also n = 1020, 1024,
-# 3068, 4096, p = 1.5 and three cusp centres) 6002 skipped it and 8 moved,
-# all to finite where theory says finite.  A margin of 0.4 on s instead
-# turned 8 of those calls finite where both the refinement and theory say
-# +inf: p = 6 cusps with beta <= 0.1, whose fit reads s near 2 against a
-# true 1 + beta p.
+# gagliardo_seminorm takes the integral as finite without refining it when
+# the modulus omega_p(t)^p fits t^s over 2h <= t <= min(64h, T/8) (T the
+# domain width) with s/p >= alpha + this margin.  s/p is the smoothness of
+# omega_p(t) itself; the fit's bias grows with p, so the margin is on s/p,
+# not on s.  The fit mostly reads low before the asymptotic range, which errs
+# toward refining.  Measured before the T/8 cap, which binds only below 512
+# cells (64h <= T/8 from there on): the suite's Gaussians and bumps on the
+# line (n = 2048, alpha = 0.5) read s/p >= 0.984 at p = 1 and >= 0.977 at
+# p = 2, above the 0.9 needed.  On steps, a bump, cusps |x - c|^beta and base
+# powers x^beta (beta = 0.02 .. 0.7; n = 512, 2048, 8192; p = 1, 2, 3, 6;
+# alpha = 0.05 .. 1; 3840 calls) 1006 calls skipped the refinement and one
+# verdict moved, from +inf to finite, where theory says finite.  On 21000
+# calls (also n = 1020, 1024, 3068, 4096, p = 1.5 and three cusp centres)
+# 6002 skipped it and 8 moved, all to finite where theory says finite.  A
+# margin of 0.4 on s instead turned 8 of those calls finite where both the
+# refinement and theory say +inf: p = 6 cusps with beta <= 0.1, whose fit
+# reads s near 2 against a true 1 + beta p.  The cap keeps the fit off the
+# long offsets of coarse grids, where the shrinking overlap bends the
+# modulus down: on n = 14 .. 512 (13500 calls, sin 3x added, p = 1 .. 6) it
+# moved 74 verdicts, all from +inf to finite where theory says finite.
 _DECAY_MARGIN = 0.4
 
 _FAMILIES = (
@@ -272,11 +276,10 @@ def _diagnose_divergence(u: SampledFunction | LineFunction, spec: NormSpec) -> f
             trend = "grow without bound"
         else:
             trend = "are still dominated by the integrable part at these sizes"
-        warnings.warn(
+        _warn(
             f"{spec.family} norm diverges (non-integrable endpoint singularity): "
             f"truncated values {tail[0]:.6g}, {tail[1]:.6g}, {tail[2]:.6g} at "
-            f"n={n}, {2 * n}, {4 * n} {trend}",
-            stacklevel=4,  # names the caller of sobolev_norm
+            f"n={n}, {2 * n}, {4 * n} {trend}"
         )
     return math.inf
 
@@ -314,7 +317,7 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
 
     if family == "gagliardo":
         chain = _integer_derivatives(u, alpha.m)
-        semi = _gagliardo_seminorm(chain[-1], alpha.sigma, p)
+        semi = gagliardo_seminorm(chain[-1], alpha.sigma, p)
         if math.isinf(p):
             return max(lp_norm(w, p, True) for w in chain) + semi
         parts = [_lp_power_integral(w, p, True) for w in chain]
@@ -529,7 +532,7 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
     offsets ``t < h/2``; line functions add the closed-form zero-extension
     tail beyond the window diameter.  On finite samples the sum is always
     finite: it is the seminorm's p-th power on this grid.  Whether the
-    seminorm exists is decided by :func:`_gagliardo_seminorm`: "finite"
+    seminorm exists is decided by :func:`gagliardo_seminorm`: "finite"
     when the rows decay fast enough at small ``t`` (see
     :func:`_modulus_decay`), +inf only when the integral keeps growing on
     the ``n/4``, ``n/2``, ``n`` subsamples.
@@ -538,23 +541,53 @@ def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: floa
 
 
 def _modulus_decay(rows: _Modulus, h: float) -> float:
-    """Least-squares exponent ``s`` of ``omega_p(t)^p ~ t^s`` over ``2h <= t <= 64h``.
+    """Least-squares exponent ``s`` of ``omega_p(t)^p ~ t^s`` at small offsets.
 
-    Fits the rows with at least 2 nodes inside the domain and a positive
-    modulus; NaN when fewer than 8 such rows remain (a tiny grid, or a
-    modulus that vanishes there).
+    The fit runs over ``2h <= t <= min(64h, T/8)``, with ``T`` the domain
+    width (on the line: the window diameter): on a coarse grid the cap
+    keeps it off the long offsets, where the shrinking overlap bends the
+    modulus down.  It takes the rows with at least 2 nodes inside the
+    domain and a positive modulus; NaN when fewer than 8 such rows remain
+    (a tiny grid, or a modulus that vanishes there).
     """
     t, inner = rows.offsets, rows.inner
-    keep = (t >= 2.0 * h) & (t <= 64.0 * h) & (rows.last >= 1) & (inner > 0.0)
+    top = min(64.0 * h, rows.t_max / 8.0)
+    keep = (t >= 2.0 * h) & (t <= top) & (rows.last >= 1) & (inner > 0.0)
     if np.count_nonzero(keep) < 8:
         return math.nan
     return _fit_slope(np.log(t[keep]), np.log(inner[keep]))
 
 
-def _gagliardo_seminorm(
+def gagliardo_seminorm(
     u: SampledFunction | LineFunction, alpha: float, p: float
 ) -> float:
-    """:func:`gagliardo_seminorm`, for it and :func:`sobolev_norm` alone to call."""
+    """Difference-quotient seminorm of order ``alpha`` in ``L^p``.
+
+    ``p = inf`` returns the Hölder-type sup over node pairs.  Otherwise the
+    seminorm's p-th power is ``int_0^T t^{-1-alpha p} omega_p(t)^p dt`` (up
+    to a factor 2) with the modulus ``omega_p(t)^p = int |u(x+t)-u(x)|^p
+    dx``, and it is finite iff ``omega_p(t)^p`` decays faster than
+    ``t^{alpha p}``.  So the value on this grid is returned as finite when
+    the exponent ``s`` of ``omega_p(t)^p ~ t^s``, fitted over ``2h <= t <=
+    min(64h, T/8)``, has ``s/p >= alpha + 0.4`` (smooth data, or jumps and
+    cusps well below their threshold).  Otherwise the integral is
+    recomputed on the ``n/4`` and ``n/2`` subsamples: when it keeps growing
+    under refinement (rough data with ``alpha*p >= 1``) the seminorm does
+    not exist and +inf is returned with the refinement values in a warning;
+    when it settles, the value is finite.  A grid that cannot be subsampled
+    (``n`` not a multiple of 4, or below 16) returns the finite value with
+    a warning that divergence was not checked.  The sub-grid offsets ``t <
+    h/2`` are excluded; :func:`gagliardo_small_offset_bound` bounds what
+    they could contribute.
+
+    ``p = 2`` costs ``O(n log n)``: every offset's inner integral comes from
+    one FFT autocorrelation of the samples plus directly summed short lags
+    (see :func:`_gagliardo_modulus`), and agrees with interpolating each
+    offset to about 1e-14 relative.  Other ``p`` cost ``O(n)`` per offset:
+    each row is read from shifted slices of the samples, with one
+    interpolated node per offset where the shift leaves the window, and
+    agrees with interpolating each offset to about 1e-14 relative.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
     if math.isinf(p):
@@ -573,59 +606,24 @@ def _gagliardo_seminorm(
         return full ** (1.0 / p)
     n = u.grid.n
     if n % 4 or n < 16:
-        warnings.warn(
+        _warn(
             f"difference-quotient seminorm: divergence not checked on n={n} cells "
             "(its modulus does not show convergence, and the refinement check "
             "needs a multiple of 4 cells, at least 16); reporting the value on "
-            "this grid",
-            stacklevel=3,  # names the caller of either
+            "this grid"
         )
         return full ** (1.0 / p)
     v1 = _gagliardo_integral(_coarsened(u, 4), alpha, p)
     v2 = _gagliardo_integral(_coarsened(u, 2), alpha, p)
     d1, d2 = v2 - v1, full - v2
     if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
-        warnings.warn(
+        _warn(
             "difference-quotient seminorm grows without bound under "
             f"refinement (p-th powers {v1:.6g}, {v2:.6g}, {full:.6g} at "
-            f"n={n // 4}, {n // 2}, {n}); reporting +inf",
-            stacklevel=3,  # names the caller of either
+            f"n={n // 4}, {n // 2}, {n}); reporting +inf"
         )
         return math.inf
     return full ** (1.0 / p)
-
-
-def gagliardo_seminorm(
-    u: SampledFunction | LineFunction, alpha: float, p: float
-) -> float:
-    """Difference-quotient seminorm of order ``alpha`` in ``L^p``.
-
-    ``p = inf`` returns the Hölder-type sup over node pairs.  Otherwise the
-    seminorm's p-th power is ``int_0^T t^{-1-alpha p} omega_p(t)^p dt`` (up
-    to a factor 2) with the modulus ``omega_p(t)^p = int |u(x+t)-u(x)|^p
-    dx``, and it is finite iff ``omega_p(t)^p`` decays faster than
-    ``t^{alpha p}``.  So the value on this grid is returned as finite when
-    the exponent ``s`` of ``omega_p(t)^p ~ t^s``, fitted over ``2h <= t <=
-    64h``, has ``s/p >= alpha + 0.4`` (smooth data, or jumps and cusps
-    well below their threshold).  Otherwise the integral is recomputed on
-    the ``n/4`` and ``n/2`` subsamples: when it keeps growing under
-    refinement (rough data with ``alpha*p >= 1``) the seminorm does not
-    exist and +inf is returned with the refinement values in a warning;
-    when it settles, the value is finite.  A grid that cannot be subsampled
-    (``n`` not a multiple of 4, or below 16) returns the finite value with
-    a warning that divergence was not checked.  The sub-grid offsets ``t <
-    h/2`` are excluded; :func:`gagliardo_small_offset_bound` bounds what
-    they could contribute.
-
-    ``p = 2`` costs ``O(n log n)``: every offset's inner integral comes from
-    one FFT autocorrelation of the samples plus directly summed short lags
-    (see :func:`_gagliardo_modulus`), and agrees with interpolating each
-    offset to about 1e-14 relative.  Other ``p`` cost ``O(n)`` per offset:
-    each row is read from shifted slices of the samples, with one
-    interpolated node per offset where the shift leaves the window, and
-    agrees with interpolating each offset to about 1e-14 relative.
-    """
-    return _gagliardo_seminorm(u, alpha, p)
 
 
 def gagliardo_small_offset_bound(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,15 @@ class TestNormCommand:
         payload = json.loads(out.read_text())
         assert payload["space"] == "one_sided_left"
         assert payload["value"] == pytest.approx(float(r.stdout.strip()))
+
+    def test_warnings_name_only_the_command_line(self):
+        # s = 3 has not decayed at +-16 (edge about 7e-7 of the peak)
+        r = run_cli("norm", "--space", "fourier", "--alpha", "0.5",
+                    "--fn", "gauss:mu=0;s=3", "--line", "16,1024")
+        assert r.returncode == 0, r.stderr
+        named = re.findall(r"^(.+):\d+: \w*Warning: ", r.stderr, flags=re.MULTILINE)
+        assert named and all(Path(name).name == "cli.py" for name in named), r.stderr
+        assert "<frozen runpy>" not in r.stderr
 
     def test_unknown_space_is_a_usage_error(self):
         r = run_cli("norm", "--space", "besov", "--alpha", "0.5",

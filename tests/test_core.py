@@ -26,9 +26,10 @@ from fracsobolev.core import (
     trapezoid,
     uniform_grid,
 )
-from fracsobolev.operators import spectral_derivative
+from fracsobolev.operators import frac_derivative, spectral_derivative
 from fracsobolev.oracle import Gaussian, sample_line
-from fracsobolev.spaces import fourier_seminorm
+from fracsobolev.spaces import NormSpec, fourier_seminorm, sobolev_norm
+from fracsobolev.verify import check_sobolev_inequality
 
 # Reference values computed independently with mpmath at 30 digits.
 GAMMA_HALF = 1.7724538509055160273
@@ -320,6 +321,38 @@ class TestDataModel:
                 call()
             hits = [w for w in rec if "has not decayed" in str(w.message)]
             assert len(hits) == 1 and hits[0].filename == __file__
+
+    # the Marchaud window-tail estimate needs the slower tail of ``slow``; the
+    # spectral paths reject it (imaginary residue) and warn on ``wide``
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda slow, wide: frac_derivative(slow, 0.5, scheme="marchaud"),
+            lambda slow, wide: frac_derivative(wide, 0.5, scheme="spectral"),
+            lambda slow, wide: sobolev_norm(wide, NormSpec("one_sided_left", FracOrder(0.5))),
+            lambda slow, wide: sobolev_norm(wide, NormSpec("fourier", FracOrder(0.5))),
+            # Gaussian(0, 4) has not decayed at +-12: the check warns from
+            # inside its battery loop
+            lambda slow, wide: check_sobolev_inequality(
+                [Gaussian(0.1 * i - 0.4, 0.5 + 0.1 * i) for i in range(9)]
+                + [Gaussian(0.0, 4.0)],
+                0.3,
+                2.0,
+                domain="line",
+                n_line=1024,
+            ),
+        ],
+        ids=["marchaud", "spectral", "one_sided_left", "fourier", "sobolev_line"],
+    )
+    def test_every_warning_names_the_caller(self, call):
+        x = line_grid(16.0, 1024).nodes
+        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
+        wide = LineFunction(16.0, np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call(slow, wide)
+        assert rec
+        assert all(w.filename == __file__ for w in rec), [(w.filename, w.lineno) for w in rec]
 
     def test_frac_order_split(self):
         assert FracOrder(0.3).m == 0 and FracOrder(0.3).sigma == pytest.approx(0.3)

@@ -52,3 +52,28 @@ def test_no_blas_least_squares_in_the_package():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
     assert not found, f"BLAS least squares in the package: {found}"
+
+
+def test_warnings_go_through_core_warn():
+    """Every warning the package emits names its caller by one rule, so
+    ``warnings.warn`` and the ``stacklevel`` keyword appear under
+    ``src/fracsobolev`` only inside ``core._warn``."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "core.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_warn":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "warn":
+                found.append(f"{path.name}:{node.lineno} .warn")
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found += [f"{path.name}:{node.lineno} from warnings import {a.name}"
+                          for a in node.names if a.name == "warn"]
+            elif isinstance(node, ast.keyword) and node.arg == "stacklevel":
+                found.append(f"{path.name}:{node.value.lineno} stacklevel=")
+    assert not found, f"warnings raised outside core._warn: {found}"

@@ -40,6 +40,7 @@ from fracsobolev.oracle import (
 from fracsobolev.operators import (
     _DIRECT_SIZE,
     KernelConstant,
+    _Plan,
     _toeplitz,
     caputo_derivative,
     endpoint_constant,
@@ -132,7 +133,7 @@ class TestToeplitzProduct:
             x = rng.standard_normal(n)
             k = rng.standard_normal(n + 3)  # entries past len(x) are ignored
             direct = np.convolve(x, k[:n])[:n]
-            out = _toeplitz(x, k)
+            out = _toeplitz(x, _Plan.build(k, n))
             assert out.shape == (n,)
             scale = np.max(np.abs(x)) * np.sum(np.abs(k[:n]))
             assert np.max(np.abs(out - direct)) <= 1e-14 * scale
@@ -167,13 +168,13 @@ class TestToeplitzProduct:
             k = rng.standard_normal(n)
             direct = np.convolve(x, k)[:n]
             scale = np.max(np.abs(x)) * np.sum(np.abs(k))
-            assert np.max(np.abs(_toeplitz(x, k) - direct)) <= 1e-14 * scale
+            assert np.max(np.abs(_toeplitz(x, _Plan.build(k, n)) - direct)) <= 1e-14 * scale
 
     def test_short_raw_kernel_is_rejected(self):
         x = np.ones(300)
         for n in (_DIRECT_SIZE, x.size):
             with pytest.raises(ValueError, match="kernel of"):
-                _toeplitz(x[:n], np.ones(n - 1))
+                _toeplitz(x[:n], _Plan.build(np.ones(n - 1), n))
 
     @pytest.mark.parametrize("m", [10, 11, 14, 16])
     def test_pads_fit_the_outputs_each_level_keeps(self, m, monkeypatch):
@@ -261,13 +262,15 @@ def fresh_operator(name: str, u: SampledFunction, alpha: float) -> np.ndarray:
         right = np.append(f_right, 0.0)
         kernel = right.copy()
         kernel[1:] += f_left
-        return (h**alpha / gamma_fn(alpha)) * (_toeplitz(v, kernel) - v[0] * right)
+        product = _toeplitz(v, _Plan.build(kernel, n + 1))
+        return (h**alpha / gamma_fn(alpha)) * (product - v[0] * right)
     if name == "gl_derivative":
-        return _toeplitz(v, gl_weights(alpha, n)) / h**alpha
+        return _toeplitz(v, _Plan.build(gl_weights(alpha, n), n + 1)) / h**alpha
     m = np.arange(1, n + 1, dtype=float)
     slope_kernel = np.power(m, 1.0 - alpha) - np.power(m - 1.0, 1.0 - alpha)
     out = np.zeros(n + 1)
-    out[1:] = (h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * _toeplitz(np.diff(v) / h, slope_kernel)
+    slopes = _toeplitz(np.diff(v) / h, _Plan.build(slope_kernel, n))
+    out[1:] = (h ** (1.0 - alpha) / gamma_fn(2.0 - alpha)) * slopes
     if name == "rl_derivative":
         out[0] = math.inf
     return out

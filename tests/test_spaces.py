@@ -183,6 +183,21 @@ class TestSobolevNorm:
         v = sobolev_norm(u, NormSpec("one_sided_left", FracOrder(0.5), math.inf))
         assert v == pytest.approx(1.0 + TWO_OVER_SQRT_PI, rel=1e-10)
 
+    def test_order_above_one_adds_the_integer_derivatives(self):
+        # x^2 at alpha = 1.5, p = 2: ||u||^2 + ||u'||^2 + ||D^1.5 u||^2 =
+        # 1/5 + 4/3 + 2/Gamma(3/2)^2, with D^1.5 x^2 = 2 x^0.5 / Gamma(3/2)
+        u = sample(PowerSum(0.0, ((1.0, 2.0),)), unit_grid(2048))
+        v = sobolev_norm(u, NormSpec("one_sided_left", FracOrder(1.5), 2.0))
+        exact = math.sqrt(0.2 + 4.0 / 3.0 + 2.0 / math.gamma(1.5) ** 2)
+        assert v == pytest.approx(exact, rel=2e-6)
+
+    def test_fourier_family_of_the_unit_gaussian(self):
+        # int (1 + |xi|) |uhat|^2 = 2 pi^(3/2) + 2 pi Gamma(1) for uhat =
+        # sqrt(2 pi) exp(-xi^2 / 2)
+        line = sample_line(Gaussian(0.0, 1.0), 12.0, 4096)
+        v = sobolev_norm(line, NormSpec("fourier", FracOrder(0.5), 2.0))
+        assert v == pytest.approx(math.sqrt(2.0 * math.pi**1.5 + 2.0 * math.pi), rel=2e-6)
+
     def test_fourier_family_guards(self):
         u = SampledFunction(unit_grid(64), np.ones(65))
         with pytest.raises(ValueError, match="line functions"):
@@ -326,13 +341,24 @@ class TestGagliardoVerdicts:
         assert f"not checked on n={n} cells" in str(rec[0].message)
 
     def test_unrefinable_grid_is_silent_when_the_modulus_decides(self):
-        # on 14 cells the fit window spans the whole interval, whose shrinking
-        # overlap bends the modulus down: sin 3x would warn there too
+        # on 14 cells fewer than 8 offsets lie in the fit window 2h <= t <=
+        # T/8: sin 3x would warn there too
         g = unit_grid(1022)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(gagliardo_seminorm(SampledFunction(g, np.sin(3.0 * g.nodes)), 0.5, 2.0))
             assert gagliardo_seminorm(SampledFunction(g, np.full(1023, 2.0)), 0.5, 2.0) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_coarse_grid_fits_the_modulus_below_an_eighth_of_the_domain(self, p):
+        # over 2h <= t <= 64h, half the interval on 126 cells, the shrinking
+        # overlap bends the modulus down and s/p reads 0.72 (p = 1) and 0.80
+        # (p = 2); capped at t <= 1/8 it reads 0.91 and 0.94
+        g = unit_grid(126)
+        u = SampledFunction(g, np.sin(3.0 * g.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(gagliardo_seminorm(u, 0.5, p))
 
 
 class TestSeminormRatio:

@@ -545,6 +545,18 @@ class TestExteriorExtension:
         assert rep_e.passed
         assert np.array_equal(np.asarray(ext_e.values), np.asarray(ext_t.values))
 
+    @pytest.mark.parametrize("f", [const(1.0), Gaussian(0.7, 0.3)], ids=["const", "gaussian"])
+    def test_right_side_mirrors_the_left(self, f):
+        # the ambient window is symmetric about the domain's centre
+        u = sample(f, unit_grid(1024))
+        amb = Grid(-1.0, 2.0, 3072)
+        ext_l, rep_l = extend_exterior(u, 0.25, 2.0, 5.0, amb)
+        ext_r, rep_r = extend_exterior(u.reflected(), 0.25, 2.0, 5.0, amb, side="right")
+        assert rep_r.passed and rep_r.inputs["side"] == "right"
+        assert rep_r.ratios == rep_l.ratios and rep_r.residuals == rep_l.residuals
+        scale = np.max(np.abs(ext_l.values))
+        assert np.max(np.abs(ext_r.values - ext_l.values[::-1])) <= 1e-14 * scale
+
     def test_rejects_supercritical_regularity(self):
         g = unit_grid(512)
         u = sample(const(1.0), g)
