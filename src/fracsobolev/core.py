@@ -38,7 +38,6 @@ __all__ = [
     "line_grid",
     "gamma_fn",
     "gl_weights",
-    "singular_quadrature_weights",
     "product_kernels",
     "discrete_fourier",
     "inverse_discrete_fourier",
@@ -390,29 +389,6 @@ def product_kernels(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     np.add(sym, anti, out=f_left[cut:])
     np.subtract(sym, anti, out=f_right[cut:])
     return f_left, f_right
-
-
-def singular_quadrature_weights(alpha: float, grid: Grid, j: int) -> np.ndarray:
-    """Nodal weights ``W`` with ``I^alpha u(x_j) = W . u[0:j+1]``.
-
-    Product-trapezoidal rule for the kernel ``(x_j - y)**(alpha - 1) /
-    Gamma(alpha)``: the integrand's singular factor is integrated exactly
-    against the piecewise-linear interpolant, so the rule is exact whenever
-    ``u`` is piecewise linear on the grid.
-    """
-    if not 0 < alpha:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0 <= j <= grid.n:
-        raise ValueError(f"node index {j} outside 0..{grid.n}")
-    w = np.zeros(j + 1)
-    if j == 0:
-        return w
-    f_left, f_right = product_kernels(alpha, j)
-    # cell m has left node j-m and right node j-m+1
-    w[j - np.arange(1, j + 1)] += f_left
-    w[j - np.arange(1, j + 1) + 1] += f_right
-    w *= grid.h**alpha / gamma_fn(alpha)
-    return w
 
 
 def _log_offsets(t_min: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,12 @@ the spectra take 18 to 27 bytes per cell and ``base`` 8 more (1.4 and
 1.9 MB at ``2^16`` cells).  A kept plan gives bitwise the output of a
 fresh one.
 
+Orders ``alpha = m + sigma`` above one take the order-``sigma`` operator
+and then ``m`` steps of :func:`nodal_derivative`, the one first derivative
+for grid and line functions: it flags the neighbours of a flagged node and
+carries each endpoint power through the plain d/dx, so a recorded power
+that the integer derivatives make non-integrable still reaches the norms.
+
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.  On the uniform
 grid the Marchaud integral is linear in the samples with a fixed kernel,
@@ -498,12 +504,33 @@ def caputo_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.
     return SampledFunction(u.grid, _l1_slope_sum(u.values, u.grid, alpha))
 
 
-def nodal_derivative(u: SampledFunction) -> SampledFunction:
-    """Second-order finite-difference first derivative at the nodes."""
-    vals = u.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("nodal derivative needs finite samples")
-    return SampledFunction(u.grid, np.gradient(vals, u.grid.h, edge_order=2))
+def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | LineFunction:
+    """Second-order finite-difference first derivative at the nodes.
+
+    The package's one first-derivative step: :func:`frac_derivative`
+    applies it ``m`` times above order one, the norms build the classical
+    chain ``u, u', ..., u^(m)`` from it, and the Marchaud sub-grid model
+    reads its slope.  A non-finite node reads as 0 and the two nodes on
+    each side of it come back non-finite, so ``m`` steps flag ``2 m`` nodes
+    on each side and leave every other value as ``m`` gradients of the
+    zero-filled samples.  An endpoint power ``c t^e``, ``t`` the distance
+    from that end, maps through the plain d/dx to ``(c e, e - 1)`` at the
+    left end and ``(-c e, e - 1)`` at the right; ``e = 0`` records none.
+    A line function gives a line function.
+    """
+    flagged = ~np.isfinite(u.values)
+    out = np.gradient(np.where(flagged, 0.0, u.values), u.grid.h, edge_order=2)
+    # the end stencils (edge_order=2) reach two nodes: flag all within two
+    out[np.convolve(flagged, np.ones(5))[2:-2] > 0.0] = math.inf
+    if isinstance(u, LineFunction):
+        return LineFunction(u.half_width, out)
+
+    def slope(power: tuple[float, float] | None, sign: float) -> tuple[float, float] | None:
+        if power is None or power[1] == 0.0:
+            return None
+        return (sign * power[0] * power[1], power[1] - 1.0)
+
+    return SampledFunction(u.grid, out, slope(u.left_power, 1.0), slope(u.right_power, -1.0))
 
 
 def frac_derivative(
@@ -512,11 +539,13 @@ def frac_derivative(
     side: Side | str = Side.LEFT,
     scheme: str = "product_rl",
 ) -> SampledFunction | LineFunction:
-    """Dispatch on scheme; orders above one compose integer derivatives.
+    """Dispatch on scheme; orders above one add integer derivatives.
 
     For ``alpha = m + sigma`` with ``m >= 1`` the fractional part runs
-    first and ``m`` exact-on-the-interpolant integer derivatives follow
-    (the spectral scheme uses its symbol directly at any order).
+    first and ``m`` steps of :func:`nodal_derivative` follow, which carry
+    the endpoint powers, so a singularity the norms cannot integrate
+    still reaches them (the spectral scheme uses its symbol directly at
+    any order).
     """
     side = Side.parse(side)
     order = FracOrder(alpha)
@@ -531,30 +560,12 @@ def frac_derivative(
     if scheme in ("product_rl", "caputo") and isinstance(u, LineFunction):
         raise ValueError(f"scheme {scheme!r} acts on interval grids")
     if order.sigma == 1.0:
-        return _compose_integer(u, order.m + 1)
-    return _compose_integer(_SCHEMES[scheme](u, order.sigma, side), order.m)
-
-
-def _compose_integer(u: SampledFunction | LineFunction, m: int) -> SampledFunction | LineFunction:
-    if m == 0:
-        return u
-    if isinstance(u, LineFunction):
-        vals = u.values
-        for _ in range(m):
-            vals = np.gradient(vals, u.grid.h, edge_order=2)
-        return LineFunction(u.half_width, vals)
-    vals = u.values
-    flagged = ~np.isfinite(vals)
-    work = np.where(flagged, 0.0, vals)
-    for _ in range(m):
-        work = np.gradient(work, u.grid.h, edge_order=2)
-    # nodes within the integer-derivative stencil of a flagged node are tainted
-    taint = flagged.copy()
-    for _ in range(2 * m):
-        taint[1:] |= taint[:-1]
-        taint[:-1] |= taint[1:]
-    work[taint] = math.inf
-    return SampledFunction(u.grid, work)
+        d, steps = u, order.m + 1
+    else:
+        d, steps = _SCHEMES[scheme](u, order.sigma, side), order.m
+    for _ in range(steps):
+        d = nodal_derivative(d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +622,7 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     integral += vals[0] * plan.base
 
     # sub-grid offsets, modelled at first order through the local slope
-    slope = np.gradient(vals, h, edge_order=2)
+    slope = nodal_derivative(u).values
     integral += slope * t_min ** (1.0 - alpha) / (1.0 - alpha)
     # offsets past t_max reach behind the window, where u is extended by zero
     integral += vals * t_max**-alpha / alpha
@@ -634,8 +645,7 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
 def marchaud_small_offset_bound(u: LineFunction, alpha: float) -> float:
     """Bound on the modelled sub-grid part of the Marchaud integral."""
     h = u.grid.h
-    slope = np.gradient(u.values, h, edge_order=2)
-    lip = float(np.max(np.abs(slope)))
+    lip = float(np.max(np.abs(nodal_derivative(u).values)))
     return alpha / gamma_fn(1.0 - alpha) * lip * (h / 2.0) ** (1.0 - alpha) / (1.0 - alpha)
 
 
@@ -659,7 +669,7 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     imag = float(np.max(np.abs(d.imag)))
     real_scale = float(np.max(np.abs(d.real))) or 1.0
     if imag > 1e-8 * real_scale:
-        raise ValueError(f"imaginary residue {imag:.2e} exceeds 1e-8 of the real part")
+        raise ValueError(f"imaginary residue {imag / real_scale:.2e} of the real part exceeds 1e-8")
     closed = np.concatenate([d.real, d.real[:1]])
     return LineFunction(u.half_width, closed)
 

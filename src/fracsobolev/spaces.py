@@ -17,7 +17,11 @@ Divergence policy: a norm that does not exist is a *result*, not a failure.
 Non-integrable endpoint singularities are detected analytically from the
 singularity metadata and reported as ``+inf`` together with a warning that
 carries truncated values on refined grids, so the caller can see the blow-up
-rather than take it on faith.
+rather than take it on faith.  Above order one the metadata passes through
+the integer derivatives too: each step of
+:func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
+``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
+derivatives leave.
 """
 
 from __future__ import annotations
@@ -220,16 +224,10 @@ def lp_norm(
 def _integer_derivatives(
     u: SampledFunction | LineFunction, m: int
 ) -> list[SampledFunction | LineFunction]:
-    """``[u, u', ..., u^(m)]`` by second-order nodal differencing."""
-    chain: list[SampledFunction | LineFunction] = [u]
+    """``[u, u', ..., u^(m)]`` by :func:`~fracsobolev.operators.nodal_derivative`."""
+    chain = [u]
     for _ in range(m):
-        prev = chain[-1]
-        if isinstance(prev, LineFunction):
-            chain.append(
-                LineFunction(prev.half_width, np.gradient(prev.values, prev.grid.h, edge_order=2))
-            )
-        else:
-            chain.append(nodal_derivative(prev))
+        chain.append(nodal_derivative(chain[-1]))
     return chain
 
 

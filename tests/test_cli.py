@@ -88,6 +88,14 @@ class TestComputeCommand:
         assert rows[0.0] == "inf"
         assert rows[1.0] == "0.56418958354775628"
 
+    def test_order_above_one_carries_the_endpoint_power(self):
+        # D^0.5 1 from the right is (1 - x)^-0.5 / sqrt(pi); d/dx gives
+        # (1 - x)^-1.5 / (2 sqrt(pi))
+        r = run_cli("compute", "deriv", "--alpha", "1.5", "--side", "right",
+                    "--fn", "const:1", "--grid", "0,1,64")
+        assert r.returncode == 0, r.stderr
+        assert "# right_power: 0.28209479177387814,-1.5\n" in r.stdout
+
     def test_integral_of_a_constant(self, tmp_path):
         out = tmp_path / "i.csv"
         r = run_cli(
@@ -181,6 +189,16 @@ class TestNormCommand:
         named = re.findall(r"^(.+):\d+: \w*Warning: ", r.stderr, flags=re.MULTILINE)
         assert named and all(Path(name).name == "cli.py" for name in named), r.stderr
         assert "<frozen runpy>" not in r.stderr
+
+    def test_divergence_above_order_one_is_a_result(self):
+        # x^2 on (0, 1) at order 1.5 from the right: u(1) = 1 leaves t^-1.5
+        r = run_cli("norm", "--space", "one_sided_right", "--alpha", "1.5",
+                    "--fn", "pow:a=0;terms=1*2", "--grid", "0,1,512")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "inf\n"
+        named = re.findall(r"^(.+):\d+: \w*Warning: ", r.stderr, flags=re.MULTILINE)
+        assert [Path(name).name for name in named] == ["cli.py"], r.stderr
+        assert "diverges" in r.stderr
 
     def test_unknown_space_is_a_usage_error(self):
         r = run_cli("norm", "--space", "besov", "--alpha", "0.5",

@@ -22,7 +22,6 @@ from fracsobolev.core import (
     inverse_discrete_fourier,
     line_grid,
     product_kernels,
-    singular_quadrature_weights,
     trapezoid,
     uniform_grid,
 )
@@ -36,8 +35,6 @@ GAMMA_HALF = 1.7724538509055160273
 GAMMA_2P5 = 1.3293403881791370205
 GAMMA_NEG_HALF = -3.5449077018110320546
 GAMMA_10P3 = 716430.68906237524455
-INV_GAMMA_1P5 = 1.1283791670955125739  # = 2/sqrt(pi)
-G2_OVER_G2P5 = 0.7522527780636750493
 # product-trapezoid kernels (fL(m), fR(m)) for alpha = 0.3 and 0.7, mpmath 30 digits
 PRODUCT_KERNELS = {
     0.3: {
@@ -130,70 +127,6 @@ class TestGLWeights:
         # after w_0 the weights are negative, so the partial sums decrease
         assert np.all(np.diff(partial[1:]) <= 1e-15)
         assert np.all(w[1:] <= 0)
-
-
-class TestProductQuadrature:
-    def test_constant_exact(self):
-        grid = uniform_grid(0.0, 1.0, 256)
-        w = singular_quadrature_weights(0.5, grid, 256)
-        # I^{1/2} 1 (1) = 1 / Gamma(1.5)
-        assert w.sum() == pytest.approx(INV_GAMMA_1P5, abs=1e-12)
-
-    def test_linear_exact(self):
-        grid = uniform_grid(0.0, 1.0, 64)
-        w = singular_quadrature_weights(0.5, grid, 64)
-        vals = grid.nodes
-        # I^{1/2} y (1) = Gamma(2)/Gamma(2.5)
-        assert w @ vals == pytest.approx(G2_OVER_G2P5, abs=1e-12)
-
-    def test_interior_node_linear_exact(self):
-        grid = uniform_grid(0.0, 2.0, 80)
-        alpha = 0.3
-        j = 37
-        w = singular_quadrature_weights(alpha, grid, j)
-        xj = grid.nodes[j]
-        vals = 2.0 * grid.nodes[: j + 1] + 1.0
-        # I^a (2y+1)(x) = 2 x^{1+a}/Gamma(2+a) + x^a/Gamma(1+a)
-        exact = 2.0 * xj ** (1 + alpha) / gamma_fn(2 + alpha) + xj**alpha / gamma_fn(1 + alpha)
-        assert w @ vals == pytest.approx(exact, rel=1e-12)
-
-    def test_alpha_one_is_trapezoid(self):
-        grid = uniform_grid(0.0, 1.0, 10)
-        w = singular_quadrature_weights(1.0, grid, 10)
-        expected = np.full(11, grid.h)
-        expected[0] = expected[-1] = grid.h / 2
-        assert np.allclose(w, expected, atol=1e-14)
-
-    def test_node_zero_empty(self):
-        grid = uniform_grid(0.0, 1.0, 8)
-        assert singular_quadrature_weights(0.5, grid, 0).tolist() == [0.0]
-
-    @given(
-        st.floats(min_value=0.1, max_value=0.9),
-        st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_affine_exactness_property(self, alpha, c0, c1):
-        grid = uniform_grid(0.0, 1.0, 32)
-        j = 32
-        w = singular_quadrature_weights(alpha, grid, j)
-        vals = c0 + c1 * grid.nodes
-        exact = c0 / gamma_fn(1 + alpha) + c1 / gamma_fn(2 + alpha)
-        assert w @ vals == pytest.approx(exact, abs=1e-11)
-
-    def test_kernels_match_weights(self):
-        # the convolution kernels and the per-node weights are two views of one rule
-        alpha, n, j = 0.5, 16, 11
-        f_left, f_right = product_kernels(alpha, n)
-        grid = uniform_grid(0.0, 1.0, n)
-        w = singular_quadrature_weights(alpha, grid, j)
-        rebuilt = np.zeros(j + 1)
-        for m in range(1, j + 1):
-            rebuilt[j - m] += f_left[m - 1]
-            rebuilt[j - m + 1] += f_right[m - 1]
-        rebuilt *= grid.h**alpha / gamma_fn(alpha)
-        assert np.allclose(w, rebuilt, rtol=1e-14)
 
 
 class TestProductKernels:

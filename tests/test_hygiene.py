@@ -77,3 +77,28 @@ def test_warnings_go_through_core_warn():
             elif isinstance(node, ast.keyword) and node.arg == "stacklevel":
                 found.append(f"{path.name}:{node.value.lineno} stacklevel=")
     assert not found, f"warnings raised outside core._warn: {found}"
+
+
+def test_one_nodal_derivative():
+    """Every first derivative at the nodes takes one path, so flagged nodes
+    and endpoint powers are handled by one rule: ``gradient`` is reached
+    under ``src/fracsobolev`` only inside ``operators.nodal_derivative``."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "operators.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "nodal_derivative":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "gradient":
+                found.append(f"{path.name}:{node.lineno} .gradient")
+            elif isinstance(node, ast.Name) and node.id == "gradient":
+                found.append(f"{path.name}:{node.lineno} gradient")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} import {a.name}"
+                          for a in node.names if a.name.split(".")[-1] == "gradient"]
+    assert not found, f"nodal derivatives outside operators.nodal_derivative: {found}"

@@ -7,6 +7,7 @@ digits) rather than recomputed with the code under test.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -81,6 +82,12 @@ class TestFracIntegral:
         result = frac_integral(u, 0.5)
         expected = g.nodes**1.5 * INV_GAMMA_2P5
         assert np.max(np.abs(result.values - expected)) <= 5e-15
+        # an interior node: I^a (2y+1)(x) = 2 x^(1+a)/Gamma(2+a) + x^a/Gamma(1+a)
+        g, alpha, j = Grid(0.0, 2.0, 80), 0.3, 37
+        result = frac_integral(SampledFunction(g, 2.0 * g.nodes + 1.0), alpha)
+        xj = g.nodes[j]
+        exact = 2.0 * xj ** (1 + alpha) / gamma_fn(2 + alpha) + xj**alpha / gamma_fn(1 + alpha)
+        assert result.values[j] == pytest.approx(exact, rel=1e-12)
 
     def test_power_oracle_agreement(self):
         g = unit_grid(1024)
@@ -701,6 +708,17 @@ class TestSpectralDerivative:
         with pytest.raises(ValueError, match="power-of-two"):
             spectral_derivative(u, 0.5)
 
+    def test_residue_message_prints_the_relative_figure(self):
+        # exp(-x^2/24.5) on (16, 1024): the residue is 4.1e-9 in absolute
+        # terms and 1.1e-8 of the real part, which is what the test compares
+        x = np.linspace(-16.0, 16.0, 1025)
+        u = LineFunction(16.0, np.exp(-(x**2) / 24.5))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="residue") as info:
+            warnings.simplefilter("ignore")  # the edges have not decayed
+            spectral_derivative(u, 0.5)
+        figure = float(re.search(r"residue (\S+)", str(info.value)).group(1))
+        assert figure > 1e-8
+
 
 class TestKappa:
     def test_left_spot_value(self):
@@ -801,6 +819,74 @@ class TestDispatcher:
         assert np.max(np.abs(d.values - expected.values)) == 0.0
 
 
+def compose_integer(u: SampledFunction, m: int) -> np.ndarray:
+    """The composed form of ``m`` integer derivatives, written out once:
+    zero-fill every flagged node, take ``m`` gradients, then flag every node
+    within ``2 m`` of an originally flagged one."""
+    flagged = ~np.isfinite(u.values)
+    work = np.where(flagged, 0.0, u.values)
+    for _ in range(m):
+        work = np.gradient(work, u.grid.h, edge_order=2)
+    taint = flagged.copy()
+    for _ in range(2 * m):
+        taint[1:] |= taint[:-1]
+        taint[:-1] |= taint[1:]
+    work[taint] = math.inf
+    return work
+
+
+class TestNodalDerivative:
+    def test_line_function_is_one_gradient(self):
+        line = sample_line(Gaussian(0.5, 1.0), 12.0, 1000)
+        d = nodal_derivative(line)
+        assert isinstance(d, LineFunction) and d.half_width == line.half_width
+        assert np.array_equal(d.values, np.gradient(line.values, line.grid.h, edge_order=2))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_steps_give_the_bits_of_the_composed_form(self, alpha):
+        g = unit_grid(256)
+        u = sample(PowerSum(0.0, ((1.0, -0.25), (2.0, 1.5))), g)
+        d = frac_derivative(u, alpha)
+        sigma_part = rl_derivative(u, 0.5)
+        assert np.array_equal(d.values, compose_integer(sigma_part, int(alpha)))
+        # an interior flag as well: its band grows by 2 per step
+        marked = sigma_part.values.copy()
+        marked[100] = math.nan
+        w = SampledFunction(g, marked)
+        for _ in range(int(alpha)):
+            w = nodal_derivative(w)
+        assert np.array_equal(w.values, compose_integer(SampledFunction(g, marked), int(alpha)))
+        assert np.sum(~np.isfinite(w.values[50:150])) == 4 * int(alpha) + 1
+
+    def test_powers_map_through_the_plain_derivative(self):
+        g = unit_grid(32)
+        vals = np.linspace(1.0, 2.0, 33)
+        vals[0] = vals[-1] = math.inf
+        d = nodal_derivative(SampledFunction(g, vals, (2.0, -0.5), (3.0, -0.25)))
+        assert d.left_power == (-1.0, -1.5)  # c e, e - 1
+        assert d.right_power == (0.75, -1.25)  # -c e, e - 1
+        d = nodal_derivative(SampledFunction(g, vals, (5.0, 0.0), (2.0, 1.0)))
+        assert d.left_power is None  # a constant records none
+        assert d.right_power == (-2.0, 0.0)
+        assert nodal_derivative(d).right_power is None
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize(
+        "terms, side",
+        [(((1.0, 0.0),), "right"), (((1.0, -0.25),), "left")],
+        ids=["const-right", "inverse-quarter-power-left"],
+    )
+    def test_recorded_power_matches_the_nodal_values(self, n, terms, side):
+        g = unit_grid(n)
+        d = frac_derivative(sample(PowerSum(0.0, terms), g), 1.5, side)
+        coeff, exponent = d.left_power if side == "left" else d.right_power
+        assert exponent == (-1.5 if side == "right" else -1.75)
+        # 8 to 16 nodes from the flagged end
+        j = np.arange(8, 17) if side == "left" else np.arange(n - 16, n - 7)
+        t = g.nodes[j] - g.a if side == "left" else g.b - g.nodes[j]
+        assert np.max(np.abs(d.values[j] / (coeff * t**exponent) - 1.0)) <= 0.02
+
+
 class TestOperatorProperties:
     @given(
         alpha=st.floats(0.1, 0.9),
@@ -817,6 +903,10 @@ class TestOperatorProperties:
         rhs = a * rl_derivative(u, alpha).values[1:] + b * rl_derivative(v, alpha).values[1:]
         scale = max(np.max(np.abs(lhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+        # the integral is exact on affine data: I^alpha (a + b y)(1)
+        affine = frac_integral(SampledFunction(g, a + b * g.nodes), alpha).values[-1]
+        exact = a / gamma_fn(1 + alpha) + b / gamma_fn(2 + alpha)
+        assert affine == pytest.approx(exact, abs=1e-11)
 
     @given(
         alpha=st.floats(0.1, 0.7),

@@ -149,8 +149,11 @@ class TestSobolevNorm:
             # both sides diverge: the left one is reported
             ("symmetric", PowerSum(0.0, ((1.0, 0.0),)), 0.6),
             ("gagliardo", Step(0.5, 1.0), 0.75),
+            # x^2 = 1 - 2t + t^2 with t = 1 - x: the constant's order-0.5
+            # derivative c t^-0.5 becomes 0.5 c t^-1.5 under d/dx
+            ("one_sided_right", PowerSum(0.0, ((1.0, 2.0),)), 1.5),
         ],
-        ids=["one_sided_left", "zero_trace_right", "symmetric", "gagliardo"],
+        ids=["one_sided_left", "zero_trace_right", "symmetric", "gagliardo", "above_order_one"],
     )
     def test_one_divergence_warning_naming_the_caller(self, family, f, alpha):
         u = sample(f, unit_grid(1024))
@@ -211,6 +214,56 @@ class TestSobolevNorm:
             NormSpec("weighted", FracOrder(0.5), 2.0)
         with pytest.raises(ValueError, match="p must lie"):
             NormSpec("gagliardo", FracOrder(0.5), 0.9)
+
+
+# PowerSum data on (0, 1), each read from 0 for the left norm and from 1
+# (right-oriented) for the right norm
+BASE_POWERS = {
+    "x^2": ((1.0, 2.0),),
+    "1+x": ((1.0, 0.0), (1.0, 1.0)),
+    "x": ((1.0, 1.0),),
+    "x^-1/4": ((1.0, -0.25),),
+    "x^3": ((1.0, 3.0),),
+}
+# u vanishes at the base, so the order-sigma derivative is regular there and
+# records no power; the singularity only the integer derivatives make is
+# missed and the norm comes back finite
+REGULAR_PART_MISSES = {
+    ("x", 1.5, 2.0), ("x", 1.5, 3.0),
+    ("x", 2.5, 1.0), ("x", 2.5, 2.0), ("x", 2.5, 3.0),
+    ("x^2", 2.5, 2.0), ("x^2", 2.5, 3.0),
+}
+
+
+def _integer_order_cases():
+    for name in BASE_POWERS:
+        for side in ("left", "right"):
+            for alpha in (1.25, 1.5, 2.5):
+                for p in (1.0, 2.0, 3.0):
+                    marks = []
+                    if (name, alpha, p) in REGULAR_PART_MISSES:
+                        marks = [pytest.mark.xfail(
+                            strict=True, raises=AssertionError,
+                            reason="the singularity appears only after the integer "
+                            "derivatives, from a regular base value",
+                        )]
+                    yield pytest.param(name, side, alpha, p, marks=marks,
+                                       id=f"{name}-{side}-{alpha}-p{p:g}")
+
+
+class TestIntegerOrderVerdicts:
+    @pytest.mark.parametrize("name, side, alpha, p", _integer_order_cases())
+    def test_verdict_follows_the_exponent_rule(self, name, side, alpha, p):
+        terms = BASE_POWERS[name]
+        f = PowerSum(0.0, terms) if side == "left" else PowerSum(1.0, terms, Side.RIGHT)
+        u = sample(f, unit_grid(512))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = sobolev_norm(u, NormSpec(f"one_sided_{side}", FracOrder(alpha), p))
+        # every term c x^b needs p (b - alpha) > -1 after alpha derivatives
+        finite = p * min(b - alpha for _, b in terms) > -1.0
+        assert math.isfinite(v) == finite
+        assert len(rec) == (0 if finite else 1)
 
 
 class TestGagliardoSeminorm:
