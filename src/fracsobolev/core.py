@@ -112,7 +112,18 @@ class Grid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.n + 1)
+        """The ``n + 1`` nodes, built once per grid and read-only.
+
+        The same array comes back on every access: it is stored on the
+        instance outside the dataclass fields, so equality, hashing and
+        ``repr`` still see ``(a, b, n)`` alone.
+        """
+        nodes = self.__dict__.get("_nodes")
+        if nodes is None:
+            nodes = np.linspace(self.a, self.b, self.n + 1)
+            nodes.flags.writeable = False
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     @property
     def width(self) -> float:
@@ -206,7 +217,12 @@ class LineFunction:
 
     @property
     def grid(self) -> Grid:
-        return line_grid(self.half_width, self.n)
+        """The window's grid, built once per function (so its nodes are too)."""
+        grid = self.__dict__.get("_grid")
+        if grid is None:
+            grid = line_grid(self.half_width, self.n)
+            object.__setattr__(self, "_grid", grid)
+        return grid
 
     @property
     def x(self) -> np.ndarray:
@@ -420,6 +436,35 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# the (n, L) key and tables of the last Fourier call; see _fourier_tables
+_fourier_slot: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _fourier_tables(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(xi, dx * exp(i xi L), exp(-i xi L))`` for ``n`` samples of ``[-L, L]``.
+
+    The frequencies and the forward and inverse phases of
+    :func:`discrete_fourier` and :func:`inverse_discrete_fourier` depend on
+    ``(n, L)`` alone.  One slot keeps the tables of the last key, like
+    ``operators._plan``: a new key replaces them.  The arrays are
+    read-only and computed as the inline formulas were, so reused tables
+    give bitwise the results of fresh ones.
+    """
+    key = (n, half_width)
+    tables = _fourier_slot.get(key)
+    if tables is None:
+        dx = 2.0 * half_width / n
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+        forward = dx * np.exp(-1j * xi * (-half_width))
+        inverse = np.exp(1j * xi * (-half_width))
+        tables = (xi, forward, inverse)
+        for table in tables:
+            table.flags.writeable = False
+        _fourier_slot.clear()
+        _fourier_slot[key] = tables
+    return tables
+
+
 def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate ``uhat(xi) = integral u(x) exp(-i xi x) dx`` on ``[-L, L]``.
 
@@ -427,8 +472,9 @@ def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray,
     ``n`` must be a power of two (shorter inputs are zero-padded up to one,
     which refines the frequency grid but represents the same function).
     Returns ``(xi, uhat)`` with ``xi = pi k / L`` on the standard FFT
-    layout.  The rule is the n-point rectangle rule, which is what makes
-    the discrete Parseval identity exact.
+    layout, read-only and shared between calls with the same ``(n, L)``.
+    The rule is the n-point rectangle rule, which is what makes the
+    discrete Parseval identity exact.
     """
     u = np.asarray(values, dtype=complex)
     if u.ndim != 1:
@@ -438,11 +484,8 @@ def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray,
         padded = 1 << (n - 1).bit_length()
         u = np.concatenate([u, np.zeros(padded - n, dtype=complex)])
         n = padded
-    dx = 2.0 * half_width / n
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    phase = np.exp(-1j * xi * (-half_width))
-    uhat = dx * phase * np.fft.fft(u)
-    return xi, uhat
+    xi, forward, _ = _fourier_tables(n, half_width)
+    return xi, forward * np.fft.fft(u)
 
 
 def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
@@ -451,10 +494,8 @@ def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
     n = spec.size
     if not _is_power_of_two(n):
         raise ValueError("spectrum length must be a power of two")
-    dx = 2.0 * half_width / n
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    phase = np.exp(1j * xi * (-half_width))
-    return np.fft.ifft(spec * phase / dx)
+    _, _, inverse = _fourier_tables(n, half_width)
+    return np.fft.ifft(spec * inverse / (2.0 * half_width / n))
 
 
 def _spectrum(u: LineFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -738,8 +738,9 @@ def holder_quotient(
     gaps (at most ``_GAGLIARDO_BLOCK`` differences each), and stop before a
     block once ``(max u - min u) / (d h)^exponent`` is no larger than the
     best quotient so far: no later gap can beat it, so the result is
-    bitwise that of the full loop over every gap.  A non-finite sample
-    gives +inf.
+    bitwise that of the full loop over every gap.  The gap powers
+    ``(d h)^exponent`` are Python ``pow``, whose bits do not depend on the
+    SIMD path numpy dispatches to.  A non-finite sample gives +inf.
     """
     if not 0.0 < exponent <= 1.0:
         raise ValueError(f"Hölder exponent must lie in (0, 1], got {exponent}")

@@ -111,8 +111,9 @@ FAULTS: dict[str, tuple[Fault, ...]] = {
     "extend_interior": (Fault("sobolev_norm", "scale", 1.3, cells(1024)),),
     # 0.002 -> 2.3, the extension's norm at full resolution
     "extend_exterior": (Fault("sobolev_norm", "scale", 1.3, cells(3072)),),
-    # 5e-4 -> 3, the doubled grid only
-    "embedding_trace": (Fault("holder_quotient", "scale", 1.3, cells(2048)),),
+    # 5e-4 -> 2.3, the coarse grid only: the doubled grid's quotient is
+    # the one trace measured, which this name does not reach
+    "embedding_trace": (Fault("holder_quotient", "scale", 1.3, cells(1024)),),
     # 2e-13 -> 20
     "w1p_consistency": (Fault("frac_integral", "scale", 1.05),),
     # 0.37 -> 5e8

@@ -282,13 +282,13 @@ def test_12_pointwise_control_above_the_critical_line():
     alpha p <= 1 rejected."""
     g = uniform_grid(0.0, 1.0, 1024)
     members = TestBattery.bumps(g, 9).members + (PowerSum(0.0, ((1.0, -0.25),)),)
-    rep = check_embedding_trace(members, 0.75, 2.0, 0.25, g)
+    rep = check_embedding_trace(members, 0.75, 2.0, g)
     assert rep.passed
     assert math.isfinite(rep.details["max_quotient"])
     assert math.isfinite(rep.details["max_trace_ratio"])
 
     with pytest.raises(ValueError):
-        check_embedding_trace(members, 0.5, 2.0, 0.25, g)
+        check_embedding_trace(members, 0.5, 2.0, g)
 
 
 def test_13_integration_by_parts():

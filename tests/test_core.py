@@ -201,6 +201,29 @@ class TestFourier:
         xi, uhat = discrete_fourier(u, 1.0)
         assert xi.size == 128
 
+    def test_shared_tables_give_the_inline_formula_bitwise(self):
+        # the (n, L) tables live in one slot: alternating keys rebuilds
+        # them on every call, repeating a key reuses them, and either way
+        # the bits are those of the formulas written out per call
+        def inline(u, half_width):
+            n = u.size
+            dx = 2.0 * half_width / n
+            xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+            uhat = dx * np.exp(-1j * xi * (-half_width)) * np.fft.fft(u)
+            back = np.fft.ifft(uhat * np.exp(1j * xi * (-half_width)) / dx)
+            return xi, uhat, back
+
+        rng = np.random.default_rng(5)
+        keys = ((2048, 12.0), (2048, 3.0), (512, 3.0))
+        cases = [(rng.standard_normal(n), L) for n, L in keys]
+        for u, L in cases * 2 + cases[:1] * 2:
+            xi, uhat = discrete_fourier(u, L)
+            ref_xi, ref_uhat, ref_back = inline(u.astype(complex), L)
+            assert np.array_equal(xi, ref_xi)
+            assert np.array_equal(uhat, ref_uhat)
+            assert np.array_equal(inverse_discrete_fourier(uhat, L), ref_back)
+            assert not xi.flags.writeable
+
 
 class TestDataModel:
     def test_grid_validation(self):
@@ -214,6 +237,30 @@ class TestDataModel:
         assert np.allclose(g.nodes, [0, 0.25, 0.5, 0.75, 1.0])
         assert g.h == 0.25
         assert g.refine().n == 8
+
+    def test_grid_nodes_are_one_read_only_array(self):
+        g = uniform_grid(-1.0, 2.0, 1000)
+        nodes = g.nodes
+        assert g.nodes is nodes
+        assert np.array_equal(nodes, np.linspace(-1.0, 2.0, 1001))
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
+    def test_cached_nodes_leave_equality_hashing_and_repr_alone(self):
+        used, fresh = Grid(0.0, 1.0, 8), Grid(0.0, 1.0, 8)
+        used.nodes
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "Grid(a=0.0, b=1.0, n=8)"
+        assert used != Grid(0.0, 1.0, 16)
+        assert len({used, fresh}) == 1
+        assert used.refine(1) == used and used.refine(1).nodes is not used.nodes
+
+    def test_line_function_grid_is_one_object(self):
+        u = LineFunction(4.0, np.exp(-line_grid(4.0, 64).nodes ** 2))
+        assert u.grid is u.grid
+        assert u.x is u.grid.nodes
+        assert u.grid == line_grid(4.0, 64)
 
     def test_sampled_function_shape_check(self):
         g = uniform_grid(0.0, 1.0, 4)

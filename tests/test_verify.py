@@ -19,7 +19,7 @@ from faults import FAULTS, Fault, inject, right_side
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev import verify
+from fracsobolev import spaces, verify
 from fracsobolev.core import Grid, SampledFunction, Side, uniform_grid
 from fracsobolev.operators import rl_derivative
 from fracsobolev.oracle import (
@@ -592,7 +592,7 @@ class TestEmbeddingTrace:
     def test_supercritical_family_is_uniformly_holder(self):
         g = unit_grid(1024)
         members = TestBattery.bumps(g, 9).members + (PowerSum(0.0, ((1.0, -0.25),)),)
-        rep = check_embedding_trace(members, 0.75, 2.0, 0.25, g)
+        rep = check_embedding_trace(members, 0.75, 2.0, g)
         assert rep.passed
         assert math.isfinite(rep.details["max_quotient"])
         assert rep.details["sharpness_growth"] > 1.2
@@ -604,7 +604,7 @@ class TestEmbeddingTrace:
         # fabricating a finite ratio
         g = unit_grid(1024)
         with pytest.warns(UserWarning, match="diverges"):
-            rep = check_embedding_trace([const(1.0)], 0.75, 2.0, 0.25, g)
+            rep = check_embedding_trace([const(1.0)], 0.75, 2.0, g)
         assert rep.passed
         assert rep.details["max_quotient"] == 0.0
         assert rep.details["max_trace_ratio"] == 0.0
@@ -612,7 +612,24 @@ class TestEmbeddingTrace:
     def test_rejects_subcritical_regularity(self):
         g = unit_grid(256)
         with pytest.raises(ValueError):
-            check_embedding_trace([Bump(0.5, 0.2)], 0.5, 2.0, 0.25, g)
+            check_embedding_trace([Bump(0.5, 0.2)], 0.5, 2.0, g)
+
+    def test_canonical_run_scans_each_window_once(self, monkeypatch):
+        # 10 members: the coarse quotient, and the fine one inside trace;
+        # then the sharpness probe on both grids.  The fine quotient is
+        # the one trace returns, not a second scan of the same window
+        scans = []
+        original = spaces.holder_quotient
+
+        def counted(u, exponent, subinterval):
+            scans.append((u.values.tobytes(), exponent, subinterval))
+            return original(u, exponent, subinterval)
+
+        monkeypatch.setattr(spaces, "holder_quotient", counted)
+        monkeypatch.setattr(verify, "holder_quotient", counted)
+        assert canonical_checks()["embedding_trace"]().passed
+        assert len(scans) == 22
+        assert len(set(scans)) == 22
 
 
 class TestW1pConsistency:
