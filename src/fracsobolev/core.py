@@ -260,9 +260,11 @@ class LineFunction:
 def _coarsened(u: SampledFunction | LineFunction, step: int) -> SampledFunction | LineFunction:
     """Every ``step``-th node of ``u``: an exact, artifact-free resolution change.
 
-    Interpolation-based refinement of a function with an endpoint
-    singularity plants spurious curvature in the first cells, and the
-    fractional derivative amplifies it; subsampling cannot.
+    The extension checks of :mod:`~fracsobolev.verify` take their constant
+    at ``n/2`` from it; no norm resamples its input.  Interpolation-based
+    refinement of a function with an endpoint singularity plants spurious
+    curvature in the first cells, and the fractional derivative amplifies
+    it; subsampling cannot.
     """
     n = u.grid.n
     if n % step:

@@ -14,14 +14,17 @@ Seven norm families are provided through :func:`sobolev_norm`:
 * ``fourier`` — the frequency-side definition, line functions only.
 
 Divergence policy: a norm that does not exist is a *result*, not a failure.
-Non-integrable endpoint singularities are detected analytically from the
-singularity metadata and reported as ``+inf`` together with a warning that
-carries truncated values on refined grids, so the caller can see the blow-up
-rather than take it on faith.  Above order one the metadata passes through
-the integer derivatives too: each step of
+It comes back as ``+inf`` with one warning that says why, decided from the
+samples the norm was given; no norm builds or resamples another grid.  A
+one-sided norm is +inf exactly when one of its parts records a
+non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``), and the warning
+names that part, its end, ``c`` and ``e``.  Above order one the metadata
+passes through the integer derivatives too: each step of
 :func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
 ``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
-derivatives leave.
+derivatives leave.  The Gagliardo seminorm is +inf exactly when the fitted
+decay of its modulus is too slow for the order (see
+:func:`gagliardo_seminorm`).
 """
 
 from __future__ import annotations
@@ -35,11 +38,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     FracOrder,
-    Grid,
     LineFunction,
     SampledFunction,
     Side,
-    _coarsened,
     _fit_slope,
     _log_offsets,
     _spectrum,
@@ -79,27 +80,6 @@ _GAGLIARDO_BLOCK = 1 << 15
 # alpha up to 0.9) the worst relative error was 5.6e-13 with 1 direct lag,
 # 6.4e-14 with 8 and 8.6e-15 with 32
 _DIRECT_LAGS = 32
-# gagliardo_seminorm takes the integral as finite without refining it when
-# the modulus omega_p(t)^p fits t^s over 2h <= t <= min(64h, T/8) (T the
-# domain width) with s/p >= alpha + this margin.  s/p is the smoothness of
-# omega_p(t) itself; the fit's bias grows with p, so the margin is on s/p,
-# not on s.  The fit mostly reads low before the asymptotic range, which errs
-# toward refining.  Measured before the T/8 cap, which binds only below 512
-# cells (64h <= T/8 from there on): the suite's Gaussians and bumps on the
-# line (n = 2048, alpha = 0.5) read s/p >= 0.984 at p = 1 and >= 0.977 at
-# p = 2, above the 0.9 needed.  On steps, a bump, cusps |x - c|^beta and base
-# powers x^beta (beta = 0.02 .. 0.7; n = 512, 2048, 8192; p = 1, 2, 3, 6;
-# alpha = 0.05 .. 1; 3840 calls) 1006 calls skipped the refinement and one
-# verdict moved, from +inf to finite, where theory says finite.  On 21000
-# calls (also n = 1020, 1024, 3068, 4096, p = 1.5 and three cusp centres)
-# 6002 skipped it and 8 moved, all to finite where theory says finite.  A
-# margin of 0.4 on s instead turned 8 of those calls finite where both the
-# refinement and theory say +inf: p = 6 cusps with beta <= 0.1, whose fit
-# reads s near 2 against a true 1 + beta p.  The cap keeps the fit off the
-# long offsets of coarse grids, where the shrinking overlap bends the
-# modulus down: on n = 14 .. 512 (13500 calls, sin 3x added, p = 1 .. 6) it
-# moved 74 verdicts, all from +inf to finite where theory says finite.
-_DECAY_MARGIN = 0.4
 
 _FAMILIES = (
     "one_sided_left",
@@ -175,13 +155,19 @@ def _lp_power_integral(
     total = float(h * np.sum(np.where(keep, 0.5 * (powers[:-1] + powers[1:]), 0.0)))
 
     if analytic_cells:
-        left_power = getattr(u, "left_power", None)
-        right_power = getattr(u, "right_power", None)
-        if not finite[0] and left_power is not None:
-            total += _power_cell_mass(left_power, h, p)
-        if not finite[-1] and right_power is not None:
-            total += _power_cell_mass(right_power, h, p)
+        for _, power in _flagged_powers(u):
+            total += _power_cell_mass(power, h, p)
     return total
+
+
+def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[str, tuple[float, float]]]:
+    """``(end, (c, e))`` for each end whose node is flagged and records a power."""
+    ends = (
+        ("left", u.values[0], getattr(u, "left_power", None)),
+        ("right", u.values[-1], getattr(u, "right_power", None)),
+    )
+    return [(end, power) for end, node, power in ends
+            if power is not None and not math.isfinite(node)]
 
 
 def _power_cell_mass(power: tuple[float, float], h: float, p: float) -> float:
@@ -235,55 +221,12 @@ def _default_scheme(u: SampledFunction | LineFunction) -> str:
     return "spectral" if isinstance(u, LineFunction) else "product_rl"
 
 
-def _refined(u: SampledFunction, factor: int) -> SampledFunction:
-    """Resample on a grid ``factor`` times finer, honouring singularity metadata."""
-    fine = Grid(u.grid.a, u.grid.b, u.grid.n * factor)
-    vals = u.interp(fine.nodes)
-    finite = np.isfinite(u.values)
-    if not finite[0] and u.left_power is not None:
-        coeff, exponent = u.left_power
-        inside = (fine.nodes > u.grid.a) & (fine.nodes < u.grid.a + u.grid.h)
-        vals[inside] = coeff * (fine.nodes[inside] - u.grid.a) ** exponent
-        vals[0] = u.values[0]
-    if not finite[-1] and u.right_power is not None:
-        coeff, exponent = u.right_power
-        inside = (fine.nodes < u.grid.b) & (fine.nodes > u.grid.b - u.grid.h)
-        vals[inside] = coeff * (u.grid.b - fine.nodes[inside]) ** exponent
-        vals[-1] = u.values[-1]
-    return SampledFunction(fine, vals, u.left_power, u.right_power)
-
-
-def _truncated_norm(u: SampledFunction, spec: NormSpec) -> float:
-    """Norm with singular cells dropped instead of integrated — diagnostic only."""
-    side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
-    d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
-    parts = [_lp_power_integral(d, spec.p, True, analytic_cells=False)]
-    if not spec.family.startswith("zero_trace"):
-        parts += [
-            _lp_power_integral(w, spec.p, True, analytic_cells=False)
-            for w in _integer_derivatives(u, spec.alpha.m)
-        ]
-    return float(np.sum(parts)) ** (1.0 / spec.p)
-
-
-def _diagnose_divergence(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
-    if isinstance(u, SampledFunction):
-        tail = [_truncated_norm(_refined(u, f) if f > 1 else u, spec) for f in (1, 2, 4)]
-        n = u.grid.n
-        if tail[0] < tail[1] < tail[2]:
-            trend = "grow without bound"
-        else:
-            trend = "are still dominated by the integrable part at these sizes"
-        _warn(
-            f"{spec.family} norm diverges (non-integrable endpoint singularity): "
-            f"truncated values {tail[0]:.6g}, {tail[1]:.6g}, {tail[2]:.6g} at "
-            f"n={n}, {2 * n}, {4 * n} {trend}"
-        )
-    return math.inf
-
-
 def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
-    """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call."""
+    """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call.
+
+    A part is +inf only through a recorded endpoint power ``c t^e`` with
+    ``1 + p e <= 0``; the warning names that part, its end and the power.
+    """
     p = spec.p
     side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
     d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
@@ -292,9 +235,21 @@ def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
         top = lp_norm(d, p, exclude_singular=True)
         return max(lp_norm(w, p, exclude_singular=True) for w in chain) + top if chain else top
     total = float(np.sum([_lp_power_integral(w, p, exclude_singular=True) for w in chain + [d]]))
-    if not math.isfinite(total):
-        return _diagnose_divergence(u, spec)
-    return total ** (1.0 / p)
+    if math.isfinite(total):
+        return total ** (1.0 / p)
+    names = [f"u^({k})" for k in range(len(chain))]
+    names.append(f"the order-{spec.alpha.alpha:g} {side.value} derivative")
+    for name, w in zip(names, chain + [d]):
+        for end, (c, e) in _flagged_powers(w):
+            if 1.0 + p * e <= 0.0 and c != 0.0:
+                _warn(
+                    f"{spec.family} norm diverges: {name} has the endpoint power "
+                    f"{c:.6g} t^{e:.6g} at its {end} end, and with 1 + p e = "
+                    f"{1.0 + p * e:.6g} <= 0 its p-th powers grow without bound there"
+                )
+                return math.inf
+    _warn(f"{spec.family} norm overflows: the p-th powers of the samples exceed the float range")
+    return math.inf
 
 
 def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
@@ -302,7 +257,7 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
 
     Finite intervals use the product-integration derivative realization,
     line functions the spectral one.  A divergent norm comes back as +inf
-    with a refinement diagnostic in a warning.
+    with one warning that names its cause.
     """
     family, alpha, p = spec.family, spec.alpha, spec.p
 
@@ -522,22 +477,6 @@ def _modulus_integral(rows: _Modulus, alpha: float, p: float) -> float:
     return 2.0 * total
 
 
-def _gagliardo_integral(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
-    """The double integral ``iint |u(x)-u(y)|^p / |x-y|^{1+alpha p}``.
-
-    Reduced to the offset form ``2 int_0^T t^{-1-alpha p} omega_p(t)^p dt``
-    over the rows of :func:`_gagliardo_modulus`, which skip the sub-grid
-    offsets ``t < h/2``; line functions add the closed-form zero-extension
-    tail beyond the window diameter.  On finite samples the sum is always
-    finite: it is the seminorm's p-th power on this grid.  Whether the
-    seminorm exists is decided by :func:`gagliardo_seminorm`: "finite"
-    when the rows decay fast enough at small ``t`` (see
-    :func:`_modulus_decay`), +inf only when the integral keeps growing on
-    the ``n/4``, ``n/2``, ``n`` subsamples.
-    """
-    return _modulus_integral(_gagliardo_modulus(u, p), alpha, p)
-
-
 def _modulus_decay(rows: _Modulus, h: float) -> float:
     """Least-squares exponent ``s`` of ``omega_p(t)^p ~ t^s`` at small offsets.
 
@@ -565,18 +504,16 @@ def gagliardo_seminorm(
     seminorm's p-th power is ``int_0^T t^{-1-alpha p} omega_p(t)^p dt`` (up
     to a factor 2) with the modulus ``omega_p(t)^p = int |u(x+t)-u(x)|^p
     dx``, and it is finite iff ``omega_p(t)^p`` decays faster than
-    ``t^{alpha p}``.  So the value on this grid is returned as finite when
-    the exponent ``s`` of ``omega_p(t)^p ~ t^s``, fitted over ``2h <= t <=
-    min(64h, T/8)``, has ``s/p >= alpha + 0.4`` (smooth data, or jumps and
-    cusps well below their threshold).  Otherwise the integral is
-    recomputed on the ``n/4`` and ``n/2`` subsamples: when it keeps growing
-    under refinement (rough data with ``alpha*p >= 1``) the seminorm does
-    not exist and +inf is returned with the refinement values in a warning;
-    when it settles, the value is finite.  A grid that cannot be subsampled
-    (``n`` not a multiple of 4, or below 16) returns the finite value with
-    a warning that divergence was not checked.  The sub-grid offsets ``t <
-    h/2`` are excluded; :func:`gagliardo_small_offset_bound` bounds what
-    they could contribute.
+    ``t^{alpha p}`` (the Besov characterisation; Di Nezza-Palatucci-Valdinoci
+    2012).  That one rule decides: with ``s`` the exponent of
+    ``omega_p(t)^p ~ t^s`` fitted by :func:`_modulus_decay` to the rows the
+    integral is summed from, the value on this grid is returned when ``s/p
+    >= alpha`` and +inf, with a warning that gives ``s/p``, when ``s/p <
+    alpha``.  When too few rows lie in the fit window (fewer than 8, as on
+    14 cells) the finite value comes back with a warning that divergence was
+    not checked.  The samples are read as given: no other grid is built.
+    The sub-grid offsets ``t < h/2`` are excluded;
+    :func:`gagliardo_small_offset_bound` bounds what they could contribute.
 
     ``p = 2`` costs ``O(n log n)``: every offset's inner integral comes from
     one FFT autocorrelation of the samples plus directly summed short lags
@@ -598,27 +535,20 @@ def gagliardo_seminorm(
 
     rows = _gagliardo_modulus(u, p)
     full = _modulus_integral(rows, alpha, p)
-    # omega_p(t)^p ~ t^s at small t: the integral converges iff s > alpha p;
-    # a zero integral (constant data) needs no check
-    if full == 0.0 or _modulus_decay(rows, u.grid.h) / p >= alpha + _DECAY_MARGIN:
-        return full ** (1.0 / p)
-    n = u.grid.n
-    if n % 4 or n < 16:
+    if full == 0.0:  # constant data: no modulus to fit
+        return 0.0
+    smoothness = _modulus_decay(rows, u.grid.h) / p
+    if math.isnan(smoothness):
         _warn(
-            f"difference-quotient seminorm: divergence not checked on n={n} cells "
-            "(its modulus does not show convergence, and the refinement check "
-            "needs a multiple of 4 cells, at least 16); reporting the value on "
-            "this grid"
+            f"difference-quotient seminorm: divergence not checked on n={u.grid.n} "
+            "cells (fewer than 8 offsets lie in the modulus fit window); "
+            "reporting the value on this grid"
         )
-        return full ** (1.0 / p)
-    v1 = _gagliardo_integral(_coarsened(u, 4), alpha, p)
-    v2 = _gagliardo_integral(_coarsened(u, 2), alpha, p)
-    d1, d2 = v2 - v1, full - v2
-    if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
+    elif smoothness < alpha:
         _warn(
-            "difference-quotient seminorm grows without bound under "
-            f"refinement (p-th powers {v1:.6g}, {v2:.6g}, {full:.6g} at "
-            f"n={n // 4}, {n // 2}, {n}); reporting +inf"
+            "difference-quotient seminorm grows without bound: its modulus "
+            f"omega_p(t)^p decays like t^s with s/p = {smoothness:.4g} < "
+            f"alpha = {alpha:g}; reporting +inf"
         )
         return math.inf
     return full ** (1.0 / p)

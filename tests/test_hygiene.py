@@ -102,3 +102,18 @@ def test_one_nodal_derivative():
                 found += [f"{path.name}:{node.lineno} import {a.name}"
                           for a in node.names if a.name.split(".")[-1] == "gradient"]
     assert not found, f"nodal derivatives outside operators.nodal_derivative: {found}"
+
+
+def test_norms_read_only_the_samples_they_are_given():
+    """No norm resamples its input, so every verdict comes from the samples
+    the caller passed: ``spaces.py`` builds no ``Grid``, calls no
+    ``_coarsened`` and calls no ``.refine(``."""
+    banned = {"Grid", "_coarsened", "refine"}
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "spaces.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in banned:
+                found.append(f"spaces.py:{node.lineno} {name}(")
+    assert not found, f"spaces resamples its input: {found}"

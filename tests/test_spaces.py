@@ -21,7 +21,6 @@ from fracsobolev.core import (
     LineFunction,
     SampledFunction,
     Side,
-    _coarsened,
     _log_offsets,
     trapezoid,
 )
@@ -30,7 +29,9 @@ from fracsobolev.oracle import Bump, Gaussian, PowerSum, Step, sample, sample_li
 from fracsobolev.spaces import (
     _GAGLIARDO_BLOCK,
     NormSpec,
-    _gagliardo_integral,
+    _gagliardo_modulus,
+    _modulus_decay,
+    _modulus_integral,
     _zeta,
     TraceValue,
     fourier_seminorm,
@@ -72,6 +73,11 @@ ZETA = {
 
 def unit_grid(n: int) -> Grid:
     return Grid(0.0, 1.0, n)
+
+
+def gagliardo_integral(u, alpha: float, p: float) -> float:
+    """The seminorm's p-th power on this grid, whatever the verdict."""
+    return _modulus_integral(_gagliardo_modulus(u, p), alpha, p)
 
 
 class TestLpNorm:
@@ -164,6 +170,50 @@ class TestSobolevNorm:
         assert len(rec) == 1
         assert rec[0].filename == __file__
         assert "without bound" in str(rec[0].message)
+
+    @pytest.mark.parametrize(
+        "family, terms, alpha, cause",
+        [
+            # D^0.6 1 = t^-0.6 / Gamma(0.4)
+            ("one_sided_left", ((1.0, 0.0),), 0.6,
+             "the order-0.6 left derivative has the endpoint power 0.450824 t^-0.6 "
+             "at its left end, and with 1 + p e = -0.2"),
+            ("zero_trace_right", ((1.0, 0.0),), 0.6,
+             "the order-0.6 right derivative has the endpoint power 0.450824 t^-0.6 "
+             "at its right end"),
+            # x^-1/4 is in L^2, its derivative -x^-5/4 / 4 is not
+            ("one_sided_left", ((1.0, -0.25),), 1.25,
+             "u^(1) has the endpoint power -0.25 t^-1.25 at its left end, and with "
+             "1 + p e = -1.5"),
+        ],
+        ids=["derivative", "right_end", "integer_derivative"],
+    )
+    def test_divergence_warning_names_the_part_and_its_power(self, family, terms, alpha, cause):
+        u = sample(PowerSum(0.0, terms), unit_grid(1024))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert sobolev_norm(u, NormSpec(family, FracOrder(alpha), 2.0)) == math.inf
+        assert len(rec) == 1
+        assert f"{family} norm diverges: {cause}" in str(rec[0].message)
+
+    def test_divergent_norm_takes_one_derivative(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            spaces, "frac_derivative", lambda *a, **k: calls.append(a) or frac_derivative(*a, **k)
+        )
+        one = SampledFunction(unit_grid(1024), np.ones(1025))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert sobolev_norm(one, NormSpec("one_sided_left", FracOrder(0.6), 2.0)) == math.inf
+        assert len(calls) == 1
+
+    def test_overflow_is_reported_as_overflow(self):
+        huge = SampledFunction(unit_grid(64), np.full(65, 1e200))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = sobolev_norm(huge, NormSpec("one_sided_left", FracOrder(0.25), 2.0))
+        assert v == math.inf
+        assert "one_sided_left norm overflows" in str(rec[-1].message)
 
     def test_zero_trace_vanishes_exactly_on_kernel(self):
         g = unit_grid(1024)
@@ -312,86 +362,73 @@ class TestGagliardoSeminorm:
             gagliardo_seminorm(kappa(0.5, "left", unit_grid(64)), 0.5, 2.0)
 
 
-def refinement_seminorm(u, alpha: float, p: float) -> float:
-    """Reference: the seminorm from the n, n/2, n/4 rule alone.
-
-    This is how :func:`gagliardo_seminorm` decided divergence before it read
-    the modulus: +inf when the integral keeps growing on the subsamples.
-    """
-    full = _gagliardo_integral(u, alpha, p)
-    v1 = _gagliardo_integral(_coarsened(u, 4), alpha, p)
-    v2 = _gagliardo_integral(_coarsened(u, 2), alpha, p)
-    d1, d2 = v2 - v1, full - v2
-    if d2 > 0.0 and d1 > 0.0 and d2 >= 0.9 * d1 and d2 >= 0.02 * full:
-        return math.inf
-    return full ** (1.0 / p)
-
-
 def rough_battery(g: Grid):
-    """Steps, bumps, cusps and base powers, each with the exponent ``s`` of
-    ``omega_p(t)^p ~ t^s``: the seminorm is finite iff ``alpha p < s``."""
+    """Steps, bumps, cusps and base powers on ``g``."""
     x = g.nodes
-    yield sample(Step(0.5, 1.0), g), lambda p: 1.0
-    yield sample(Bump(0.5, 0.3), g), lambda p: p
+    yield sample(Step(0.5, 1.0), g)
+    yield sample(Bump(0.5, 0.3), g)
     for beta in (0.05, 0.3, 0.7):
-        for vals in (np.abs(x - 0.43) ** beta, x**beta):
-            yield SampledFunction(g, vals), lambda p, beta=beta: min(p, beta * p + 1.0)
+        yield SampledFunction(g, np.abs(x - 0.43) ** beta)
+        yield SampledFunction(g, x**beta)
 
 
 class TestGagliardoVerdicts:
-    """The modulus decides "finite" only; every +inf comes from refinement."""
+    """One rule decides: finite iff the modulus decays like ``t^s`` with
+    ``s/p >= alpha``.  ``tests/battery.py`` scores it against theory."""
 
-    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("n", [512, 1022, 1024])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_no_finite_verdict_where_refinement_and_theory_say_inf(self, n, p):
-        changed = []
-        for u, s in rough_battery(unit_grid(n)):
+    def test_verdict_is_the_modulus_exponent_rule(self, n, p):
+        for u in rough_battery(unit_grid(n)):
+            rows = _gagliardo_modulus(u, p)
+            smoothness = _modulus_decay(rows, u.grid.h) / p
             for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                with warnings.catch_warnings(record=True) as rec:
+                    warnings.simplefilter("always")
                     v = gagliardo_seminorm(u, alpha, p)
-                ref = refinement_seminorm(u, alpha, p)
-                theory_finite = alpha * p < s(p)
-                if math.isfinite(v) and math.isfinite(ref):
-                    assert v == ref  # both are the same integral's root
-                assert math.isfinite(v) or v == ref
-                if v != ref:
-                    changed.append((alpha, s(p), theory_finite))
-        # a verdict may only move from the refinement's +inf to finite, and
-        # only where the seminorm is finite in theory
-        assert all(theory_finite for _, _, theory_finite in changed), changed
-
-    @pytest.mark.parametrize(
-        "alpha, p",
-        [(0.95, 1.0), (1.0, 1.0), (0.475, 2.0), (0.5, 2.0), (0.525, 2.0),
-         (0.95 / 3.0, 3.0), (1.0 / 3.0, 3.0), (1.05 / 3.0, 3.0)],
-    )
-    def test_step_near_its_threshold_keeps_the_refinement_verdict(self, alpha, p):
-        # alpha p = 1 is a log divergence; 0.95 and 1.05 sit either side
-        step = sample(Step(0.5, 1.0), unit_grid(1024))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert gagliardo_seminorm(step, alpha, p) == refinement_seminorm(step, alpha, p)
+                if smoothness >= alpha:
+                    assert v == _modulus_integral(rows, alpha, p) ** (1.0 / p)
+                    assert rec == []
+                else:
+                    assert v == math.inf
+                    assert len(rec) == 1
+                    assert f"s/p = {smoothness:.4g} < alpha = {alpha:g}" in str(rec[0].message)
 
     def test_smooth_data_take_the_modulus_verdict(self, monkeypatch):
-        subsampled = []
-        monkeypatch.setattr(spaces, "_coarsened", lambda u, step: subsampled.append(step))
+        calls = []
+        for name in ("_gagliardo_modulus", "_modulus_integral"):
+            fn = getattr(spaces, name)
+            monkeypatch.setattr(
+                spaces, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
         bump = sample(Bump(0.5, 0.3), unit_grid(1024))
         for alpha, p in ((0.25, 1.0), (0.5, 1.0), (0.5, 2.0), (0.25, 3.0)):
-            assert gagliardo_seminorm(bump, alpha, p) == refinement_seminorm(bump, alpha, p)
-        assert subsampled == []
+            calls.clear()
+            assert gagliardo_seminorm(bump, alpha, p) == gagliardo_integral(bump, alpha, p) ** (1.0 / p)
+            assert calls == ["_gagliardo_modulus", "_modulus_integral"]
 
-    @pytest.mark.parametrize("n", [1022, 14])
-    def test_unrefinable_grid_warns_that_divergence_was_not_checked(self, n):
-        # on 1024 cells the same step is +inf (test_step_diverges_when_rough)
+    @pytest.mark.parametrize("n", [1020, 1022, 1024])
+    def test_grid_size_does_not_decide_the_verdict(self, n):
+        # a multiple of 4 cells or not, the step at alpha p = 1.5 is +inf
         step = sample(Step(0.5, 1.0), unit_grid(n))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             v = gagliardo_seminorm(step, 0.75, 2.0)
-        assert math.isfinite(v)
+        assert v == math.inf
         assert len(rec) == 1
         assert rec[0].filename == __file__
-        assert f"not checked on n={n} cells" in str(rec[0].message)
+        assert "grows without bound" in str(rec[0].message)
+
+    def test_too_few_fit_rows_warn_that_divergence_was_not_checked(self):
+        # on 14 cells fewer than 8 offsets lie in the fit window 2h <= t <= T/8
+        step = sample(Step(0.5, 1.0), unit_grid(14))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = gagliardo_seminorm(step, 0.75, 2.0)
+        assert v == gagliardo_integral(step, 0.75, 2.0) ** 0.5
+        assert len(rec) == 1
+        assert rec[0].filename == __file__
+        assert "not checked on n=14 cells" in str(rec[0].message)
 
     def test_unrefinable_grid_is_silent_when_the_modulus_decides(self):
         # on 14 cells fewer than 8 offsets lie in the fit window 2h <= t <=
@@ -517,8 +554,9 @@ class TestTrace:
 def gagliardo_offset_loop(u, alpha: float, p: float) -> float:
     """Reference: the Gagliardo double integral with one interp per offset.
 
-    This is the per-offset form :func:`_gagliardo_integral` had before it
-    batched its offsets; same offsets, weights and window tail.
+    This is the per-offset form the Gagliardo integral had before
+    :func:`_gagliardo_modulus` batched its offsets; same offsets, weights
+    and window tail.
     """
     grid = u.grid
     h = grid.h
@@ -568,7 +606,7 @@ class TestBatchedGagliardo:
         for u in (smooth, rough, edge):
             for alpha in (0.25, 0.5, 0.75):
                 ref = gagliardo_offset_loop(u, alpha, p)
-                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
+                assert gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -581,7 +619,7 @@ class TestBatchedGagliardo:
             u = SampledFunction(g, vals)
             for alpha in (0.25, 0.5, 0.75):
                 ref = gagliardo_offset_loop(u, alpha, p)
-                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-14)
+                assert gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -595,7 +633,7 @@ class TestBatchedGagliardo:
             u = SampledFunction(g, vals)
             for alpha in (0.25, 0.5, 0.75):
                 ref = gagliardo_offset_loop(u, alpha, p)
-                assert _gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
+                assert gagliardo_integral(u, alpha, p) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("domain", ["line", "interval"])
     @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -620,7 +658,7 @@ class TestBatchedGagliardo:
             u = SampledFunction(g, np.sin(3.0 * g.nodes))
             t_max = 1.0
         offsets = _log_offsets(u.grid.h / 2.0, t_max)[0].size
-        assert _gagliardo_integral(u, 0.5, p) > 0.0
+        assert gagliardo_integral(u, 0.5, p) > 0.0
         # one interp call per block of _GAGLIARDO_BLOCK // (n + 1) rows
         assert len(points) == -(-offsets // (_GAGLIARDO_BLOCK // (n + 1)))
         assert sum(points) == offsets
@@ -643,7 +681,7 @@ class TestBatchedGagliardo:
         for u in (smooth, rough):
             for alpha in (0.25, 0.5, 0.75, 0.9):
                 ref = gagliardo_offset_loop(u, alpha, 2.0)
-                assert _gagliardo_integral(u, alpha, 2.0) == pytest.approx(ref, rel=1e-13)
+                assert gagliardo_integral(u, alpha, 2.0) == pytest.approx(ref, rel=1e-13)
 
     @staticmethod
     def count_calls(monkeypatch) -> dict[str, int]:
@@ -688,8 +726,8 @@ class TestBatchedGagliardo:
             warnings.simplefilter("ignore")
             assert gagliardo_seminorm(step, 0.75, 2.0) == math.inf
         assert calls["interp"] == 0
-        # a jump at alpha p = 1.5 is refined: three integrals (n, n/2, n/4)
-        assert calls["fft"] == 6
+        # a jump at alpha p = 1.5 is decided from the one integral's modulus
+        assert calls["fft"] == 2
 
 
 def holder_gap_loop(u, exponent: float, subinterval) -> float:
