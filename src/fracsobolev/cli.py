@@ -273,7 +273,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     u = _sample_on(f, grid, line)
 
     if args.what == "deriv":
-        scheme = args.scheme or ("spectral" if isinstance(u, LineFunction) else "rl")
+        scheme = args.scheme or operators._default_scheme(u)
         if scheme not in _SCHEMES:
             raise _UsageError(f"unknown scheme {scheme!r}; pick one of {_SCHEMES}")
         scheme = _SCHEME_ALIASES.get(scheme, scheme)

@@ -49,7 +49,8 @@ Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
 act on :class:`LineFunction` windows of the real line.  On the uniform
 grid the Marchaud integral is linear in the samples with a fixed kernel,
 so it is one more :func:`_toeplitz` product.  ``frac_derivative``
-dispatches through the ``_SCHEMES`` table, which the CLI also lists.
+dispatches through the ``_SCHEMES`` table, which the CLI also lists, and
+the norms and the CLI take :func:`_default_scheme` when none is named.
 
 Every right-sided operator is the reflection conjugate of the left code
 path, applied by the one decorator :func:`_reflection_conjugate`: reflect
@@ -681,6 +682,11 @@ _SCHEMES = {
     "marchaud": marchaud_derivative,
     "spectral": spectral_derivative,
 }
+
+
+def _default_scheme(u: SampledFunction | LineFunction) -> str:
+    """The scheme a caller gets without naming one: spectral on the line."""
+    return "spectral" if isinstance(u, LineFunction) else "product_rl"
 
 
 # ---------------------------------------------------------------------------

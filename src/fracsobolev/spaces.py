@@ -17,8 +17,10 @@ Divergence policy: a norm that does not exist is a *result*, not a failure.
 It comes back as ``+inf`` with one warning that says why, decided from the
 samples the norm was given; no norm builds or resamples another grid.  A
 one-sided norm is +inf exactly when one of its parts records a
-non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``), and the warning
-names that part, its end, ``c`` and ``e``.  Above order one the metadata
+non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``; at ``p = inf``,
+an unbounded one: ``e < 0``), and the warning names that part, its end,
+``c`` and ``e``.  Every part is summed by the one cell rule of
+:func:`lp_norm`, at every ``p``.  Above order one the metadata
 passes through the integer derivatives too: each step of
 :func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
 ``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
@@ -47,9 +49,8 @@ from .core import (
     _warn,
     discrete_fourier,
     gamma_fn,
-    trapezoid,
 )
-from .operators import endpoint_constant, frac_derivative, nodal_derivative
+from .operators import _default_scheme, endpoint_constant, frac_derivative, nodal_derivative
 
 __all__ = [
     "NormSpec",
@@ -128,36 +129,23 @@ class TraceValue:
 # Lebesgue norms
 
 
-def _lp_power_integral(
-    u: SampledFunction | LineFunction,
-    p: float,
-    exclude_singular: bool,
-    analytic_cells: bool = True,
-) -> float:
-    """``integral |u|^p`` by cell-wise trapezoid.
-
-    Cells touching a non-finite node are skipped when ``exclude_singular``
-    is set; an endpoint cell whose flagged node carries power metadata is
-    restored in closed form (``analytic_cells``), so kernel-type data keeps
-    its near-singularity mass.  A non-integrable metadata power yields +inf.
-    """
-    vals = np.asarray(u.values, dtype=float)
-    grid = u.grid
-    h = grid.h
+def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> float:
+    """``int |u|^p``, or ``sup |u|`` at ``p = inf``, by the cell rule of :func:`lp_norm`."""
+    vals = np.abs(np.asarray(u.values, dtype=float))
     finite = np.isfinite(vals)
-    if not exclude_singular:
-        if not np.all(finite):
-            return math.inf
-        return trapezoid(np.abs(vals) ** p, h)
-
-    powers = np.where(finite, np.abs(vals) ** p, 0.0)
-    keep = finite[:-1] & finite[1:]
-    total = float(h * np.sum(np.where(keep, 0.5 * (powers[:-1] + powers[1:]), 0.0)))
-
-    if analytic_cells:
-        for _, power in _flagged_powers(u):
-            total += _power_cell_mass(power, h, p)
-    return total
+    if math.isinf(p):
+        cells = np.maximum(vals[:-1], vals[1:])
+    else:  # in place: fewer fresh arrays at large n
+        vals **= p
+        cells = vals[:-1] + vals[1:]
+        cells *= 0.5
+    if not finite.all():
+        cells[~(finite[:-1] & finite[1:])] = 0.0
+    h = u.grid.h
+    masses = [_power_cell_mass(power, h, p) for _, power in _flagged_powers(u)]
+    if math.isinf(p):
+        return max([float(np.max(cells)), *masses])
+    return sum(masses, float(h * np.sum(cells)))
 
 
 def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[str, tuple[float, float]]]:
@@ -170,37 +158,40 @@ def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[str, tuple[
             if power is not None and not math.isfinite(node)]
 
 
+def _diverges(power: tuple[float, float], p: float) -> bool:
+    """Whether ``c t^e`` leaves L^p near 0: ``c != 0`` and ``1 + p e <= 0`` (``e < 0`` at inf)."""
+    coeff, exponent = power
+    return coeff != 0.0 and (exponent < 0.0 if math.isinf(p) else 1.0 + p * exponent <= 0.0)
+
+
 def _power_cell_mass(power: tuple[float, float], h: float, p: float) -> float:
-    """``integral_0^h |c t^e|^p dt``, +inf when the power is not p-integrable."""
+    """``int_0^h |c t^e|^p dt`` (at ``p = inf``: ``sup`` on ``(0, h]``); +inf when it diverges."""
+    if _diverges(power, p):
+        return math.inf
     coeff, exponent = power
     if coeff == 0.0:
         return 0.0
+    if math.isinf(p):
+        return abs(coeff) * h**exponent
     moment = 1.0 + p * exponent
-    if moment <= 0.0:
-        return math.inf
     return abs(coeff) ** p * h**moment / moment
 
 
-def lp_norm(
-    u: SampledFunction | LineFunction, p: float, exclude_singular: bool = False
-) -> float:
-    """Trapezoidal L^p norm of the interpolant; ``p = inf`` is the nodal max.
+def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
+    """L^p norm of the samples, ``1 <= p <= inf``, by one cell rule.
 
-    ``exclude_singular`` drops flagged (non-finite) nodes; when a flagged
-    endpoint carries singularity metadata, the skipped cell is restored by
-    the closed-form power integral, which returns +inf precisely when the
-    recorded singularity is not p-integrable.
+    A cell between two finite nodes adds ``h (|u_j|^p + |u_{j+1}|^p) / 2``
+    (at ``p = inf`` it reads the larger node).  A cell that touches a
+    flagged (non-finite) node is skipped; when that node is an end that
+    records a power ``c t^e``, the cell is added in closed form instead, so
+    kernel-type data keeps its mass near the singularity.  The norm is +inf
+    exactly when such a power has ``c != 0`` and ``1 + p e <= 0``, which at
+    ``p = inf`` reads ``e < 0``.
     """
     if not (math.isinf(p) or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
-    vals = np.asarray(u.values, dtype=float)
-    if math.isinf(p):
-        if exclude_singular:
-            finite = vals[np.isfinite(vals)]
-            return float(np.max(np.abs(finite))) if finite.size else 0.0
-        return float(np.max(np.abs(vals)))
-    integral = _lp_power_integral(u, p, exclude_singular)
-    return integral ** (1.0 / p) if math.isfinite(integral) else math.inf
+    total = _lp_power_integral(u, p)
+    return total if math.isinf(p) else total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -217,35 +208,34 @@ def _integer_derivatives(
     return chain
 
 
-def _default_scheme(u: SampledFunction | LineFunction) -> str:
-    return "spectral" if isinstance(u, LineFunction) else "product_rl"
-
-
 def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call.
 
-    A part is +inf only through a recorded endpoint power ``c t^e`` with
-    ``1 + p e <= 0``; the warning names that part, its end and the power.
+    A part is +inf only through a recorded endpoint power ``c t^e`` that
+    :func:`_diverges` (``1 + p e <= 0``; ``e < 0`` at ``p = inf``); the
+    warning names that part, its end and the power.
     """
     p = spec.p
     side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
     d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
     chain = [] if spec.family.startswith("zero_trace") else _integer_derivatives(u, spec.alpha.m)
+    parts = [_lp_power_integral(w, p) for w in chain + [d]]
     if math.isinf(p):
-        top = lp_norm(d, p, exclude_singular=True)
-        return max(lp_norm(w, p, exclude_singular=True) for w in chain) + top if chain else top
-    total = float(np.sum([_lp_power_integral(w, p, exclude_singular=True) for w in chain + [d]]))
+        total = max(parts[:-1]) + parts[-1] if chain else parts[-1]
+    else:
+        total = float(np.sum(parts)) ** (1.0 / p)
     if math.isfinite(total):
-        return total ** (1.0 / p)
+        return total
     names = [f"u^({k})" for k in range(len(chain))]
     names.append(f"the order-{spec.alpha.alpha:g} {side.value} derivative")
     for name, w in zip(names, chain + [d]):
         for end, (c, e) in _flagged_powers(w):
-            if 1.0 + p * e <= 0.0 and c != 0.0:
+            if _diverges((c, e), p):
+                growth = "with e < 0 it grows" if math.isinf(p) else (
+                    f"with 1 + p e = {1.0 + p * e:.6g} <= 0 its p-th powers grow")
                 _warn(
                     f"{spec.family} norm diverges: {name} has the endpoint power "
-                    f"{c:.6g} t^{e:.6g} at its {end} end, and with 1 + p e = "
-                    f"{1.0 + p * e:.6g} <= 0 its p-th powers grow without bound there"
+                    f"{c:.6g} t^{e:.6g} at its {end} end, and {growth} without bound there"
                 )
                 return math.inf
     _warn(f"{spec.family} norm overflows: the p-th powers of the samples exceed the float range")
@@ -271,9 +261,9 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     if family == "gagliardo":
         chain = _integer_derivatives(u, alpha.m)
         semi = gagliardo_seminorm(chain[-1], alpha.sigma, p)
+        parts = [_lp_power_integral(w, p) for w in chain]
         if math.isinf(p):
-            return max(lp_norm(w, p, True) for w in chain) + semi
-        parts = [_lp_power_integral(w, p, True) for w in chain]
+            return max(parts) + semi
         total = float(np.sum(parts)) + semi**p
         if not math.isfinite(total):
             return math.inf  # from the seminorm (finite samples only), which warned
@@ -752,12 +742,13 @@ def is_regular(
 ) -> bool:
     """Whether the endpoint kernel constant vanishes (relative to ``||u||_2``).
 
-    The comparison scale is the truncated L^2 norm of the finite samples —
+    The comparison scale is the L^2 norm of the samples without their
+    recorded powers, so flagged cells are skipped, not restored —
     kernel-type inputs have an infinite L^2 norm, which would make any
     relative test vacuous.
     """
     c = endpoint_constant(u, alpha, side).c_value
-    scale = _lp_power_integral(u, 2.0, True, analytic_cells=False) ** 0.5
+    scale = lp_norm(SampledFunction(u.grid, u.values), 2.0)
     if scale == 0.0:
         return c == 0.0
     return abs(c) <= tol * scale

@@ -613,8 +613,8 @@ def _norm_ratio(
         with np.errstate(invalid="ignore"):
             diff = su.values - kc.c_value * kappa(alpha, Side.LEFT, grid).values
         top = SampledFunction(grid, diff)
-    lhs = lp_norm(top, r, exclude_singular=True)
-    rhs = lp_norm(rl_derivative(su, alpha, Side.LEFT), p, exclude_singular=True)
+    lhs = lp_norm(top, r)
+    rhs = lp_norm(rl_derivative(su, alpha, Side.LEFT), p)
     if rhs == 0.0:
         return 0.0 if lhs <= 1e-10 else math.inf
     return lhs / rhs

@@ -162,7 +162,7 @@ def test_05_integrability_threshold_for_the_kernel_norm():
     g = uniform_grid(0.0, 1.0, 4096)
     one = sample(PowerSum(0.0, ((1.0, 0.0),)), g)
     d = rl_derivative(one, 0.25)
-    value = lp_norm(d, 2.0, exclude_singular=True)
+    value = lp_norm(d, 2.0)
     assert abs(value - target) <= 0.01 * target
 
     # (0.6, 2): the truncated norm must grow by >= 2^{(ap-1)/p} * 0.9

@@ -96,6 +96,17 @@ class TestComputeCommand:
         assert r.returncode == 0, r.stderr
         assert "# right_power: 0.28209479177387814,-1.5\n" in r.stdout
 
+    @pytest.mark.parametrize("domain, scheme", [
+        (("--grid", "0,1,64"), "rl"),
+        (("--line", "12,256"), "spectral"),
+    ])
+    def test_default_scheme(self, domain, scheme, capsys):
+        args = ["compute", "deriv", "--alpha", "0.5", "--fn", "gauss:mu=0;s=1", *domain]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main([*args, "--scheme", scheme]) == 0
+        assert capsys.readouterr().out == default
+
     def test_integral_of_a_constant(self, tmp_path):
         out = tmp_path / "i.csv"
         r = run_cli(
@@ -199,6 +210,14 @@ class TestNormCommand:
         named = re.findall(r"^(.+):\d+: \w*Warning: ", r.stderr, flags=re.MULTILINE)
         assert [Path(name).name for name in named] == ["cli.py"], r.stderr
         assert "diverges" in r.stderr
+
+    def test_unbounded_sup_norm_is_inf(self, capsys):
+        # D^0.75 1 = t^-0.75 / Gamma(0.25) has no bound near 0
+        with pytest.warns(UserWarning, match="without bound"):
+            code = main(["norm", "--space", "one_sided_left", "--alpha", "0.75",
+                         "--p", "inf", "--fn", "const:1", "--grid", "0,1,1024"])
+        assert code == 0
+        assert capsys.readouterr().out == "inf\n"
 
     def test_unknown_space_is_a_usage_error(self):
         r = run_cli("norm", "--space", "besov", "--alpha", "0.5",

@@ -117,3 +117,24 @@ def test_norms_read_only_the_samples_they_are_given():
             if name in banned:
                 found.append(f"spaces.py:{node.lineno} {name}(")
     assert not found, f"spaces resamples its input: {found}"
+
+
+def test_one_lp_rule_for_every_norm_part():
+    """Every L^p part of a norm is summed by the one cell rule of
+    ``spaces._lp_power_integral``: ``spaces.py`` calls no ``trapezoid``,
+    and no function under ``src/fracsobolev`` takes a parameter named
+    ``exclude_singular`` or ``analytic_cells``, which picked another rule."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and path.name == "spaces.py":
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "trapezoid":
+                    found.append(f"spaces.py:{node.lineno} trapezoid(")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                found += [f"{path.name}:{node.lineno} {node.name}({arg.arg}=)"
+                          for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+                          if arg.arg in ("exclude_singular", "analytic_cells")]
+    assert not found, f"a second L^p rule: {found}"

@@ -95,17 +95,21 @@ class TestLpNorm:
     def test_kernel_mass_restored_analytically(self):
         # kappa^{0.75} = t^{-1/4} has L^2 norm sqrt(2) on (0,1)
         k = kappa(0.75, "left", unit_grid(1024))
-        assert lp_norm(k, 2.0, exclude_singular=True) == pytest.approx(SQRT2, rel=1e-3)
+        assert lp_norm(k, 2.0) == pytest.approx(SQRT2, rel=1e-3)
 
     def test_non_integrable_kernel_is_infinite(self):
         k = kappa(0.25, "left", unit_grid(1024))
-        assert lp_norm(k, 2.0, exclude_singular=True) == math.inf
+        assert lp_norm(k, 2.0) == math.inf
 
     def test_flagged_nodes_without_exclusion(self):
         k = kappa(0.5, "left", unit_grid(64))
         assert lp_norm(k, 2.0) == math.inf
         assert lp_norm(k, math.inf) == math.inf
-        assert np.isfinite(lp_norm(k, math.inf, exclude_singular=True))
+        # the same flag without its recorded power only loses its cell
+        bare = SampledFunction(k.grid, k.values)
+        rest = np.abs(k.values[1:])
+        assert lp_norm(bare, 2.0) == pytest.approx(math.sqrt(trapezoid(rest**2, k.grid.h)))
+        assert lp_norm(bare, math.inf) == np.max(rest)
 
     def test_rejects_p_below_one(self):
         u = SampledFunction(unit_grid(16), np.ones(17))
@@ -279,17 +283,18 @@ BASE_POWERS = {
 # records no power; the singularity only the integer derivatives make is
 # missed and the norm comes back finite
 REGULAR_PART_MISSES = {
-    ("x", 1.5, 2.0), ("x", 1.5, 3.0),
-    ("x", 2.5, 1.0), ("x", 2.5, 2.0), ("x", 2.5, 3.0),
-    ("x^2", 2.5, 2.0), ("x^2", 2.5, 3.0),
+    ("x", 1.25, math.inf),
+    ("x", 1.5, 2.0), ("x", 1.5, 3.0), ("x", 1.5, math.inf),
+    ("x", 2.5, 1.0), ("x", 2.5, 2.0), ("x", 2.5, 3.0), ("x", 2.5, math.inf),
+    ("x^2", 2.5, 2.0), ("x^2", 2.5, 3.0), ("x^2", 2.5, math.inf),
 }
 
 
 def _integer_order_cases():
     for name in BASE_POWERS:
         for side in ("left", "right"):
-            for alpha in (1.25, 1.5, 2.5):
-                for p in (1.0, 2.0, 3.0):
+            for alpha in (0.5, 1.25, 1.5, 2.5):
+                for p in (1.0, 2.0, 3.0, math.inf):
                     marks = []
                     if (name, alpha, p) in REGULAR_PART_MISSES:
                         marks = [pytest.mark.xfail(
@@ -310,7 +315,8 @@ class TestIntegerOrderVerdicts:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             v = sobolev_norm(u, NormSpec(f"one_sided_{side}", FracOrder(alpha), p))
-        # every term c x^b needs p (b - alpha) > -1 after alpha derivatives
+        # every term c x^b needs p (b - alpha) > -1 after alpha derivatives;
+        # at p = inf that reads b > alpha (no b equals an alpha here)
         finite = p * min(b - alpha for _, b in terms) > -1.0
         assert math.isfinite(v) == finite
         assert len(rec) == (0 if finite else 1)
@@ -875,7 +881,7 @@ class TestNormAxioms:
         for n in (512, 1024, 2048):
             g = unit_grid(n)
             u = sample(Bump(0.5, 0.3, 1.0), g)
-            num = lp_norm(frac_derivative(u, 0.3), 2.0, exclude_singular=True)
+            num = lp_norm(frac_derivative(u, 0.3), 2.0)
             den = sobolev_norm(u, NormSpec("one_sided_left", FracOrder(0.7), 2.0))
             ratios.append(num / den)
         assert all(math.isfinite(r) for r in ratios)

@@ -653,6 +653,16 @@ class TestW1pConsistency:
         assert rep.passed
         assert max(rep.residuals) == 0.0
 
+    def test_sup_norm_probe_sees_the_kernel_power(self):
+        # u(0) = 1 leaves t^-0.5 / sqrt(pi) in the derivative, which is
+        # unbounded: the p = inf norm must be +inf
+        rep = check_consistency_w1p(
+            PowerSum(0.0, ((1.0, 0.0), (1.0, 1.0))), 0.5, math.inf, unit_grid(2048)
+        )
+        assert rep.passed
+        assert rep.details["norm_value"] == math.inf
+        assert "with e < 0 it grows without bound" in rep.notes
+
     def test_rejects_inputs_without_a_classical_derivative(self):
         with pytest.raises(ValueError):
             check_consistency_w1p(Step(0.5, 1.0), 0.5, 2.0, unit_grid(512))
