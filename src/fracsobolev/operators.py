@@ -52,9 +52,11 @@ so it is one more :func:`_toeplitz` product.  ``frac_derivative``
 dispatches through the ``_SCHEMES`` table, which the CLI also lists, and
 the norms and the CLI take :func:`_default_scheme` when none is named.
 
-Every right-sided operator is the reflection conjugate of the left code
-path, applied by the one decorator :func:`_reflection_conjugate`: reflect
-the samples through the midpoint, apply the left algorithm, reflect back.
+Every right side is the reflection conjugate of the left code path:
+reflect the data through the midpoint, apply the left algorithm, reflect
+back.  :func:`_mirrored` does this for the operators (through the
+decorator :func:`_reflection_conjugate`), for ``spaces.trace`` and for
+``verify.extend_exterior``; :func:`kappa` is the left kernel, reflected.
 The change of variables shows this reproduces the right-sided operator
 with the orientation conventions in which constants have derivative
 ``u(b) (b-x)^{-alpha} / Gamma(1-alpha)`` and the kernel
@@ -258,18 +260,26 @@ class KernelConstant:
         return replace(self, side=self.side.opposite)
 
 
-def _reflection_conjugate(op):
-    """Run the left-sided body ``op`` for either ``side``: reflect, left, reflect.
+def _mirrored(side: Side | str, left: Callable, data, reflect=None, back=None):
+    """``left(data)`` on the left side; ``back(left(reflect(data)))`` on the right.
 
-    ``op`` is called as ``op(u, alpha)``; its ``side`` parameter only keeps
-    the public signature.
+    ``reflect`` and ``back`` default to ``.reflected()``.
+    """
+    if Side.parse(side) is Side.LEFT:
+        return left(data)
+    out = left(data.reflected() if reflect is None else reflect(data))
+    return out.reflected() if back is None else back(out)
+
+
+def _reflection_conjugate(op):
+    """Run the left-sided body ``op(u, alpha)`` for either ``side`` through :func:`_mirrored`.
+
+    Its ``side`` parameter only keeps the public signature.
     """
 
     @functools.wraps(op)
     def operator(u, alpha: float, side: Side | str = Side.LEFT):
-        if Side.parse(side) is Side.LEFT:
-            return op(u, alpha)
-        return op(u.reflected(), alpha).reflected()
+        return _mirrored(side, lambda v: op(v, alpha), u)
 
     return operator
 
@@ -697,20 +707,19 @@ def kappa(alpha: float, side: Side | str, grid: Grid) -> SampledFunction:
     """The kernel ``(x-a)^(alpha-1)`` (left) or ``(b-x)^(alpha-1)`` (right).
 
     The base node carries the non-finite marker and the sample records its
-    own leading power so every operator treats it exactly.  At
-    ``alpha = 1`` the kernel is the constant 1 (no singular node).
+    own leading power so every operator treats it exactly.  The right
+    kernel is the left one, reflected.  At ``alpha = 1`` the kernel is the
+    constant 1 (no singular node).
     """
     side = Side.parse(side)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("kappa is the kernel for orders in (0, 1]")
     if alpha == 1.0:
         return SampledFunction(grid, np.ones(grid.n + 1))
-    t = grid.nodes - grid.a if side is Side.LEFT else grid.b - grid.nodes
     with np.errstate(divide="ignore"):
-        vals = np.power(t, alpha - 1.0)
-    if side is Side.LEFT:
-        return SampledFunction(grid, vals, left_power=(1.0, alpha - 1.0))
-    return SampledFunction(grid, vals, right_power=(1.0, alpha - 1.0))
+        vals = np.power(grid.nodes - grid.a, alpha - 1.0)
+    left = SampledFunction(grid, vals, left_power=(1.0, alpha - 1.0))
+    return left if side is Side.LEFT else left.reflected()
 
 
 @_reflection_conjugate

@@ -32,7 +32,7 @@ decay of its modulus is too slow for the order (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,7 @@ from .core import (
     discrete_fourier,
     gamma_fn,
 )
-from .operators import _default_scheme, endpoint_constant, frac_derivative, nodal_derivative
+from .operators import _default_scheme, _mirrored, endpoint_constant, frac_derivative, nodal_derivative
 
 __all__ = [
     "NormSpec",
@@ -704,27 +704,27 @@ def trace(
     The left-sided space embeds into Hölder-continuous functions up to the
     far endpoint ``b`` when ``alpha * p > 1``, so the trace there is the
     nodal value; the measured Hölder quotient (exponent ``alpha - 1/p``)
-    over the quarter-domain window next to the endpoint certifies it.
+    over the quarter-domain window next to the endpoint certifies it.  The
+    right trace, at ``a``, is the left code on the mirrored data
+    ``u.reflected()``, with the window start mirrored back.
     """
     side = Side.parse(side)
     if not alpha * p > 1.0:
-        raise ValueError(
-            f"trace undefined: needs alpha*p > 1, got alpha*p = {alpha * p}"
-        )
+        raise ValueError(f"trace undefined: needs alpha*p > 1, got alpha*p = {alpha * p}")
     g = u.grid
-    quarter = 0.25 * g.width
-    if side is Side.LEFT:
-        endpoint, window, c = float(u.values[-1]), (g.a + quarter, g.b), g.a + quarter
-    else:
-        endpoint, window, c = float(u.values[0]), (g.a, g.b - quarter), g.b - quarter
-    if not math.isfinite(endpoint):
-        raise ValueError("no continuous representative: endpoint value is singular")
-    quotient = holder_quotient(u, alpha - 1.0 / p, window)
-    if not math.isfinite(quotient):
-        raise ValueError(
-            "no continuous representative: Hölder quotient diverges on the window"
-        )
-    return TraceValue(endpoint, side, c, quotient)
+
+    def left(v: SampledFunction) -> TraceValue:
+        endpoint, c = float(v.values[-1]), g.a + 0.25 * g.width
+        if not math.isfinite(endpoint):
+            raise ValueError("no continuous representative: endpoint value is singular")
+        quotient = holder_quotient(v, alpha - 1.0 / p, (c, g.b))
+        if not math.isfinite(quotient):
+            raise ValueError("no continuous representative: Hölder quotient diverges on the window")
+        return TraceValue(endpoint, side, c, quotient)
+
+    return _mirrored(
+        side, left, u, back=lambda t: replace(t, subinterval_start=g.a + g.b - t.subinterval_start)
+    )
 
 
 def sobolev_conjugate(p: float, alpha: float) -> float:

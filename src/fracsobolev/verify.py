@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from .core import (
 )
 from .operators import (
     _base_power,
+    _mirrored,
     endpoint_constant,
     frac_derivative,
     frac_integral,
@@ -845,7 +846,9 @@ def check_sobolev_inequality(
 
 
 # ---------------------------------------------------------------------------
-# extensions
+# extensions; extend_interior and extend_exterior certify the triple that
+# _extension_residuals builds: (nodal mismatch / 1e-12, support entry 0 or 2,
+# measured-constant drift / 10%)
 
 
 _SLOPE_FIT_WINDOW = (1.0 / 3.0, 0.95)
@@ -981,30 +984,37 @@ def extend_trivial(
     return ext, report
 
 
-def _measured_constant(
+def _extension_residuals(
     u: SampledFunction,
     ext: SampledFunction,
-    spec: NormSpec,
+    keep: np.ndarray,
+    dead: np.ndarray,
+    alpha: float,
+    p: float,
     extend: Callable[[SampledFunction, Grid], SampledFunction],
     extra: Callable[[SampledFunction], float] = lambda su: 0.0,
-) -> tuple[float, float, float]:
-    """``C = norm(Eu) / (norm(u) + extra(u))`` at n/2 and n, and its drift.
+) -> tuple[list[float], list[float], float]:
+    """``[mismatch / 1e-12, 0 or 2, drift / 10%]``, ``[C at n/2, C at n]`` and the mismatch.
 
-    ``ext`` is ``extend(u, ambient)``; at n/2 every second sample of ``u``
-    is extended onto every second ambient node.
+    ``ext = extend(u, ambient)`` must equal ``u`` on the nodes ``keep``, relative
+    to the largest ``|u|`` there, and vanish on the ambient nodes ``dead``.
+    ``C = norm(Eu) / (norm(u) + extra(u))`` in the left norm of order ``alpha``;
+    at n/2 every second sample of ``u`` is extended onto every second node.
     """
+    spec = NormSpec("one_sided_left", FracOrder(alpha), p)
+    vals = u.values[keep]
+    scale = max(float(np.max(np.abs(vals))), _TINY)
+    mismatch = float(np.max(np.abs(ext.interp(u.grid.nodes[keep]) - vals))) / scale
+    leak = float(np.max(np.abs(ext.values[dead]), initial=0.0))
     norm_u = sobolev_norm(u, spec)
     if not math.isfinite(norm_u):
-        raise ValueError(
-            "the norm of u diverges; it is not a member of the space being extended"
-        )
+        raise ValueError("the norm of u diverges; it is not a member of the space being extended")
     c_n = sobolev_norm(ext, spec) / max(norm_u + extra(u), _TINY)
     u_half = _coarsened(u, 2)
     ext_half = extend(u_half, _coarsened(ext, 2).grid)
-    c_half = sobolev_norm(ext_half, spec) / max(
-        sobolev_norm(u_half, spec) + extra(u_half), _TINY
-    )
-    return c_half, c_n, abs(c_n - c_half) / max(c_n, _TINY)
+    c_half = sobolev_norm(ext_half, spec) / max(sobolev_norm(u_half, spec) + extra(u_half), _TINY)
+    drift = abs(c_n - c_half) / max(c_n, _TINY)
+    return [mismatch / 1e-12, 0.0 if leak == 0.0 else 2.0, drift / 0.10], [c_half, c_n], mismatch
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -1064,21 +1074,10 @@ def extend_interior(
         return _zero_extension(SampledFunction(su.grid, out), g_amb)
 
     ext = extend(u, ambient)
-
     in_window = (grid.nodes >= lo) & (grid.nodes <= hi)
-    window_vals = np.asarray(u.values, dtype=float)[in_window]
-    ext_at_nodes = ext.interp(grid.nodes[in_window])
-    scale = max(float(np.max(np.abs(window_vals))), _TINY)
-    eq_err = float(np.max(np.abs(ext_at_nodes - window_vals))) / scale
-
     outside = (ambient.nodes < k_lo - ambient.h) | (ambient.nodes > k_hi + ambient.h)
-    containment = float(np.max(np.abs(np.asarray(ext.values)[outside]), initial=0.0))
-    containment_entry = 0.0 if containment == 0.0 else 2.0
-
-    spec = NormSpec("one_sided_left", FracOrder(alpha), p)
-    ratio_half, ratio_n, drift = _measured_constant(u, ext, spec, extend)
-
-    report = _finish(
+    residuals, ratios, mismatch = _extension_residuals(u, ext, in_window, outside, alpha, p, extend)
+    return ext, _finish(
         "extension.interior",
         {
             "u": _describe(u),
@@ -1089,20 +1088,15 @@ def extend_interior(
             "ambient": [ambient.a, ambient.b],
             "n": grid.n,
         },
-        [eq_err / 1e-12, containment_entry, drift / 0.10],
-        [ratio_half, ratio_n],
+        residuals,
+        ratios,
         1.0,
         "residuals = (nodal mismatch on the inner window / 1e-12, 0 if the "
         "extension vanishes outside the cutoff plateau else 2, norm-ratio "
         "drift between resolutions n/2 and n / 10%); ratios are the norm "
         "ratios at n/2 and n",
-        details={
-            "norm_ratio": ratio_n,
-            "norm_ratio_coarse": ratio_half,
-            "window_mismatch": eq_err,
-        },
+        details={"norm_ratio": ratios[1], "norm_ratio_coarse": ratios[0], "window_mismatch": mismatch},
     )
-    return ext, report
 
 
 def extend_exterior(
@@ -1118,14 +1112,38 @@ def extend_exterior(
     The construction pays for keeping ``u`` intact on all of (a, b) with
     an integrability condition: ``αp < 1`` and a finite ``L^mu`` norm
     with ``mu > p/(1-αp)``.  The extension copies ``u`` periodically one
-    window to the right (for the left-sided space; mirrored otherwise),
-    multiplies by a smooth cutoff that is exactly 1 on the closed
-    domain, and zero-pads the rest of the ambient window.  The report
-    certifies exact equality on the domain, compact support, and a
-    refinement-stable measured constant in
+    window to the right, multiplies by a smooth cutoff that is exactly 1
+    on the closed domain, and zero-pads the rest of the ambient window.
+    The report certifies exact equality on the domain, compact support,
+    and a refinement-stable measured constant in
     ``‖Eu‖ ≤ C (‖u‖_{W} + ‖u‖_{L^mu})``.
+
+    The right-sided space is the left code on mirrored data: ``u`` and the
+    ambient window are reflected about the domain's midpoint, and the
+    extension is reflected back.  Its report is the left one, with the
+    caller's ``side`` and ``ambient``.
     """
     side = Side.parse(side)
+    a, b = u.grid.a, u.grid.b
+
+    def back(out: tuple[SampledFunction, VerificationReport]):
+        ext, report = out
+        inputs = {**report.inputs, "side": side.value, "ambient": [ambient.a, ambient.b]}
+        return SampledFunction(ambient, ext.values[::-1].copy()), replace(report, inputs=inputs)
+
+    return _mirrored(
+        side,
+        lambda data: _extend_exterior_left(*data, alpha, p, mu),
+        (u, ambient),
+        reflect=lambda _: (u.reflected(), Grid(a + b - ambient.b, a + b - ambient.a, ambient.n)),
+        back=back,
+    )
+
+
+def _extend_exterior_left(
+    u: SampledFunction, ambient: Grid, alpha: float, p: float, mu: float
+) -> tuple[SampledFunction, VerificationReport]:
+    """The left-sided :func:`extend_exterior`."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("the extension checks cover 0 < alpha < 1")
     if not alpha * p < 1.0:
@@ -1156,70 +1174,42 @@ def extend_exterior(
 
     def build(su: SampledFunction, g_amb: Grid) -> SampledFunction:
         x = g_amb.nodes
-        if side is Side.LEFT:
-            shifted = su.interp(x - w)
-            copy_zone = x > su.grid.b
-            taper = _smoothstep((su.grid.b + collar - x) / collar)
-        else:
-            shifted = su.interp(x + w)
-            copy_zone = x < su.grid.a
-            taper = _smoothstep((x - (su.grid.a - collar)) / collar)
+        shifted = su.interp(x - w)
+        copy_zone = x > su.grid.b
+        taper = _smoothstep((su.grid.b + collar - x) / collar)
         vals = su.interp(x)
         vals[copy_zone] = shifted[copy_zone] * taper[copy_zone]
         return SampledFunction(g_amb, vals)
 
     ext = build(u, ambient)
-
-    # (i) the domain is untouched
-    inside = (ambient.nodes >= grid.a - 1e-12 * w) & (ambient.nodes <= grid.b + 1e-12 * w)
-    at_nodes = ext.interp(grid.nodes)
-    scale = max(float(np.max(np.abs(u.values))), _TINY)
-    eq_err = float(np.max(np.abs(at_nodes - np.asarray(u.values)))) / scale
-
-    # (ii) compact support inside the ambient window
-    if side is Side.LEFT:
-        dead = (ambient.nodes < grid.a - 1e-12 * w) | (
-            ambient.nodes > grid.b + collar + ambient.h
-        )
-    else:
-        dead = (ambient.nodes > grid.b + 1e-12 * w) | (
-            ambient.nodes < grid.a - collar - ambient.h
-        )
-    support_leak = float(np.max(np.abs(np.asarray(ext.values)[dead]), initial=0.0))
-    support_entry = 0.0 if support_leak == 0.0 else 2.0
-
-    # (iii) the measured constant, at two resolutions
-    family = "one_sided_left" if side is Side.LEFT else "one_sided_right"
-    spec = NormSpec(family, FracOrder(alpha), p)
-    c_half, c_n, drift = _measured_constant(u, ext, spec, build, lambda su: lp_norm(su, mu))
-
-    report = _finish(
+    dead = (ambient.nodes < grid.a - 1e-12 * w) | (ambient.nodes > grid.b + collar + ambient.h)
+    residuals, ratios, mismatch = _extension_residuals(
+        u, ext, np.ones(grid.n + 1, dtype=bool), dead, alpha, p, build, lambda su: lp_norm(su, mu)
+    )
+    return ext, _finish(
         "extension.exterior",
         {
             "u": _describe(u),
             "alpha": alpha,
             "p": p,
             "mu": mu,
-            "side": side.value,
+            "side": Side.LEFT.value,
             "interval": [grid.a, grid.b],
             "ambient": [ambient.a, ambient.b],
             "n": grid.n,
         },
-        [eq_err / 1e-12, support_entry, drift / 0.10],
-        [c_half, c_n],
+        residuals,
+        ratios,
         1.0,
         "residuals = (mismatch with u on its own domain / 1e-12, 0 if the "
         "extension has compact support else 2, measured-constant drift "
         "between resolutions n/2 and n / 10%); ratios are the measured "
         "constants at n/2 and n in norm(Eu) <= C (norm_W(u) + norm_Lmu(u))",
         details={
-            "measured_constant": c_n,
-            "measured_constant_coarse": c_half,
-            "mu_norm": mu_norm,
-            "domain_mismatch": eq_err,
+            "measured_constant": ratios[1], "measured_constant_coarse": ratios[0],
+            "mu_norm": mu_norm, "domain_mismatch": mismatch,
         },
     )
-    return ext, report
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,28 @@ def test_one_lp_rule_for_every_norm_part():
                           for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)
                           if arg.arg in ("exclude_singular", "analytic_cells")]
     assert not found, f"a second L^p rule: {found}"
+
+
+def test_right_sides_come_from_reflection():
+    """A right side is the left code on mirrored data (``operators._mirrored``),
+    so ``spaces.py`` and ``verify.py`` name ``Side.RIGHT`` or compare with a
+    ``Side`` member only where a side is parsed or named: the family parse of
+    ``spaces._one_sided_norm`` and the orientation pair of ``verify.check_ibp``."""
+    named = {("spaces.py", "_one_sided_norm"), ("verify.py", "check_ibp")}
+    found = []
+    for name in ("spaces.py", "verify.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in named:
+                allowed |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "Side.RIGHT":
+                found.append(f"{name}:{node.lineno} Side.RIGHT")
+            elif isinstance(node, ast.Compare):
+                operands = [ast.unparse(x) for x in (node.left, *node.comparators)]
+                if any(x.startswith("Side.") for x in operands):
+                    found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"a hand-written right side: {found}"

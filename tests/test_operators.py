@@ -739,6 +739,14 @@ class TestKappa:
         assert right.values[-2] == left.values[1]
         assert right.right_power == (1.0, -0.5)
 
+    @pytest.mark.parametrize("n", [256, 1000])
+    @pytest.mark.parametrize("alpha", [0.4, 0.75])
+    def test_right_is_the_left_kernel_reflected(self, alpha, n):
+        g = unit_grid(n)
+        left, right = kappa(alpha, "left", g), kappa(alpha, "right", g)
+        assert np.array_equal(right.values, left.values[::-1])
+        assert right.right_power == (1.0, alpha - 1.0) and right.left_power is None
+
 
 class TestEndpointConstant:
     def test_kernel_recovers_unit_coefficient(self):

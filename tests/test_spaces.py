@@ -551,6 +551,15 @@ class TestTrace:
         with pytest.raises(ValueError, match="alpha\\*p > 1"):
             trace(SampledFunction(g, g.nodes**2), 0.4, 2.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.3, 1.7)])
+    def test_right_trace_is_the_left_trace_of_the_mirror(self, a, b):
+        g = Grid(a, b, 512)
+        u = SampledFunction(g, g.nodes**2)
+        right, left = trace(u, 0.75, 2.0, "right"), trace(u.reflected(), 0.75, 2.0, "left")
+        assert right.value == left.value and right.holder_quotient == left.holder_quotient
+        assert right.side is Side.RIGHT
+        assert right.subinterval_start == a + b - left.subinterval_start
+
     def test_no_trace_at_singular_endpoint(self):
         k = kappa(0.75, "left", unit_grid(256))
         with pytest.raises(ValueError, match="singular"):

@@ -557,6 +557,26 @@ class TestExteriorExtension:
         scale = np.max(np.abs(ext_l.values))
         assert np.max(np.abs(ext_r.values - ext_l.values[::-1])) <= 1e-14 * scale
 
+    def test_right_side_reflects_an_asymmetric_window_about_the_domain(self):
+        # the same h as 1024 cells; (-1.5, 2.0) mirrors to (-1.0, 2.5) about 1/2
+        u = sample(Gaussian(0.7, 0.3), unit_grid(1024))
+        ext_l, rep_l = extend_exterior(u, 0.25, 2.0, 5.0, Grid(-1.0, 2.5, 3584))
+        amb = Grid(-1.5, 2.0, 3584)
+        ext_r, rep_r = extend_exterior(u.reflected(), 0.25, 2.0, 5.0, amb, side="right")
+        assert rep_r.passed and rep_r.inputs["side"] == "right"
+        assert rep_r.inputs["ambient"] == [-1.5, 2.0] and ext_r.grid == amb
+        assert rep_r.ratios == rep_l.ratios and rep_r.residuals == rep_l.residuals
+        assert np.array_equal(ext_r.values, ext_l.values[::-1])
+
+    @pytest.mark.parametrize("f", [const(1.0), Gaussian(0.7, 0.3)], ids=["const", "gaussian"])
+    def test_right_side_fails_under_the_canonical_fault(self, f, monkeypatch):
+        u = sample(f, unit_grid(1024))
+        amb = Grid(-1.0, 2.0, 3072)
+        inject(monkeypatch, FAULTS["extend_exterior"])
+        _, rep_l = extend_exterior(u, 0.25, 2.0, 5.0, amb)
+        _, rep_r = extend_exterior(u.reflected(), 0.25, 2.0, 5.0, amb, side="right")
+        assert rep_l.passed is False and rep_r.passed is False
+
     def test_rejects_supercritical_regularity(self):
         g = unit_grid(512)
         u = sample(const(1.0), g)
