@@ -18,6 +18,17 @@ files are written atomically (temp file, then rename).  ``--config``
 names a JSON file whose keys mirror the long flags; explicit flags win.
 The environment variable ``FRAC_DEFAULT_N`` overrides the default grid
 size used when ``--grid``/``--line`` is omitted.
+
+Imports: at start-up this module loads the standard library and the
+package's ``__version__`` only, so ``--version``, ``--help`` and usage
+errors that need no library check load no numpy.  Each command imports
+what it runs when it runs, and calls it through its module
+(``verify.canonical_checks()``), so a patched module attribute reaches
+every call:
+
+* ``compute`` loads ``core``, ``oracle`` and ``operators``;
+* ``norm`` loads those and ``spaces``;
+* ``verify`` and ``suite`` load every library module.
 """
 
 from __future__ import annotations
@@ -28,27 +39,29 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, operators, spaces
-from .core import Grid, LineFunction, SampledFunction, Side, uniform_grid
-from .operators import frac_derivative, frac_integral, rl_derivative
-from .oracle import ClosedFormFunction, parse_function_spec, sample, sample_line
-from .spaces import NormSpec, FracOrder, sobolev_norm
-from .verify import (
-    VerificationReport,
-    canonical_checks,
-    check_consistency_w1p,
-    check_density,
-    check_ftwfc,
-    check_inclusivity,
-    check_weak_pairing,
-)
+if TYPE_CHECKING:
+    from .core import Grid, LineFunction, SampledFunction, Side
+    from .oracle import ClosedFormFunction
+    from .verify import VerificationReport
 
 _SCHEME_ALIASES = {"rl": "product_rl", "gl": "grunwald"}
-_SCHEMES = (*_SCHEME_ALIASES, *operators._SCHEMES)
-_SPACES = spaces._FAMILIES
+
+
+def __getattr__(name: str):
+    """``cli.sample`` is ``oracle.sample``, read on first access.
+
+    The benchmark's tracer test (``perfbench/tests``) reads ``cli.sample``;
+    this keeps that name without importing ``oracle`` at start-up.
+    """
+    if name == "sample":
+        from . import oracle
+
+        return oracle.sample
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(ValueError):
@@ -108,9 +121,9 @@ def _format_value(v: float) -> str:
 
 def _csv_text(u: SampledFunction) -> str:
     lines = ["x,value"]
-    vals = np.asarray(u.values, dtype=float)
-    flagged = np.nonzero(~np.isfinite(vals))[0]
-    if flagged.size:
+    vals = u.values.tolist()
+    flagged = [i for i, v in enumerate(vals) if not math.isfinite(v)]
+    if flagged:
         lines.append("# flagged: " + ",".join(str(i) for i in flagged))
     if u.left_power is not None:
         c, e = u.left_power
@@ -118,8 +131,8 @@ def _csv_text(u: SampledFunction) -> str:
     if u.right_power is not None:
         c, e = u.right_power
         lines.append(f"# right_power: {_format_value(c)},{_format_value(e)}")
-    for x, v in zip(u.grid.nodes, vals):
-        lines.append(f"{_format_value(float(x))},{_format_value(float(v))}")
+    for x, v in zip(u.grid.nodes.tolist(), vals):
+        lines.append(f"{_format_value(x)},{_format_value(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -152,12 +165,13 @@ def _read_csv(path: str) -> SampledFunction:
             vs.append(float(v))
     if len(xs) < 2:
         raise ValueError(f"CSV {path!r} holds fewer than two samples")
-    x_arr = np.asarray(xs)
-    steps = np.diff(x_arr)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+    steps = [b - a for a, b in zip(xs, xs[1:])]
+    if not all(abs(s - steps[0]) <= 1e-12 + 1e-9 * abs(steps[0]) for s in steps):
         raise ValueError(f"CSV {path!r} is not uniformly spaced")
-    grid = Grid(float(x_arr[0]), float(x_arr[-1]), len(xs) - 1)
-    return SampledFunction(grid, np.asarray(vs), left_power, right_power)
+    from . import core
+
+    grid = core.Grid(xs[0], xs[-1], len(xs) - 1)
+    return core.SampledFunction(grid, vs, left_power, right_power)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +220,10 @@ def _parse_grid(text: str) -> Grid:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"--grid wants numeric a,b,n — got {text!r}") from None
+    from . import core
+
     try:
-        return uniform_grid(a, b, n)
+        return core.uniform_grid(a, b, n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -230,8 +246,10 @@ def _resolve_function(
 ) -> ClosedFormFunction | SampledFunction:
     if spec.endswith(".csv"):
         return _read_csv(spec)
+    from . import oracle
+
     try:
-        return parse_function_spec(spec, grid, side)
+        return oracle.parse_function_spec(spec, grid, side)
     except ValueError as exc:
         raise _UsageError(f"bad function spec {spec!r}: {exc}") from exc
 
@@ -249,15 +267,17 @@ def _sample_on(
     grid: Grid | None,
     line: tuple[float, int] | None,
 ) -> SampledFunction | LineFunction:
-    if isinstance(f, SampledFunction):
+    from . import core, oracle
+
+    if isinstance(f, core.SampledFunction):
         if grid is not None or line is not None:
             raise _UsageError("CSV input carries its own grid; drop --grid/--line")
         return f
     if line is not None:
-        return sample_line(f, line[0], line[1])
+        return oracle.sample_line(f, line[0], line[1])
     if grid is None:
-        grid = uniform_grid(0.0, 1.0, _default_n())
-    return sample(f, grid)
+        grid = core.uniform_grid(0.0, 1.0, _default_n())
+    return oracle.sample(f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +287,28 @@ def _sample_on(
 def _cmd_compute(args: argparse.Namespace) -> int:
     if args.alpha is None:
         raise _UsageError("compute needs --alpha")
-    side = Side.parse(args.side or "left")
+    from . import core, operators
+
+    side = core.Side.parse(args.side or "left")
     grid, line = _domain(args)
     f = _resolve_function(args.fn, grid, side)
     u = _sample_on(f, grid, line)
 
     if args.what == "deriv":
         scheme = args.scheme or operators._default_scheme(u)
-        if scheme not in _SCHEMES:
-            raise _UsageError(f"unknown scheme {scheme!r}; pick one of {_SCHEMES}")
+        schemes = (*_SCHEME_ALIASES, *operators._SCHEMES)
+        if scheme not in schemes:
+            raise _UsageError(f"unknown scheme {scheme!r}; pick one of {schemes}")
         scheme = _SCHEME_ALIASES.get(scheme, scheme)
-        out = frac_derivative(u, args.alpha, side, scheme=scheme)
-        if isinstance(out, LineFunction):
+        out = operators.frac_derivative(u, args.alpha, side, scheme=scheme)
+        if isinstance(out, core.LineFunction):
             out = out.as_sampled()
     else:
         if args.scheme:
             raise _UsageError("--scheme applies to deriv only")
-        if isinstance(u, LineFunction):
+        if isinstance(u, core.LineFunction):
             raise _UsageError("integral is defined on interval grids; use --grid")
-        out = frac_integral(u, args.alpha, side)
+        out = operators.frac_integral(u, args.alpha, side)
 
     if args.out:
         _write_csv(args.out, out)
@@ -297,17 +320,20 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_norm(args: argparse.Namespace) -> int:
     if args.space is None:
         raise _UsageError("norm needs --space")
-    if args.space not in _SPACES:
-        raise _UsageError(f"unknown space {args.space!r}; pick one of {_SPACES}")
+    from . import core, spaces
+
+    if args.space not in spaces._FAMILIES:
+        raise _UsageError(f"unknown space {args.space!r}; pick one of {spaces._FAMILIES}")
     if args.alpha is None:
         raise _UsageError("norm needs --alpha")
-    side = Side.parse(args.side or "left")
+    side = core.Side.parse(args.side or "left")
     grid, line = _domain(args)
     f = _resolve_function(args.fn, grid, side)
     u = _sample_on(f, grid, line)
     try:
-        spec = NormSpec(args.space, FracOrder(args.alpha), 2.0 if args.p is None else args.p)
-        value = sobolev_norm(u, spec)
+        p = 2.0 if args.p is None else args.p
+        spec = spaces.NormSpec(args.space, spaces.FracOrder(args.alpha), p)
+        value = spaces.sobolev_norm(u, spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     sys.stdout.write(_format_value(value) + "\n")
@@ -331,28 +357,38 @@ def _tolerance(args: argparse.Namespace) -> dict:
 
 
 def _verify_ftwfc(args, f, u, grid, side) -> VerificationReport:
-    return check_ftwfc(u, args.alpha, side, **_tolerance(args))
+    from . import verify
+
+    return verify.check_ftwfc(u, args.alpha, side, **_tolerance(args))
 
 
 def _verify_weak_pairing(args, f, u, grid, side) -> VerificationReport:
-    v = rl_derivative(u, args.alpha, side)
-    return check_weak_pairing(u, v, args.alpha, side, **_tolerance(args))
+    from . import operators, verify
+
+    v = operators.rl_derivative(u, args.alpha, side)
+    return verify.check_weak_pairing(u, v, args.alpha, side, **_tolerance(args))
 
 
 def _verify_w1p(args, f, u, grid, side) -> VerificationReport:
-    if isinstance(f, SampledFunction):
+    from . import core, verify
+
+    if isinstance(f, core.SampledFunction):
         raise _UsageError("w1p_consistency needs a closed-form --fn")
-    return check_consistency_w1p(f, args.alpha, args.p, grid, **_tolerance(args))
+    return verify.check_consistency_w1p(f, args.alpha, args.p, grid, **_tolerance(args))
 
 
 def _verify_inclusivity(args, f, u, grid, side) -> VerificationReport:
+    from . import verify
+
     if args.beta is None:
         raise _UsageError("verify inclusivity needs --beta")
-    return check_inclusivity(u, args.alpha, args.beta, args.p, **_tolerance(args))
+    return verify.check_inclusivity(u, args.alpha, args.beta, args.p, **_tolerance(args))
 
 
 def _verify_density(args, f, u, grid, side) -> VerificationReport:
-    return check_density(u, args.alpha, args.p, args.mode or "smooth")
+    from . import verify
+
+    return verify.check_density(u, args.alpha, args.p, args.mode or "smooth")
 
 
 # check name -> (flags its adapter reads besides --fn, --alpha, --side, --grid, --line; adapter)
@@ -375,25 +411,29 @@ def _reject_unused(args: argparse.Namespace, used: tuple[str, ...]) -> None:
 
 
 def _single_function_check(name: str, args: argparse.Namespace) -> VerificationReport:
+    from . import core, oracle
+
     flags, adapter = _FN_CHECKS[name]
     _reject_unused(args, ("alpha", "side", "grid", "line", *flags))
-    side = Side.parse(args.side or "left")
+    side = core.Side.parse(args.side or "left")
     grid, line = _domain(args)
     if line is not None:
         raise _UsageError(f"verify {name} works on interval grids; use --grid")
     if grid is None:
-        grid = uniform_grid(0.0, 1.0, _default_n())
+        grid = core.uniform_grid(0.0, 1.0, _default_n())
     if args.alpha is None:
         raise _UsageError(f"verify {name} needs --alpha")
     # unset flags take the library's defaults; an explicit 0 goes to the library
     args.p = 2.0 if args.p is None else args.p
     f = _resolve_function(args.fn, grid, side)
-    u = f if isinstance(f, SampledFunction) else sample(f, grid)
+    u = f if isinstance(f, core.SampledFunction) else oracle.sample(f, grid)
     return adapter(args, f, u, grid, side)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = canonical_checks()
+    from . import verify
+
+    checks = verify.canonical_checks()
     name = args.check
     if name not in checks and name not in _FN_CHECKS:
         known = ", ".join(sorted(set(checks) | set(_FN_CHECKS)))
@@ -422,9 +462,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     if args.target != "all":
         raise _UsageError(f"the only suite is 'all', got {args.target!r}")
+    from . import verify
+
     reports = []
     failures = 0
-    for name, runner in canonical_checks().items():
+    for name, runner in verify.canonical_checks().items():
         report = runner()
         reports.append(report.to_dict())
         status = "PASS" if report.passed else "FAIL"

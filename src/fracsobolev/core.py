@@ -467,6 +467,34 @@ def _fourier_tables(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray, 
     return tables
 
 
+# the left and right symbols of the last (n, L, alpha); see _multiplier_table
+_multiplier_slot: dict[tuple[int, float, float, Side], np.ndarray] = {}
+
+
+def _multiplier_table(n: int, half_width: float, alpha: float, side: Side) -> np.ndarray:
+    """:func:`spectral_multiplier` on the frequencies of ``_fourier_tables(n, L)``.
+
+    A line derivative applies the same symbol whenever ``(n, L, alpha,
+    side)`` repeats.  One slot keeps the symbols of the last ``(n, L,
+    alpha)``, both sides built on a miss, so a run that alternates sides
+    reuses them and the slot's size does not depend on which side came
+    first; a new ``(n, L, alpha)`` replaces them.  The arrays are read-only
+    and :func:`spectral_multiplier` of the shared frequencies, so reused
+    symbols are bitwise fresh ones.
+    """
+    key = (n, half_width, alpha, side)
+    table = _multiplier_slot.get(key)
+    if table is None:
+        xi = _fourier_tables(n, half_width)[0]
+        _multiplier_slot.clear()
+        for each in Side:
+            symbol = spectral_multiplier(xi, alpha, each)
+            symbol.flags.writeable = False
+            _multiplier_slot[n, half_width, alpha, each] = symbol
+        table = _multiplier_slot[key]
+    return table
+
+
 def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate ``uhat(xi) = integral u(x) exp(-i xi x) dx`` on ``[-L, L]``.
 

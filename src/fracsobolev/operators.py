@@ -86,6 +86,7 @@ from .core import (
     SampledFunction,
     Side,
     _log_offsets,
+    _multiplier_table,
     _spectrum,
     _warn,
     gamma_fn,
@@ -93,7 +94,6 @@ from .core import (
     inverse_discrete_fourier,
     line_grid,
     product_kernels,
-    spectral_multiplier,
 )
 
 __all__ = [
@@ -674,8 +674,8 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     n = u.n
     if n & (n - 1):
         raise ValueError("spectral derivative needs a power-of-two sample count")
-    xi, uhat = _spectrum(u)
-    dhat = spectral_multiplier(xi, alpha, side) * uhat
+    _, uhat = _spectrum(u)
+    dhat = _multiplier_table(n, u.half_width, alpha, side) * uhat
     d = inverse_discrete_fourier(dhat, u.half_width)
     imag = float(np.max(np.abs(d.imag)))
     real_scale = float(np.max(np.abs(d.real))) or 1.0

@@ -25,8 +25,8 @@ passes through the integer derivatives too: each step of
 :func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
 ``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
 derivatives leave.  The Gagliardo seminorm is +inf exactly when the fitted
-decay of its modulus is too slow for the order (see
-:func:`gagliardo_seminorm`).
+decay of its modulus is too slow for the order, or at ``p = inf`` when a
+sample is flagged (see :func:`gagliardo_seminorm`).
 """
 
 from __future__ import annotations
@@ -490,7 +490,9 @@ def gagliardo_seminorm(
 ) -> float:
     """Difference-quotient seminorm of order ``alpha`` in ``L^p``.
 
-    ``p = inf`` returns the Hölder-type sup over node pairs.  Otherwise the
+    ``p = inf`` returns the Hölder-type sup over node pairs, or +inf with a
+    warning that names the flagged end (and its recorded power) when a
+    sample is flagged.  Otherwise the
     seminorm's p-th power is ``int_0^T t^{-1-alpha p} omega_p(t)^p dt`` (up
     to a factor 2) with the modulus ``omega_p(t)^p = int |u(x+t)-u(x)|^p
     dx``, and it is finite iff ``omega_p(t)^p`` decays faster than
@@ -516,6 +518,19 @@ def gagliardo_seminorm(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
     if math.isinf(p):
+        flagged = np.flatnonzero(~np.isfinite(u.values))
+        if flagged.size:
+            powers = _flagged_powers(u)
+            if powers:
+                end, (c, e) = powers[0]
+                cause = f"u has the endpoint power {c:.6g} t^{e:.6g} at its {end} end"
+            elif flagged[0] == 0 or flagged[-1] == u.values.size - 1:
+                cause = f"u is flagged at its {'left' if flagged[0] == 0 else 'right'} end"
+            else:
+                cause = f"u is flagged at node {flagged[0]}"
+            _warn(f"difference-quotient seminorm at p = inf diverges: {cause}, "
+                  "and its difference quotients grow without bound there; reporting +inf")
+            return math.inf
         g = u.grid
         return holder_quotient(u, alpha, (g.a, g.b))
     if p < 1.0:

@@ -22,7 +22,7 @@ import pytest
 from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 
 import fracsobolev
-from fracsobolev import cli, operators, verify
+from fracsobolev import operators, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
 from fracsobolev.core import Grid, SampledFunction
 
@@ -368,6 +368,7 @@ class TestSuiteCommand:
         each held plan is a function of its key alone."""
         builds = []
         build = operators._Plan.build.__func__
+        canonical = verify.canonical_checks
 
         def counted(cls, k, n, base=None):
             builds.append(n)
@@ -379,17 +380,17 @@ class TestSuiteCommand:
                     operators._plans.clear()
                     return runner()
                 return run
-            return {name: cleared(run) for name, run in verify.canonical_checks().items()}
+            return {name: cleared(run) for name, run in canonical().items()}
 
         monkeypatch.setattr(operators._Plan, "build", classmethod(counted))
         before = package_state()
         reports, counts = [], []
         passes = (
             (cleared_checks, lambda kind, *key: kind(*key)),  # keeps no plan
-            (verify.canonical_checks, operators._plan),
+            (canonical, operators._plan),
         )
         for checks, plan in passes:
-            monkeypatch.setattr(cli, "canonical_checks", checks)
+            monkeypatch.setattr(verify, "canonical_checks", checks)
             monkeypatch.setattr(operators, "_plan", plan)
             operators._plans.clear()
             builds.clear()
@@ -453,6 +454,39 @@ class TestIoBehaviour:
 
 
 class TestColdStart:
+    """``cli`` imports library modules only inside the commands that run them."""
+
+    @pytest.mark.parametrize("args, code", [
+        (("-c", "import fracsobolev.cli"), 0),
+        (("-m", "fracsobolev.cli", "--version"), 0),
+        (("-m", "fracsobolev.cli", "--help"), 0),
+        (("-m", "fracsobolev.cli", "compute", "deriv", "--fn", "const:1"), 2),
+    ])
+    def test_start_up_and_usage_errors_load_no_numpy(self, args, code):
+        r = run_python("-X", "importtime", *args)
+        assert r.returncode == code, r.stderr
+        imported = re.findall(r"^import time:.*\|\s*(\S+)$", r.stderr, flags=re.MULTILINE)
+        assert "fracsobolev" in imported
+        assert [m for m in imported if m.partition(".")[0] == "numpy"] == []
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["compute", "deriv", "--alpha", "0.5", "--fn", "const:1", "--grid", "0,1,64"],
+         ["cli", "core", "operators", "oracle"]),
+        (["norm", "--space", "one_sided_left", "--alpha", "0.5", "--fn", "const:1",
+          "--grid", "0,1,64"],
+         ["cli", "core", "operators", "oracle", "spaces"]),
+        (["verify", "ftwfc"], ["cli", "core", "operators", "oracle", "spaces", "verify"]),
+    ])
+    def test_each_command_loads_the_modules_it_runs(self, argv, modules):
+        code = (
+            "import sys; from fracsobolev import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('fracsobolev.')))"
+        )
+        r = run_python("-c", code)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == f"0 {[f'fracsobolev.{m}' for m in modules]}"
+
     def test_importing_the_cli_loads_no_scipy(self):
         # the package does not use scipy; importing it at start-up took
         # most of a short command's time

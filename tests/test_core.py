@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsobolev import core
 from fracsobolev.core import (
     FracOrder,
     Grid,
@@ -22,6 +23,7 @@ from fracsobolev.core import (
     inverse_discrete_fourier,
     line_grid,
     product_kernels,
+    spectral_multiplier,
     trapezoid,
     uniform_grid,
 )
@@ -223,6 +225,24 @@ class TestFourier:
             assert np.array_equal(uhat, ref_uhat)
             assert np.array_equal(inverse_discrete_fourier(uhat, L), ref_back)
             assert not xi.flags.writeable
+
+    def test_kept_spectral_symbols_give_fresh_bits(self):
+        # one slot holds both sides' symbols of the last (n, L, alpha):
+        # alternating sides reuses them, a new key replaces them, and every
+        # derivative has the bits of one taken with the slot emptied first
+        keys = ((2048, 12.0, 0.5), (2048, 12.0, 0.3), (256, 8.0, 0.5))
+        calls = [(*key, side) for key in keys for side in ("left", "right", "left")]
+        for n, L, alpha, side in calls + calls[:3]:
+            u = sample_line(Gaussian(0.2, 1.0), L, n)
+            kept = spectral_derivative(u, alpha, side)
+            assert len(core._multiplier_slot) == 2
+            symbol = core._multiplier_table(n, L, alpha, Side.parse(side))
+            xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
+            assert np.array_equal(symbol, spectral_multiplier(xi, alpha, side))
+            assert not symbol.flags.writeable
+            core._multiplier_slot.clear()
+            fresh = spectral_derivative(u, alpha, side)
+            assert np.array_equal(kept.values, fresh.values)
 
 
 class TestDataModel:

@@ -425,6 +425,19 @@ class TestGagliardoVerdicts:
         assert rec[0].filename == __file__
         assert "grows without bound" in str(rec[0].message)
 
+    def test_flagged_sample_at_p_inf_is_inf_with_one_warning(self):
+        # x^-1/4 has no bound at 0: its node there is flagged with the power
+        u = sample(PowerSum(0.0, ((1.0, -0.25),)), unit_grid(512))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            v = sobolev_norm(u, NormSpec("gagliardo", FracOrder(0.3), math.inf))
+        assert v == math.inf
+        assert len(rec) == 1
+        assert rec[0].filename == __file__
+        message = str(rec[0].message)
+        assert "power 1 t^-0.25 at its left end" in message
+        assert "grow without bound" in message
+
     def test_too_few_fit_rows_warn_that_divergence_was_not_checked(self):
         # on 14 cells fewer than 8 offsets lie in the fit window 2h <= t <= T/8
         step = sample(Step(0.5, 1.0), unit_grid(14))
