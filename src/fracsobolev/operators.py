@@ -17,15 +17,20 @@ piecewise-linear interpolant:
 
 Every one-sided grid operator is a Volterra convolution, and all of them
 go through the one primitive :func:`_toeplitz`, which picks its path from
-the input length alone: up to ``_DIRECT_SIZE`` samples it sums directly;
-longer inputs have their first ``_DIRECT_SIZE`` outputs summed directly
-and the rest from real FFT products over prefixes that grow by
-``_LEVEL_FACTOR``, each padded only as far as the outputs it keeps need
-(the Hairer-Lubich-Schlichte split into a direct head and an FFT tail,
-with the tail in levels).  The values next to the base node, which the
-endpoint extrapolation and the singular-power fit read, are therefore
-exact sums at every grid size, and the FFT roundoff of an output is
-relative to terms at most a few levels further out.
+the input length and the first non-zero sample: up to ``_DIRECT_SIZE``
+samples it sums directly; longer inputs have their first ``_DIRECT_SIZE``
+outputs summed directly and the rest from real FFT products over prefixes
+that grow by ``_LEVEL_FACTOR``, each padded only as far as the outputs it
+keeps need (the Hairer-Lubich-Schlichte split into a direct head and an
+FFT tail, with the tail in levels).  The values next to the base node,
+which the endpoint extrapolation and the singular-power fit read, are
+therefore exact sums at every grid size, and the FFT roundoff of an output
+is relative to terms at most a few levels further out.  The product is
+linear, so the head or a level that reads only zero samples is skipped
+and its outputs are exact zeros: an all-zero input (the regular part of a
+pure power) and the leading zeros of a compactly supported bump cost no
+transform.  Every output that is computed is bitwise what the full path
+gives.
 
 What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
 head taps, the level boundaries and pads, and the kernel's spectrum on
@@ -192,8 +197,9 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
 
     This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
     k[j-i] x[i]``, with ``plan`` a :class:`_Plan` of ``k`` for ``len(x)``
-    samples.  The path depends only on ``n = len(x)``: for
-    ``n <= _DIRECT_SIZE`` every output is a direct sum.  Otherwise the
+    samples.  The path depends on ``n = len(x)`` and on the first
+    non-zero sample (see below): for ``n <= _DIRECT_SIZE`` every output is
+    a direct sum.  Otherwise the
     first ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in
     levels: outputs ``[L, 4 L)`` from the product of the first ``4 L``
     samples for ``L = _DIRECT_SIZE, 4 _DIRECT_SIZE, ...`` while ``2 * 4 L
@@ -217,18 +223,37 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
     suite's worst error grew from 10^-14.40 to 10^-14.20.  Levels growing
     by 4 read the values just past the direct head from a product of 1024
     samples, and with the trim they give 2.2e-15 and 10^-14.69.
+
+    The product is linear, so every output below the index ``z`` of the
+    first non-zero sample is zero (NaN and inf count as non-zero, ``-0.0``
+    as zero).  An all-zero input gives
+    ``np.zeros(n)`` on either path; past ``_DIRECT_SIZE`` the direct head
+    is skipped when ``z >= _DIRECT_SIZE``, and so is every level with
+    ``stop <= z``, and their outputs are exact zeros.  The kernel-type
+    samples reach this: the regular part left after splitting off a pure
+    power is all zero, and a compactly supported bump starts with zeros.
+    Every part that runs reads the same samples, pad and spectrum as
+    without the skip, so every other output is bitwise unchanged.
     """
     n = x.size
     if plan.n != n:
         raise ValueError(f"kernel plan for {plan.n} samples applied to {n}")
+    nonzero = x != 0.0
+    z = int(nonzero.argmax())
+    if not nonzero[z]:
+        return np.zeros(n)
     if n <= _DIRECT_SIZE:
         return np.convolve(x, plan.head)[:n]
-    out = np.empty(n)
+    out = np.zeros(n)
     head = slice(_DIRECT_SIZE)
-    out[head] = np.convolve(x[head], plan.head)[head]
+    if z < _DIRECT_SIZE:
+        out[head] = np.convolve(x[head], plan.head)[head]
     for start, stop, size, spectrum in plan.levels:
-        level = np.fft.irfft(np.fft.rfft(x[:stop], size) * spectrum, size)
-        out[start:stop] = level[start:stop]
+        if stop <= z:
+            continue
+        product = np.fft.rfft(x[:stop], size)
+        product *= spectrum
+        out[start:stop] = np.fft.irfft(product, size)[start:stop]
     return out
 
 

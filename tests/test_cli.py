@@ -22,7 +22,7 @@ import pytest
 from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 
 import fracsobolev
-from fracsobolev import operators, verify
+from fracsobolev import core, operators, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
 from fracsobolev.core import Grid, SampledFunction
 
@@ -42,16 +42,25 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
     return run_python("-m", "fracsobolev.cli", *args, env_extra=env_extra)
 
 
+# the slots that keep the tables of their last key; see package_state
+KEPT_SLOTS = {
+    ("fracsobolev.operators", "_plans"),
+    ("fracsobolev.core", "_fourier_slot"),
+    ("fracsobolev.core", "_multiplier_slot"),
+}
+
+
 def package_state() -> dict[tuple[str, str], int]:
     """Size of every module-level container and ``functools`` cache in the
-    package, except the kernel plan slots and the interpreter's own
-    ``__dunder__`` bookkeeping (such as the warnings registry)."""
+    package, except the kept slots of ``KEPT_SLOTS``, which a first call
+    fills, and the interpreter's own ``__dunder__`` bookkeeping (such as
+    the warnings registry)."""
     state = {}
     for module_name, module in sorted(sys.modules.items()):
         if not module_name.startswith("fracsobolev"):
             continue
         for attr, value in vars(module).items():
-            if attr.startswith("__") or (module_name, attr) == ("fracsobolev.operators", "_plans"):
+            if attr.startswith("__") or (module_name, attr) in KEPT_SLOTS:
                 continue
             if isinstance(value, (dict, list, set)):
                 state[module_name, attr] = len(value)
@@ -364,8 +373,9 @@ class TestSuiteCommand:
     def test_kept_kernel_plans_give_the_bytes_of_fresh_ones(self, tmp_path, monkeypatch):
         """The suite report is the same whether kernel plans are kept or
         built afresh for every call, with the slots cleared before every
-        check; the only state a pass leaves behind is the plan slots, and
-        each held plan is a function of its key alone."""
+        check; the only state a pass leaves behind is the kept slots, each
+        within the size its docstring gives, and each held plan is a
+        function of its key alone."""
         builds = []
         build = operators._Plan.build.__func__
         canonical = verify.canonical_checks
@@ -399,10 +409,16 @@ class TestSuiteCommand:
             reports.append(out.read_bytes())
             counts.append(len(builds))
         assert reports[0] == reports[1]
-        # the second pass reused plans, and kept nothing but plans
+        # the second pass reused plans, and kept nothing outside the kept slots
         assert counts[1] < counts[0]
         assert package_state() == before
-        assert operators._plans
+        # one key per plan kind; the Fourier tables and both sides' symbols
+        # of one key
+        kinds = {operators._product_plan, operators._slope_plan, operators._gl_plan,
+                 operators._marchaud_plan}
+        assert operators._plans and set(operators._plans) <= kinds
+        assert len(core._fourier_slot) <= 1
+        assert len(core._multiplier_slot) <= 2
         for kind, (key, plan) in operators._plans.items():
             fresh = kind(*key)
             assert [level[:3] for level in plan.levels] == [level[:3] for level in fresh.levels]

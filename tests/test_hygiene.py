@@ -104,6 +104,45 @@ def test_one_nodal_derivative():
     assert not found, f"nodal derivatives outside operators.nodal_derivative: {found}"
 
 
+def test_one_volterra_product():
+    """Every one-sided convolution goes through ``operators._toeplitz``, so
+    the direct head, the FFT levels and the skip of zero samples are one
+    path: under ``src/fracsobolev`` ``rfft`` and ``irfft`` are reached only
+    in ``operators._Plan.build``, ``operators._toeplitz`` and
+    ``spaces._square_row_sums`` (the Gagliardo autocorrelation), and
+    ``convolve`` only in ``operators._toeplitz``, ``operators.nodal_derivative``
+    (the flag dilation) and ``verify.check_density`` (the mollifier)."""
+    fft = {("operators.py", "_Plan.build"), ("operators.py", "_toeplitz"),
+           ("spaces.py", "_square_row_sums")}
+    convolve = {("operators.py", "_toeplitz"), ("operators.py", "nodal_derivative"),
+                ("verify.py", "check_density")}
+    places = {"rfft": fft, "irfft": fft, "convolve": convolve}
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update({f"{node.name}.{sub.name}": sub for sub in node.body
+                                  if isinstance(sub, ast.FunctionDef)})
+        for name, allowed_in in places.items():
+            allowed = {id(sub) for (file, function) in allowed_in if file == path.name
+                       for sub in ast.walk(functions[function])}
+            for node in ast.walk(tree):
+                if id(node) in allowed:
+                    continue
+                if isinstance(node, ast.Attribute) and node.attr == name:
+                    found.append(f"{path.name}:{node.lineno} .{name}")
+                elif isinstance(node, ast.Name) and node.id == name:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{path.name}:{node.lineno} import {a.name}"
+                              for a in node.names if a.name.split(".")[-1] == name]
+    assert not found, f"a Volterra product outside operators._toeplitz: {found}"
+
+
 def test_norms_read_only_the_samples_they_are_given():
     """No norm resamples its input, so every verdict comes from the samples
     the caller passed: ``spaces.py`` builds no ``Grid``, calls no

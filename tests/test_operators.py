@@ -183,6 +183,80 @@ class TestToeplitzProduct:
             with pytest.raises(ValueError, match="kernel of"):
                 _toeplitz(x[:n], _Plan.build(np.ones(n - 1), n))
 
+    @pytest.mark.parametrize("n", [200, 1025, 8193, 16385])
+    def test_leading_zeros_skip_the_parts_that_read_only_zeros(self, n, monkeypatch):
+        # below the first non-zero sample z every output is an exact +0.0;
+        # the direct head (z >= _DIRECT_SIZE) and each level with stop <= z
+        # make no transform, and every part that runs gives the bits of the
+        # level loop that skips nothing
+        rng = np.random.default_rng(8)
+        plan = _Plan.build(rng.standard_normal(n), n)
+        samples = rng.standard_normal(n)
+        cases = []
+        for z in sorted({0, 1, 255, 256, 257, 1023, 1024, 4096, n - 1, n}):
+            if z <= n:
+                x = samples.copy()
+                x[:z] = 0.0
+                x[: z // 2] = -0.0  # counts as zero
+                cases.append((z, x))
+        nan = samples.copy()
+        nan[:257] = 0.0
+        nan[257 % n] = math.nan
+        cases.append((257 % n, nan))
+        calls = []
+
+        def counted(kind, function):
+            def wrapper(a, *args, **kwargs):
+                calls.append((kind, np.shape(a)[-1]))
+                return function(a, *args, **kwargs)
+
+            return wrapper
+
+        convolve, rfft = np.convolve, np.fft.rfft
+        head = min(n, _DIRECT_SIZE)
+        stops = [stop for _, stop, _, _ in plan.levels]
+        for z, x in cases:
+            expected = every_level(x, plan)
+            # the parts that end at or below z are skipped
+            expected[: max((end for end in (head, *stops) if end <= z), default=0)] = 0.0
+            runs = [("convolve", head)] if z < head else []
+            runs += [("rfft", stop) for stop in stops if stop > z]
+            monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
+            monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+            calls.clear()
+            out = _toeplitz(x, plan)
+            monkeypatch.undo()
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64)), z
+            assert calls == runs, z
+        # the plan's size is checked before the skip
+        with pytest.raises(ValueError, match="kernel plan for"):
+            _toeplitz(np.zeros(n - 1), plan)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pure_powers_take_no_transform(self, side, monkeypatch):
+        # removing the sampled power c x^-1/4 leaves an all-zero regular part,
+        # so with its plans kept both operators make no rfft call and return
+        # the Euler image of the power at every node past the base
+        g, alpha, power = unit_grid(4096), 0.4, (1.3, -0.25)
+        if side == "left":
+            u = sample(PowerSum(0.0, (power,)), g)
+        else:
+            u = sample(PowerSum(1.0, (power,), Side.RIGHT), g)
+        regular, split = operators._split_left_singular(u if side == "left" else u.reflected())
+        assert split == power
+        assert np.array_equal(regular.view(np.int64), np.zeros(g.n + 1).view(np.int64))
+        operators._plan(operators._product_plan, alpha, g.n)
+        operators._plan(operators._slope_plan, alpha, g.n)
+        rffts = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: rffts.append(a) or rfft(*a, **kw))
+        for op, shift in ((frac_integral, alpha), (rl_derivative, -alpha)):
+            out = op(u, alpha, side)
+            left = out if side == "left" else out.reflected()
+            image = operators._power_values(g, *operators._euler_image(*power, shift=shift))
+            assert np.array_equal(left.values[1:].view(np.int64), image[1:].view(np.int64))
+        assert not rffts
+
     @pytest.mark.parametrize("m", [10, 11, 14, 16])
     def test_pads_fit_the_outputs_each_level_keeps(self, m, monkeypatch):
         # the n + 1 samples of frac_integral and gl_derivative need no larger
@@ -255,6 +329,18 @@ class TestToeplitzProduct:
         for computed, exact, nodes in cases:
             rel = np.abs(computed.values[nodes] - exact[nodes]) / exact[nodes]
             assert np.max(rel) <= bar
+
+
+def every_level(x: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Reference: the direct head and every FFT level of ``plan``, none skipped."""
+    n = x.size
+    if n <= _DIRECT_SIZE:
+        return np.convolve(x, plan.head)[:n]
+    out = np.empty(n)
+    out[:_DIRECT_SIZE] = np.convolve(x[:_DIRECT_SIZE], plan.head)[:_DIRECT_SIZE]
+    for start, stop, size, spectrum in plan.levels:
+        out[start:stop] = np.fft.irfft(np.fft.rfft(x[:stop], size) * spectrum, size)[start:stop]
+    return out
 
 
 def fresh_operator(name: str, u: SampledFunction, alpha: float) -> np.ndarray:
