@@ -10,7 +10,9 @@ small set of numerical primitives the operators are built from:
 * product-trapezoidal weights for the one-sided integral with kernel
   ``(x - y)**(alpha - 1)``, exact on piecewise-linear data,
 * a discrete Fourier layer with the convention
-  ``uhat(xi) = integral u(x) exp(-i xi x) dx``.
+  ``uhat(xi) = integral u(x) exp(-i xi x) dx``,
+* :func:`_plan`, the one store of grid-only tables kept between calls
+  (the operators' kernel plans, the Fourier tables, the spectral symbols).
 
 Values that are not defined at a node (for example the base node of the
 kernel ``(x - a)**(alpha - 1)``) are stored as non-finite entries; the
@@ -24,6 +26,7 @@ import enum
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -438,61 +441,58 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-# the (n, L) key and tables of the last Fourier call; see _fourier_tables
-_fourier_slot: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# the last key and value of each build function; see _plan
+_plans: dict[Callable, tuple[tuple, object]] = {}
 
 
-def _fourier_tables(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _plan(build: Callable, *key):
+    """``build(*key)``, reusing the last value of that build function when the key repeats.
+
+    The package's one store of tables kept between calls: the kernel plans
+    of :mod:`~fracsobolev.operators`, the Fourier tables and the spectral
+    symbols.  Each depends only on the grid and the order, and callers
+    apply one operator to many functions on one grid.  One slot per build
+    function keeps the value of the last key at every size: a miss frees
+    the slot's value, then builds and keeps the new one.  Every kept array
+    is read-only and a function of its key alone, so a reused value gives
+    bitwise the result of a fresh one.
+    """
+    entry = _plans.get(build)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _plans.pop(build, None)  # free the old value before building the new one
+    value = build(*key)
+    _plans[build] = (key, value)
+    return value
+
+
+def _fourier_plan(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(xi, dx * exp(i xi L), exp(-i xi L))`` for ``n`` samples of ``[-L, L]``.
 
     The frequencies and the forward and inverse phases of
-    :func:`discrete_fourier` and :func:`inverse_discrete_fourier` depend on
-    ``(n, L)`` alone.  One slot keeps the tables of the last key, like
-    ``operators._plan``: a new key replaces them.  The arrays are
-    read-only and computed as the inline formulas were, so reused tables
-    give bitwise the results of fresh ones.
+    :func:`discrete_fourier` and :func:`inverse_discrete_fourier`.
     """
-    key = (n, half_width)
-    tables = _fourier_slot.get(key)
-    if tables is None:
-        dx = 2.0 * half_width / n
-        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        forward = dx * np.exp(-1j * xi * (-half_width))
-        inverse = np.exp(1j * xi * (-half_width))
-        tables = (xi, forward, inverse)
-        for table in tables:
-            table.flags.writeable = False
-        _fourier_slot.clear()
-        _fourier_slot[key] = tables
+    dx = 2.0 * half_width / n
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    forward = dx * np.exp(-1j * xi * (-half_width))
+    inverse = np.exp(1j * xi * (-half_width))
+    tables = (xi, forward, inverse)
+    for table in tables:
+        table.flags.writeable = False
     return tables
 
 
-# the left and right symbols of the last (n, L, alpha); see _multiplier_table
-_multiplier_slot: dict[tuple[int, float, float, Side], np.ndarray] = {}
+def _symbol_plan(n: int, half_width: float, alpha: float) -> dict[Side, np.ndarray]:
+    """:func:`spectral_multiplier` of both sides on the frequencies of ``(n, L)``.
 
-
-def _multiplier_table(n: int, half_width: float, alpha: float, side: Side) -> np.ndarray:
-    """:func:`spectral_multiplier` on the frequencies of ``_fourier_tables(n, L)``.
-
-    A line derivative applies the same symbol whenever ``(n, L, alpha,
-    side)`` repeats.  One slot keeps the symbols of the last ``(n, L,
-    alpha)``, both sides built on a miss, so a run that alternates sides
-    reuses them and the slot's size does not depend on which side came
-    first; a new ``(n, L, alpha)`` replaces them.  The arrays are read-only
-    and :func:`spectral_multiplier` of the shared frequencies, so reused
-    symbols are bitwise fresh ones.
+    Both sides are built together, so a run that alternates sides reuses
+    them.
     """
-    key = (n, half_width, alpha, side)
-    table = _multiplier_slot.get(key)
-    if table is None:
-        xi = _fourier_tables(n, half_width)[0]
-        _multiplier_slot.clear()
-        for each in Side:
-            symbol = spectral_multiplier(xi, alpha, each)
-            symbol.flags.writeable = False
-            _multiplier_slot[n, half_width, alpha, each] = symbol
-        table = _multiplier_slot[key]
-    return table
+    xi = _plan(_fourier_plan, n, half_width)[0]
+    symbols = {side: spectral_multiplier(xi, alpha, side) for side in Side}
+    for symbol in symbols.values():
+        symbol.flags.writeable = False
+    return symbols
 
 
 def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +514,7 @@ def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray,
         padded = 1 << (n - 1).bit_length()
         u = np.concatenate([u, np.zeros(padded - n, dtype=complex)])
         n = padded
-    xi, forward, _ = _fourier_tables(n, half_width)
+    xi, forward, _ = _plan(_fourier_plan, n, half_width)
     return xi, forward * np.fft.fft(u)
 
 
@@ -524,7 +524,7 @@ def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
     n = spec.size
     if not _is_power_of_two(n):
         raise ValueError("spectrum length must be a power of two")
-    _, _, inverse = _fourier_tables(n, half_width)
+    _, _, inverse = _plan(_fourier_plan, n, half_width)
     return np.fft.ifft(spec * inverse / (2.0 * half_width / n))
 
 

@@ -16,33 +16,29 @@ piecewise-linear interpolant:
   machine precision at the discrete level.
 
 Every one-sided grid operator is a Volterra convolution, and all of them
-go through the one primitive :func:`_toeplitz`, which picks its path from
-the input length and the first non-zero sample: up to ``_DIRECT_SIZE``
-samples it sums directly; longer inputs have their first ``_DIRECT_SIZE``
-outputs summed directly and the rest from real FFT products over prefixes
-that grow by ``_LEVEL_FACTOR``, each padded only as far as the outputs it
-keeps need (the Hairer-Lubich-Schlichte split into a direct head and an
-FFT tail, with the tail in levels).  The values next to the base node,
-which the endpoint extrapolation and the singular-power fit read, are
-therefore exact sums at every grid size, and the FFT roundoff of an output
-is relative to terms at most a few levels further out.  The product is
-linear, so the head or a level that reads only zero samples is skipped
-and its outputs are exact zeros: an all-zero input (the regular part of a
-pure power) and the leading zeros of a compactly supported bump cost no
-transform.  Every output that is computed is bitwise what the full path
-gives.
+go through the one primitive :func:`_toeplitz`: the first ``_DIRECT_SIZE``
+outputs are direct sums, and those of longer inputs past them come from
+real FFT products over prefixes that grow by ``_LEVEL_FACTOR``, each
+padded only as far as the outputs it keeps need (the
+Hairer-Lubich-Schlichte split into a direct head and an FFT tail, with the
+tail in levels).  The values next to the base node, which the endpoint
+extrapolation and the singular-power fit read, are therefore exact sums
+at every grid size, and the FFT roundoff of an output is relative to
+terms at most a few levels further out.  The product is linear, so the
+head or a level that reads only zero samples is skipped and its outputs
+are exact zeros: an all-zero input (the regular part of a pure power) and
+the leading zeros of a compactly supported bump cost no transform.  Every
+output that is computed is bitwise what the full path gives.
 
 What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
 head taps, the level boundaries and pads, and the kernel's spectrum on
 every level.  The kernels depend only on the order and the grid (for
-Marchaud also the window), and callers apply one operator at one order on
-one grid to many functions, so :func:`_plan` keeps the last plan of each
-kind (product trapezoid, L1 slope, Grunwald-Letnikov, Marchaud) in one
-slot per kind, keyed by the arguments it was built from and shared by
-both sides and by every caller.  Every plan is kept, whatever its size:
-the spectra take 18 to 27 bytes per cell and ``base`` 8 more (1.4 and
-1.9 MB at ``2^16`` cells).  A kept plan gives bitwise the output of a
-fresh one.
+Marchaud also the window), so :func:`~fracsobolev.core._plan` keeps the
+last plan of each kind (product trapezoid, L1 slope, Grunwald-Letnikov,
+Marchaud), shared by both sides and by every caller, as it keeps the
+Fourier tables and spectral symbols.  Every plan is kept, whatever its
+size: the spectra take 18 to 27 bytes per cell and ``base`` 8 more (1.4
+and 1.9 MB at ``2^16`` cells).
 
 Orders ``alpha = m + sigma`` above one take the order-``sigma`` operator
 and then ``m`` steps of :func:`nodal_derivative`, the one first derivative
@@ -91,8 +87,9 @@ from .core import (
     SampledFunction,
     Side,
     _log_offsets,
-    _multiplier_table,
+    _plan,
     _spectrum,
+    _symbol_plan,
     _warn,
     gamma_fn,
     gl_weights,
@@ -171,37 +168,14 @@ class _Plan:
         return [self.head, *(level[3] for level in self.levels), *extra]
 
 
-# the last plan of each kernel kind, keyed by its build function; see _plan
-_plans: dict[Callable[..., _Plan], tuple[tuple, _Plan]] = {}
-
-
-def _plan(build: Callable[..., _Plan], *key) -> _Plan:
-    """``build(*key)``, reusing the last plan of that kind when the key repeats.
-
-    One slot per build function, which keeps the plan of the last key at
-    every size: a miss frees the slot's plan, then builds and keeps the
-    new one.  A plan depends on its key alone, so a reused plan gives
-    bitwise the result of a fresh one.
-    """
-    entry = _plans.get(build)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    _plans.pop(build, None)  # free the old plan before building the new one
-    plan = build(*key)
-    _plans[build] = (key, plan)
-    return plan
-
-
 def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
     """First ``len(x)`` terms of the convolution ``x * k`` of the planned kernel ``k``.
 
     This is the lower-triangular Toeplitz product ``out[j] = sum_{i<=j}
     k[j-i] x[i]``, with ``plan`` a :class:`_Plan` of ``k`` for ``len(x)``
-    samples.  The path depends on ``n = len(x)`` and on the first
-    non-zero sample (see below): for ``n <= _DIRECT_SIZE`` every output is
-    a direct sum.  Otherwise the
-    first ``_DIRECT_SIZE`` outputs are direct sums, and the rest come in
-    levels: outputs ``[L, 4 L)`` from the product of the first ``4 L``
+    samples.  The first ``min(n, _DIRECT_SIZE)`` outputs, ``n = len(x)``,
+    are direct sums over the plan's head, and the rest come in levels:
+    outputs ``[L, 4 L)`` from the product of the first ``4 L``
     samples for ``L = _DIRECT_SIZE, 4 _DIRECT_SIZE, ...`` while ``2 * 4 L
     <= n``, and the remaining outputs from the product of all ``n``.  A
     level ``[start, stop)`` is one ``rfft``/``irfft`` pair zero-padded to
@@ -226,14 +200,14 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
 
     The product is linear, so every output below the index ``z`` of the
     first non-zero sample is zero (NaN and inf count as non-zero, ``-0.0``
-    as zero).  An all-zero input gives
-    ``np.zeros(n)`` on either path; past ``_DIRECT_SIZE`` the direct head
-    is skipped when ``z >= _DIRECT_SIZE``, and so is every level with
-    ``stop <= z``, and their outputs are exact zeros.  The kernel-type
-    samples reach this: the regular part left after splitting off a pure
-    power is all zero, and a compactly supported bump starts with zeros.
-    Every part that runs reads the same samples, pad and spectrum as
-    without the skip, so every other output is bitwise unchanged.
+    as zero).  An all-zero input gives ``np.zeros(n)``; otherwise the
+    direct head is skipped when ``z >= _DIRECT_SIZE``, and so is every
+    level with ``stop <= z``, and their outputs are exact zeros.  The
+    kernel-type samples reach this: the regular part left after splitting
+    off a pure power is all zero, and a compactly supported bump starts
+    with zeros.  Every part that runs reads the same samples, pad and
+    spectrum as without the skip, so every other output is bitwise
+    unchanged.
     """
     n = x.size
     if plan.n != n:
@@ -242,11 +216,9 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
     z = int(nonzero.argmax())
     if not nonzero[z]:
         return np.zeros(n)
-    if n <= _DIRECT_SIZE:
-        return np.convolve(x, plan.head)[:n]
     out = np.zeros(n)
-    head = slice(_DIRECT_SIZE)
-    if z < _DIRECT_SIZE:
+    head = slice(plan.head.size)
+    if z < plan.head.size:
         out[head] = np.convolve(x[head], plan.head)[head]
     for start, stop, size, spectrum in plan.levels:
         if stop <= z:
@@ -700,7 +672,7 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     if n & (n - 1):
         raise ValueError("spectral derivative needs a power-of-two sample count")
     _, uhat = _spectrum(u)
-    dhat = _multiplier_table(n, u.half_width, alpha, side) * uhat
+    dhat = _plan(_symbol_plan, n, u.half_width, alpha)[side] * uhat
     d = inverse_discrete_fourier(dhat, u.half_width)
     imag = float(np.max(np.abs(d.imag)))
     real_scale = float(np.max(np.abs(d.real))) or 1.0

@@ -336,10 +336,15 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     ``left_power`` / ``right_power`` metadata and the endpoint node itself
     holds the non-finite marker that singular-aware consumers look for.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.asarray(f.value(grid.nodes), dtype=float)
     left = _endpoint_power(f, grid.a, Side.LEFT)
     right = _endpoint_power(f, grid.b, Side.RIGHT)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if _anchored(f, grid.b, Side.RIGHT):
+            # the reflection's distances x_{n-j} - a, at which the right-side
+            # operators subtract the power again; b - x_j can round apart
+            values = PowerSum(grid.a, f.terms).value(grid.nodes)[::-1].copy()
+        else:
+            values = np.asarray(f.value(grid.nodes), dtype=float)
     return SampledFunction(grid, values, left_power=left, right_power=right)
 
 
@@ -349,9 +354,14 @@ def _endpoint_power(f: ClosedFormFunction, base: float, side: Side) -> tuple[flo
         if not found:
             return None
         return min(found, key=lambda cb: cb[1])
-    if isinstance(f, PowerSum) and f.orientation is side and abs(f.anchor - base) < 1e-14:
+    if _anchored(f, base, side):
         return f.most_singular()
     return None
+
+
+def _anchored(f: ClosedFormFunction, base: float, side: Side) -> bool:
+    """Whether ``f`` is a power sum one-sided from the endpoint ``base``."""
+    return isinstance(f, PowerSum) and f.orientation is side and abs(f.anchor - base) < 1e-14
 
 
 def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> LineFunction:

@@ -626,8 +626,8 @@ def _battery_drift(
     battery: TestBattery,
     held_out: ClosedFormFunction,
     grid: Grid,
-) -> tuple[list[float], list[float], dict[str, float]]:
-    """The ratio-battery engine: (member ratios at 2n, residuals, details).
+) -> tuple[list[float], list[float], dict[str, float], float]:
+    """The ratio-battery engine: (member ratios at 2n, residuals, details, max at n).
 
     Residuals: battery-maximum drift from n to 2n / 10%, held-out ratio / (1.5 x max).
     """
@@ -639,13 +639,8 @@ def _battery_drift(
     drift = abs(max_fine - max_coarse) / max(max_coarse, _TINY)
     held_ratio = ratio_fn(held_out, fine)
     residuals = [drift / 0.10, held_ratio / max(1.5 * max_fine, _TINY)]
-    details = {
-        "battery_max": max_fine,
-        "battery_max_coarse": max_coarse,
-        "held_out_ratio": held_ratio,
-        "max_ratio_drift": drift,
-    }
-    return fine_ratios, residuals, details
+    details = {"battery_max": max_fine, "held_out_ratio": held_ratio, "max_ratio_drift": drift}
+    return fine_ratios, residuals, details, max_coarse
 
 
 def _ratio_battery_report(
@@ -658,7 +653,8 @@ def _ratio_battery_report(
     notes_head: str,
 ) -> VerificationReport:
     """Report of an interval ratio battery: :func:`_battery_drift` and its notes."""
-    fine_ratios, residuals, details = _battery_drift(ratio_fn, battery, held_out, grid)
+    fine_ratios, residuals, details, max_coarse = _battery_drift(ratio_fn, battery, held_out, grid)
+    details["battery_max_coarse"] = max_coarse
     notes = (
         notes_head
         + "; residuals = (max-ratio drift / 10%, held-out ratio / (1.5 x battery max)"
@@ -803,9 +799,8 @@ def check_sobolev_inequality(
     window = line_grid(half_width, n_line)
     lambdas = (1.0, 2.0, 4.0, 8.0)
     probe_f = battery.members[0]
-    fine, residuals, details = _battery_drift(line_ratio, battery, held_out, window)
+    fine, residuals, details, _ = _battery_drift(line_ratio, battery, held_out, window)
     probe = [line_ratio(probe_f, window, lam) for lam in lambdas]
-    del details["battery_max_coarse"]  # the line report never carried it
 
     rel = [pr / probe[0] - 1.0 for pr in probe]
     probe_drift = max(abs(d) for d in rel)

@@ -24,7 +24,7 @@ from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 import fracsobolev
 from fracsobolev import core, operators, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
-from fracsobolev.core import Grid, SampledFunction
+from fracsobolev.core import Grid, SampledFunction, Side
 
 
 def run_python(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
@@ -42,12 +42,9 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
     return run_python("-m", "fracsobolev.cli", *args, env_extra=env_extra)
 
 
-# the slots that keep the tables of their last key; see package_state
-KEPT_SLOTS = {
-    ("fracsobolev.operators", "_plans"),
-    ("fracsobolev.core", "_fourier_slot"),
-    ("fracsobolev.core", "_multiplier_slot"),
-}
+# the one store that keeps the tables of each build function's last key;
+# see package_state
+KEPT_SLOTS = {("fracsobolev.core", "_plans")}
 
 
 def package_state() -> dict[tuple[str, str], int]:
@@ -371,11 +368,11 @@ class TestSuiteCommand:
         assert_reproduces_golden(out.read_text())
 
     def test_kept_kernel_plans_give_the_bytes_of_fresh_ones(self, tmp_path, monkeypatch):
-        """The suite report is the same whether kernel plans are kept or
-        built afresh for every call, with the slots cleared before every
-        check; the only state a pass leaves behind is the kept slots, each
-        within the size its docstring gives, and each held plan is a
-        function of its key alone."""
+        """The suite report is the same whether kernel plans, Fourier tables
+        and spectral symbols are kept or built afresh for every call, with
+        the store cleared before every check; the only state a pass leaves
+        behind is the kept store, one key per build function, and each held
+        value is a function of its key alone."""
         builds = []
         build = operators._Plan.build.__func__
         canonical = verify.canonical_checks
@@ -387,7 +384,7 @@ class TestSuiteCommand:
         def cleared_checks():
             def cleared(runner):
                 def run():
-                    operators._plans.clear()
+                    core._plans.clear()
                     return runner()
                 return run
             return {name: cleared(run) for name, run in canonical().items()}
@@ -396,33 +393,39 @@ class TestSuiteCommand:
         before = package_state()
         reports, counts = [], []
         passes = (
-            (cleared_checks, lambda kind, *key: kind(*key)),  # keeps no plan
-            (canonical, operators._plan),
+            (cleared_checks, lambda kind, *key: kind(*key)),  # keeps nothing
+            (canonical, core._plan),
         )
         for checks, plan in passes:
             monkeypatch.setattr(verify, "canonical_checks", checks)
             monkeypatch.setattr(operators, "_plan", plan)
-            operators._plans.clear()
+            monkeypatch.setattr(core, "_plan", plan)
+            core._plans.clear()
             builds.clear()
             out = tmp_path / f"{checks.__name__}.json"
             assert main(["suite", "all", "--json", str(out)]) == 0
             reports.append(out.read_bytes())
             counts.append(len(builds))
         assert reports[0] == reports[1]
-        # the second pass reused plans, and kept nothing outside the kept slots
+        # the second pass reused plans, and kept nothing outside the store
         assert counts[1] < counts[0]
         assert package_state() == before
         # one key per plan kind; the Fourier tables and both sides' symbols
         # of one key
         kinds = {operators._product_plan, operators._slope_plan, operators._gl_plan,
-                 operators._marchaud_plan}
-        assert operators._plans and set(operators._plans) <= kinds
-        assert len(core._fourier_slot) <= 1
-        assert len(core._multiplier_slot) <= 2
-        for kind, (key, plan) in operators._plans.items():
+                 operators._marchaud_plan, core._fourier_plan, core._symbol_plan}
+        assert core._plans and set(core._plans) <= kinds
+        fourier_key, tables = core._plans[core._fourier_plan]
+        assert len(fourier_key) == 2 and len(tables) == 3
+        assert set(core._plans[core._symbol_plan][1]) == set(Side)
+        for kind, (key, held) in core._plans.items():
             fresh = kind(*key)
-            assert [level[:3] for level in plan.levels] == [level[:3] for level in fresh.levels]
-            pairs = zip(plan.arrays(), fresh.arrays(), strict=True)
+            if isinstance(held, operators._Plan):
+                assert [level[:3] for level in held.levels] == [level[:3] for level in fresh.levels]
+                held, fresh = held.arrays(), fresh.arrays()
+            elif isinstance(held, dict):
+                held, fresh = [held[side] for side in Side], [fresh[side] for side in Side]
+            pairs = zip(held, fresh, strict=True)
             assert all(np.array_equal(a, b) for a, b in pairs)
 
     def test_reports_validate_against_the_schema(self):

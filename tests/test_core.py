@@ -235,12 +235,14 @@ class TestFourier:
         for n, L, alpha, side in calls + calls[:3]:
             u = sample_line(Gaussian(0.2, 1.0), L, n)
             kept = spectral_derivative(u, alpha, side)
-            assert len(core._multiplier_slot) == 2
-            symbol = core._multiplier_table(n, L, alpha, Side.parse(side))
+            key, symbols = core._plans[core._symbol_plan]
+            assert key == (n, L, alpha)
+            assert len(symbols) == 2
+            symbol = symbols[Side.parse(side)]
             xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
             assert np.array_equal(symbol, spectral_multiplier(xi, alpha, side))
             assert not symbol.flags.writeable
-            core._multiplier_slot.clear()
+            core._plans.clear()
             fresh = spectral_derivative(u, alpha, side)
             assert np.array_equal(kept.values, fresh.values)
 

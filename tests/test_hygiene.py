@@ -202,3 +202,50 @@ def test_right_sides_come_from_reflection():
                 if any(x.startswith("Side.") for x in operands):
                     found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"a hand-written right side: {found}"
+
+
+def test_one_kept_slot():
+    """Tables kept between calls go through the one store of ``core._plan``,
+    so one rule says what is kept: no module-level container under
+    ``src/fracsobolev`` is cleared, popped, updated or item-assigned outside
+    that function."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    containers = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                    literal = value.func.id in ("dict", "list", "set")
+                else:
+                    literal = isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                                 ast.ListComp, ast.SetComp))
+                if literal:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def container(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name if name in containers else None
+
+    mutators = {"clear", "pop", "popitem", "update", "setdefault", "append", "extend",
+                "insert", "remove", "add", "discard"}
+    found = []
+    for file, tree in trees.items():
+        allowed = set()
+        if file == "core.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_plan":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators and container(node.func.value)):
+                found.append(f"{file}:{node.lineno} {container(node.func.value)}.{node.func.attr}")
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and container(node.value)):
+                found.append(f"{file}:{node.lineno} {container(node.value)}[...]")
+    assert containers
+    assert not found, f"a module-level container written outside core._plan: {found}"

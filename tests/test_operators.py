@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev import operators
+from fracsobolev import core, operators
 from fracsobolev.core import (
     Grid,
     LineFunction,
@@ -232,29 +232,34 @@ class TestToeplitzProduct:
         with pytest.raises(ValueError, match="kernel plan for"):
             _toeplitz(np.zeros(n - 1), plan)
 
+    @pytest.mark.parametrize("n", [1000, 2000, 3000, 4096])
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_pure_powers_take_no_transform(self, side, monkeypatch):
-        # removing the sampled power c x^-1/4 leaves an all-zero regular part,
-        # so with its plans kept both operators make no rfft call and return
-        # the Euler image of the power at every node past the base
-        g, alpha, power = unit_grid(4096), 0.4, (1.3, -0.25)
+    def test_pure_powers_take_no_transform(self, side, n, monkeypatch):
+        # removing the sampled power c x^-1/4 leaves an all-zero regular part
+        # on any grid (the right side is sampled at the reflection's own
+        # distances), so with its plans kept both operators make no rfft
+        # call, return the Euler image of the power at every node past the
+        # base, and give the right side as the left one mirrored bitwise
+        g, alpha, power = unit_grid(n), 0.4, (1.3, -0.25)
+        left_u = sample(PowerSum(0.0, (power,)), g)
         if side == "left":
-            u = sample(PowerSum(0.0, (power,)), g)
+            u = left_u
         else:
             u = sample(PowerSum(1.0, (power,), Side.RIGHT), g)
         regular, split = operators._split_left_singular(u if side == "left" else u.reflected())
         assert split == power
         assert np.array_equal(regular.view(np.int64), np.zeros(g.n + 1).view(np.int64))
-        operators._plan(operators._product_plan, alpha, g.n)
-        operators._plan(operators._slope_plan, alpha, g.n)
+        ops = ((frac_integral, alpha), (rl_derivative, -alpha))
+        mirrors = [op(left_u, alpha, "left").values for op, _ in ops]
         rffts = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: rffts.append(a) or rfft(*a, **kw))
-        for op, shift in ((frac_integral, alpha), (rl_derivative, -alpha)):
+        for (op, shift), mirror in zip(ops, mirrors):
             out = op(u, alpha, side)
             left = out if side == "left" else out.reflected()
             image = operators._power_values(g, *operators._euler_image(*power, shift=shift))
             assert np.array_equal(left.values[1:].view(np.int64), image[1:].view(np.int64))
+            assert np.array_equal(left.values.view(np.int64), mirror.view(np.int64))
         assert not rffts
 
     @pytest.mark.parametrize("m", [10, 11, 14, 16])
@@ -278,7 +283,7 @@ class TestToeplitzProduct:
         largest = {}
         for name in ("frac_integral", "gl_derivative", "rl_derivative"):
             plan = PLANNED[name](0.4, n)
-            operators._plans.clear()
+            core._plans.clear()
             calls.clear()
             getattr(operators, name)(u, 0.4)
             # the levels tile the outputs past the direct head
@@ -396,7 +401,7 @@ class TestKernelPlans:
             if name == "frac_integral":  # a non-zero base reaches the right-end taps
                 u = SampledFunction(u.grid, u.values + 0.75)
             op(self.samples(n, 1), alpha, side)  # fills the slot
-            assert operators._plans[PLANNED[name]][0] == (alpha, n)
+            assert core._plans[PLANNED[name]][0] == (alpha, n)
             out = op(u, alpha, side).values
             if side == "left":
                 expected = fresh_operator(name, u, alpha)
@@ -411,34 +416,34 @@ class TestKernelPlans:
         for op, v in calls:
             for alpha in (0.3, 0.6, 0.3):
                 kept = op(v, alpha).values
-                operators._plans.clear()
+                core._plans.clear()
                 assert np.array_equal(kept, op(v, alpha).values)
 
     def test_cached_arrays_are_read_only(self):
         u = self.samples(4096, 3)
         for name in sorted(PLANNED):
             getattr(operators, name)(u, 0.45)
-            _, plan = operators._plans[PLANNED[name]]
+            _, plan = core._plans[PLANNED[name]]
             for array in plan.arrays():
                 with pytest.raises(ValueError):
                     array[0] = 1.0
 
     def test_each_kind_holds_its_last_key(self):
         """Plans are kept at every size, and a new key frees the old plan."""
-        operators._plans.clear()
+        core._plans.clear()
         for n in (1 << 16, 1 << 10):
             u = self.samples(n, n)
             for name in sorted(PLANNED):
                 for side in ("left", "right"):
                     getattr(operators, name)(u, 0.55, side)
             marchaud_derivative(LineFunction(12.0, u.values), 0.55)
-            keys = {kind: key for kind, (key, _) in operators._plans.items()}
+            keys = {kind: key for kind, (key, _) in core._plans.items()}
             expected = dict.fromkeys(PLANNED.values(), (0.55, n))
             assert keys == {**expected, operators._marchaud_plan: (0.55, 12.0, n)}
         # every held array owns its buffer: the held bytes are the plans' arrays
-        held = [array for _, plan in operators._plans.values() for array in plan.arrays()]
+        held = [array for _, plan in core._plans.values() for array in plan.arrays()]
         assert all(array.base is None for array in held)
-        fresh = [array for kind, (key, _) in operators._plans.items() for array in kind(*key).arrays()]
+        fresh = [array for kind, (key, _) in core._plans.items() for array in kind(*key).arrays()]
         assert sum(array.nbytes for array in held) == sum(array.nbytes for array in fresh)
 
 
