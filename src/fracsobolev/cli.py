@@ -125,12 +125,10 @@ def _csv_text(u: SampledFunction) -> str:
     flagged = [i for i, v in enumerate(vals) if not math.isfinite(v)]
     if flagged:
         lines.append("# flagged: " + ",".join(str(i) for i in flagged))
-    if u.left_power is not None:
-        c, e = u.left_power
-        lines.append(f"# left_power: {_format_value(c)},{_format_value(e)}")
-    if u.right_power is not None:
-        c, e = u.right_power
-        lines.append(f"# right_power: {_format_value(c)},{_format_value(e)}")
+    for tag in ("left_power", "right_power"):
+        if getattr(u, tag) is not None:
+            c, e = getattr(u, tag)
+            lines.append(f"# {tag}: {_format_value(c)},{_format_value(e)}")
     for x, v in zip(u.grid.nodes.tolist(), vals):
         lines.append(f"{_format_value(x)},{_format_value(v)}")
     return "\n".join(lines) + "\n"
@@ -141,7 +139,7 @@ def _write_csv(path: str, u: SampledFunction) -> None:
 
 
 def _read_csv(path: str) -> SampledFunction:
-    left_power = right_power = None
+    powers = {}
     xs: list[float] = []
     vs: list[float] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -154,11 +152,7 @@ def _read_csv(path: str) -> SampledFunction:
                 for tag in ("left_power", "right_power"):
                     if body.startswith(tag + ":"):
                         c, _, e = body[len(tag) + 1 :].partition(",")
-                        pair = (float(c), float(e))
-                        if tag == "left_power":
-                            left_power = pair
-                        else:
-                            right_power = pair
+                        powers[tag] = (float(c), float(e))
                 continue
             x, _, v = line.partition(",")
             xs.append(float(x))
@@ -171,7 +165,7 @@ def _read_csv(path: str) -> SampledFunction:
     from . import core
 
     grid = core.Grid(xs[0], xs[-1], len(xs) - 1)
-    return core.SampledFunction(grid, vs, left_power, right_power)
+    return core.SampledFunction(grid, vs, **powers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ small set of numerical primitives the operators are built from:
   ``(x - y)**(alpha - 1)``, exact on piecewise-linear data,
 * a discrete Fourier layer with the convention
   ``uhat(xi) = integral u(x) exp(-i xi x) dx``,
+* :func:`_leading_power`, the one rule that reduces the endpoint power
+  terms ``c t^e`` of a function to the power its samples record,
 * :func:`_plan`, the one store of grid-only tables kept between calls
   (the operators' kernel plans, the Fourier tables, the spectral symbols).
 
@@ -190,6 +192,20 @@ class SampledFunction:
     def interp(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise-linear interpolant (zero outside [a, b])."""
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
+
+
+def _leading_power(terms) -> tuple[float, float] | None:
+    """The power ``(c, e)`` recorded for the endpoint terms ``c t^e``: the one rule.
+
+    Equal exponents sum their coefficients and an exponent whose sum is 0
+    drops out; the lowest exponent left below 0 comes back, or None.
+    """
+    sums: dict[float, float] = {}
+    for coeff, exponent in terms:
+        if exponent < 0.0:
+            sums[exponent] = sums.get(exponent, 0.0) + coeff
+    lead = min((e for e, c in sums.items() if c != 0.0), default=None)
+    return None if lead is None else (sums[lead], lead)
 
 
 @dataclass(frozen=True)
@@ -498,24 +514,26 @@ def _symbol_plan(n: int, half_width: float, alpha: float) -> dict[Side, np.ndarr
 def discrete_fourier(values: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate ``uhat(xi) = integral u(x) exp(-i xi x) dx`` on ``[-L, L]``.
 
-    ``values`` are the ``n`` periodic samples at ``x_j = -L + j (2L/n)``;
-    ``n`` must be a power of two (shorter inputs are zero-padded up to one,
-    which refines the frequency grid but represents the same function).
-    Returns ``(xi, uhat)`` with ``xi = pi k / L`` on the standard FFT
+    ``values`` are the ``n`` periodic samples at ``x_j = -L + j (2L/n)``.
+    A count that is not a power of two is zero-padded up to one, ``N``: the
+    padded window extends to the right at the samples' own spacing, which
+    refines the frequency grid but represents the same function.  Returns
+    ``(xi, uhat)`` with ``xi = 2 pi k / (N 2L/n)`` on the standard FFT
     layout, read-only and shared between calls with the same ``(n, L)``.
-    The rule is the n-point rectangle rule, which is what makes the
-    discrete Parseval identity exact.
+    The rule is the rectangle rule at the samples' spacing, which is what
+    makes the discrete Parseval identity exact.
     """
     u = np.asarray(values, dtype=complex)
     if u.ndim != 1:
         raise ValueError("values must be a 1-d array")
     n = u.size
-    if not _is_power_of_two(n):
-        padded = 1 << (n - 1).bit_length()
-        u = np.concatenate([u, np.zeros(padded - n, dtype=complex)])
-        n = padded
-    xi, forward, _ = _plan(_fourier_plan, n, half_width)
-    return xi, forward * np.fft.fft(u)
+    size = 1 << (n - 1).bit_length()
+    wide = half_width * size / n  # exactly L when nothing is padded
+    xi, forward, _ = _plan(_fourier_plan, size, wide)
+    uhat = forward * np.fft.fft(u, size)
+    if size != n:  # the tables' window [-L', L') starts at -L
+        uhat *= np.exp(-1j * xi * (wide - half_width))
+    return xi, uhat
 
 
 def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:

@@ -86,6 +86,7 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
+    _leading_power,
     _log_offsets,
     _plan,
     _spectrum,
@@ -233,17 +234,13 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
 class KernelConstant:
     """Coefficient of the endpoint kernel recovered from sampled data.
 
-    ``extrapolation_order`` counts the geometric nodes the accepted
-    extrapolation used (3 = Richardson on a node triple, 2 = linear
-    fallback, 1 = the data was already flat); ``residual_estimate`` is
-    the disagreement between extrapolations from different triples, on
-    the same scale as ``c_value``.
+    ``residual_estimate`` is the disagreement between extrapolations from
+    different triples, on the same scale as ``c_value``.
     """
 
     c_value: float
     side: Side
     alpha: FracOrder
-    extrapolation_order: int
     residual_estimate: float
 
     def __post_init__(self) -> None:
@@ -465,8 +462,7 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
             out[1:] += _power_values(grid, *image)[1:]
             singular_terms.append(image)
     out[0] = math.inf
-    out_power = min(singular_terms, key=lambda cb: cb[1]) if singular_terms else None
-    return SampledFunction(grid, out, left_power=out_power)
+    return SampledFunction(grid, out, left_power=_leading_power(singular_terms))
 
 
 def _gl_plan(alpha: float, n: int) -> _Plan:
@@ -738,20 +734,20 @@ def endpoint_constant(
         raise ValueError("need at least 8 cells to extrapolate at the endpoint")
     g = frac_integral(u, 1.0 - alpha, Side.LEFT).values
 
-    def extrapolate(ga: float, gb: float, gc: float) -> tuple[float, int]:
+    def extrapolate(ga: float, gb: float, gc: float) -> float:
         """Limit of g at the base from the geometric node triple (t, 2t, 4t)."""
         d1, d2 = gb - ga, gc - gb
         scale = max(abs(ga), abs(gb), abs(gc), 1e-300)
         if abs(d1) <= 1e-12 * scale and abs(d2) <= 1e-12 * scale:
-            return ga, 1  # already flat to roundoff
+            return ga  # already flat to roundoff
         if d1 != 0.0 and d2 / d1 > 0.0:
             rate = math.log2(d2 / d1)
             if 0.05 <= rate <= 4.0:
-                return ga - d1 / (2.0**rate - 1.0), 3
-        return 2.0 * ga - gb, 2  # no power signature: linear extrapolation
+                return ga - d1 / (2.0**rate - 1.0)
+        return 2.0 * ga - gb  # no power signature: linear extrapolation
 
-    fine, order_used = extrapolate(float(g[1]), float(g[2]), float(g[4]))
-    coarse, _ = extrapolate(float(g[2]), float(g[4]), float(g[8]))
+    fine = extrapolate(float(g[1]), float(g[2]), float(g[4]))
+    coarse = extrapolate(float(g[2]), float(g[4]), float(g[8]))
     gamma_a = gamma_fn(alpha)
     c = fine / gamma_a
     residual = abs(fine - coarse) / abs(gamma_a)
@@ -760,4 +756,4 @@ def endpoint_constant(
     scale = max(abs(c), g_scale / abs(gamma_a), 1e-300)
     if residual > 1e-2 * scale:
         _warn(f"endpoint extrapolation did not settle: spread {residual:.3e} vs c = {c:.3e}")
-    return KernelConstant(c, Side.LEFT, FracOrder(alpha), order_used, residual)
+    return KernelConstant(c, Side.LEFT, FracOrder(alpha), residual)

@@ -34,6 +34,7 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
+    _leading_power,
     discrete_fourier,
     gamma_fn,
     inverse_discrete_fourier,
@@ -113,14 +114,6 @@ class PowerSum(ClosedFormFunction):
                 else:
                     out[inside] += c * np.power(t[inside], b)
         return out
-
-    def most_singular(self) -> tuple[float, float] | None:
-        """Leading (coeff, exponent) with exponent < 0, if any."""
-        neg = [(c, b) for c, b in self.terms if b < 0.0 and c != 0.0]
-        if not neg:
-            return None
-        c, b = min(neg, key=lambda cb: cb[1])
-        return (c, b)
 
 
 @dataclass(frozen=True)
@@ -331,10 +324,13 @@ def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndar
 def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     """Evaluate ``f`` at the nodes, recording singular endpoint behaviour.
 
-    If ``f`` contains a one-sided power term with negative exponent
+    If ``f`` contains one-sided power terms with negative exponents
     anchored at an endpoint of the grid, the sample carries the matching
     ``left_power`` / ``right_power`` metadata and the endpoint node itself
     holds the non-finite marker that singular-aware consumers look for.
+    Equal exponents anchored at one end are summed, in one power sum or
+    across several, and an exponent whose coefficients cancel records
+    nothing (:func:`~fracsobolev.core._leading_power`).
     """
     left = _endpoint_power(f, grid.a, Side.LEFT)
     right = _endpoint_power(f, grid.b, Side.RIGHT)
@@ -349,14 +345,14 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
 
 
 def _endpoint_power(f: ClosedFormFunction, base: float, side: Side) -> tuple[float, float] | None:
-    if isinstance(f, FunctionSum):
-        found = [p for p in (_endpoint_power(q, base, side) for q in f.parts) if p is not None]
-        if not found:
-            return None
-        return min(found, key=lambda cb: cb[1])
-    if _anchored(f, base, side):
-        return f.most_singular()
-    return None
+    """:func:`~fracsobolev.core._leading_power` of every term of ``f`` anchored at ``base``."""
+
+    def terms(g: ClosedFormFunction) -> list[tuple[float, float]]:
+        if isinstance(g, FunctionSum):
+            return [term for part in g.parts for term in terms(part)]
+        return list(g.terms) if _anchored(g, base, side) else []
+
+    return _leading_power(terms(f))
 
 
 def _anchored(f: ClosedFormFunction, base: float, side: Side) -> bool:

@@ -20,7 +20,8 @@ one-sided norm is +inf exactly when one of its parts records a
 non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``; at ``p = inf``,
 an unbounded one: ``e < 0``), and the warning names that part, its end,
 ``c`` and ``e``.  Every part is summed by the one cell rule of
-:func:`lp_norm`, at every ``p``.  Above order one the metadata
+:func:`lp_norm`, at every ``p``, in :func:`_lp_power_integral`: the one
+place where a recorded power is decided.  Above order one the metadata
 passes through the integer derivatives too: each step of
 :func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
 ``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
@@ -129,8 +130,14 @@ class TraceValue:
 # Lebesgue norms
 
 
-def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> float:
-    """``int |u|^p``, or ``sup |u|`` at ``p = inf``, by the cell rule of :func:`lp_norm`."""
+def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[float, str | None]:
+    """``(int |u|^p, reason)`` (``sup |u|`` at ``p = inf``) by the cell rule of :func:`lp_norm`.
+
+    It decides each recorded power ``c t^e`` once: the end cell adds
+    ``int_0^h |c t^e|^p dt`` (``sup`` on ``(0, h]`` at ``p = inf``), +inf
+    when ``c != 0`` and ``1 + p e <= 0`` (``e < 0`` at inf), and ``reason``
+    says why the first such power diverges (None when none does).
+    """
     vals = np.abs(np.asarray(u.values, dtype=float))
     finite = np.isfinite(vals)
     if math.isinf(p):
@@ -142,39 +149,33 @@ def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> float:
     if not finite.all():
         cells[~(finite[:-1] & finite[1:])] = 0.0
     h = u.grid.h
-    masses = [_power_cell_mass(power, h, p) for _, power in _flagged_powers(u)]
+    masses, reason = [], None
+    for (coeff, exponent), phrase in _flagged_powers(u):
+        if coeff == 0.0:
+            masses.append(0.0)
+        elif exponent < 0.0 if math.isinf(p) else 1.0 + p * exponent <= 0.0:
+            masses.append(math.inf)
+            growth = "with e < 0 it grows" if math.isinf(p) else (
+                f"with 1 + p e = {1.0 + p * exponent:.6g} <= 0 its p-th powers grow")
+            reason = reason or f"{phrase}, and {growth} without bound there"
+        elif math.isinf(p):
+            masses.append(abs(coeff) * h**exponent)
+        else:
+            moment = 1.0 + p * exponent
+            masses.append(abs(coeff) ** p * h**moment / moment)
     if math.isinf(p):
-        return max([float(np.max(cells)), *masses])
-    return sum(masses, float(h * np.sum(cells)))
+        return max([float(np.max(cells)), *masses]), reason
+    return sum(masses, float(h * np.sum(cells))), reason
 
 
-def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[str, tuple[float, float]]]:
-    """``(end, (c, e))`` for each end whose node is flagged and records a power."""
+def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[tuple[float, float], str]]:
+    """``((c, e), phrase naming it and its end)`` for each flagged end that records a power."""
     ends = (
         ("left", u.values[0], getattr(u, "left_power", None)),
         ("right", u.values[-1], getattr(u, "right_power", None)),
     )
-    return [(end, power) for end, node, power in ends
-            if power is not None and not math.isfinite(node)]
-
-
-def _diverges(power: tuple[float, float], p: float) -> bool:
-    """Whether ``c t^e`` leaves L^p near 0: ``c != 0`` and ``1 + p e <= 0`` (``e < 0`` at inf)."""
-    coeff, exponent = power
-    return coeff != 0.0 and (exponent < 0.0 if math.isinf(p) else 1.0 + p * exponent <= 0.0)
-
-
-def _power_cell_mass(power: tuple[float, float], h: float, p: float) -> float:
-    """``int_0^h |c t^e|^p dt`` (at ``p = inf``: ``sup`` on ``(0, h]``); +inf when it diverges."""
-    if _diverges(power, p):
-        return math.inf
-    coeff, exponent = power
-    if coeff == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return abs(coeff) * h**exponent
-    moment = 1.0 + p * exponent
-    return abs(coeff) ** p * h**moment / moment
+    return [(power, f"the endpoint power {power[0]:.6g} t^{power[1]:.6g} at its {end} end")
+            for end, node, power in ends if power is not None and not math.isfinite(node)]
 
 
 def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
@@ -190,7 +191,7 @@ def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
     """
     if not (math.isinf(p) or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
-    total = _lp_power_integral(u, p)
+    total = _lp_power_integral(u, p)[0]
     return total if math.isinf(p) else total ** (1.0 / p)
 
 
@@ -211,15 +212,14 @@ def _integer_derivatives(
 def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call.
 
-    A part is +inf only through a recorded endpoint power ``c t^e`` that
-    :func:`_diverges` (``1 + p e <= 0``; ``e < 0`` at ``p = inf``); the
-    warning names that part, its end and the power.
+    A part is +inf only through a recorded endpoint power that
+    :func:`_lp_power_integral` finds diverging; the warning quotes its reason.
     """
     p = spec.p
     side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
     d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
     chain = [] if spec.family.startswith("zero_trace") else _integer_derivatives(u, spec.alpha.m)
-    parts = [_lp_power_integral(w, p) for w in chain + [d]]
+    parts, reasons = zip(*(_lp_power_integral(w, p) for w in chain + [d]))
     if math.isinf(p):
         total = max(parts[:-1]) + parts[-1] if chain else parts[-1]
     else:
@@ -228,16 +228,10 @@ def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
         return total
     names = [f"u^({k})" for k in range(len(chain))]
     names.append(f"the order-{spec.alpha.alpha:g} {side.value} derivative")
-    for name, w in zip(names, chain + [d]):
-        for end, (c, e) in _flagged_powers(w):
-            if _diverges((c, e), p):
-                growth = "with e < 0 it grows" if math.isinf(p) else (
-                    f"with 1 + p e = {1.0 + p * e:.6g} <= 0 its p-th powers grow")
-                _warn(
-                    f"{spec.family} norm diverges: {name} has the endpoint power "
-                    f"{c:.6g} t^{e:.6g} at its {end} end, and {growth} without bound there"
-                )
-                return math.inf
+    for name, reason in zip(names, reasons):
+        if reason is not None:
+            _warn(f"{spec.family} norm diverges: {name} has {reason}")
+            return math.inf
     _warn(f"{spec.family} norm overflows: the p-th powers of the samples exceed the float range")
     return math.inf
 
@@ -261,7 +255,7 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     if family == "gagliardo":
         chain = _integer_derivatives(u, alpha.m)
         semi = gagliardo_seminorm(chain[-1], alpha.sigma, p)
-        parts = [_lp_power_integral(w, p) for w in chain]
+        parts = [_lp_power_integral(w, p)[0] for w in chain]
         if math.isinf(p):
             return max(parts) + semi
         total = float(np.sum(parts)) + semi**p
@@ -522,8 +516,7 @@ def gagliardo_seminorm(
         if flagged.size:
             powers = _flagged_powers(u)
             if powers:
-                end, (c, e) = powers[0]
-                cause = f"u has the endpoint power {c:.6g} t^{e:.6g} at its {end} end"
+                cause = f"u has {powers[0][1]}"
             elif flagged[0] == 0 or flagged[-1] == u.values.size - 1:
                 cause = f"u is flagged at its {'left' if flagged[0] == 0 else 'right'} end"
             else:

@@ -102,6 +102,27 @@ class TestComputeCommand:
         assert r.returncode == 0, r.stderr
         assert "# right_power: 0.28209479177387814,-1.5\n" in r.stdout
 
+    def test_equal_exponents_give_one_function(self, capsys):
+        # three spellings of 3 x^-1/4: the integral's exact value at node 1
+        # is 3 Gamma(3/4) / Gamma(5/4) h^(1/4) = 0.71698...
+        args = ["compute", "integral", "--alpha", "0.5", "--grid", "0,1,1024", "--fn"]
+        outs = set()
+        for spec in ("pow:a=0;terms=3*-0.25", "pow:a=0;terms=1*-0.25,2*-0.25",
+                     "pow:a=0;terms=1*-0.25+pow:a=0;terms=2*-0.25"):
+            assert main([*args, spec]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
+        assert "\n0.0009765625,0.7169831962291876\n" in outs.pop()
+
+    def test_cancelled_power_records_nothing(self, capsys):
+        # x^-1/4 - x^-1/4 + x is x, whose D^0.5 is 2 sqrt(x / pi)
+        assert main(["compute", "deriv", "--alpha", "0.5", "--grid", "0,1,1024",
+                     "--fn", "pow:a=0;terms=1*-0.25,-1*-0.25,1*1"]) == 0
+        out = capsys.readouterr().out
+        assert "left_power" not in out
+        node = float(out.split("\n0.0009765625,")[1].split("\n")[0])
+        assert node == pytest.approx(2.0 * math.sqrt(2.0**-10 / math.pi), rel=1e-13)
+
     @pytest.mark.parametrize("domain, scheme", [
         (("--grid", "0,1,64"), "rl"),
         (("--line", "12,256"), "spectral"),

@@ -203,6 +203,17 @@ class TestFourier:
         xi, uhat = discrete_fourier(u, 1.0)
         assert xi.size == 128
 
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_padding_keeps_the_sample_spacing(self, n):
+        # the padded samples keep their spacing 2L/n, so Parseval holds
+        # at the spacing of the samples that came in
+        u = np.exp(-0.5 * np.linspace(-12.0, 12.0, n + 1)[:-1] ** 2)
+        xi, uhat = discrete_fourier(u, 12.0)
+        lhs = np.sum(u**2) * 24.0 / n
+        rhs = np.sum(np.abs(uhat) ** 2) * (xi[1] - xi[0]) / (2 * np.pi)
+        assert lhs == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
+
     def test_shared_tables_give_the_inline_formula_bitwise(self):
         # the (n, L) tables live in one slot: alternating keys rebuilds
         # them on every call, repeating a key reuses them, and either way

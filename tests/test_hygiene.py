@@ -249,3 +249,26 @@ def test_one_kept_slot():
                 found.append(f"{file}:{node.lineno} {container(node.value)}[...]")
     assert containers
     assert not found, f"a module-level container written outside core._plan: {found}"
+
+
+def test_one_endpoint_power_rule():
+    """Endpoint power terms are combined by ``core._leading_power`` alone, and
+    ``spaces._lp_power_integral`` decides each recorded power once:
+    ``operators.py`` and ``oracle.py`` pick no power by a ``min(``/``max(``
+    with a ``key=``, and ``spaces._flagged_powers`` is called only from
+    ``_lp_power_integral`` and the p = inf branch of ``gagliardo_seminorm``."""
+    found = []
+    for name in ("operators.py", "oracle.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("min", "max")
+                    and any(k.arg == "key" for k in node.keywords)):
+                found.append(f"{name}:{node.lineno} {node.func.id}(key=)")
+    callers = {"_lp_power_integral", "gagliardo_seminorm"}
+    tree = ast.parse((PACKAGE / "spaces.py").read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name not in callers:
+            found += [f"spaces.py:{node.lineno} {func.name} calls _flagged_powers"
+                      for node in ast.walk(func) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == "_flagged_powers"]
+    assert not found, f"a second endpoint power rule: {found}"

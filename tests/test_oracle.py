@@ -210,6 +210,23 @@ class TestSampling:
         u = sample(f, grid)
         assert u.left_power == (2.0, -0.5)
 
+    @pytest.mark.parametrize("f", [
+        PowerSum(0.0, ((1.0, -0.25), (2.0, -0.25))),
+        PowerSum(0.0, ((1.0, -0.25),)) + PowerSum(0.0, ((2.0, -0.25),)),
+        PowerSum(0.0, ((1.0, -0.25), (1.0, 0.5))) + PowerSum(0.0, ((2.0, -0.25),)),
+    ])
+    def test_equal_exponents_are_summed(self, f):
+        # every spelling of 3 x^-1/4 records the summed coefficient
+        u = sample(f, uniform_grid(0.0, 1.0, 16))
+        assert u.left_power == (3.0, -0.25)
+
+    def test_cancelled_exponent_records_nothing(self):
+        # x^-1/4 - x^-1/4 + x is x; x^-1/2 is then the leading power
+        grid = uniform_grid(0.0, 1.0, 16)
+        f = PowerSum(0.0, ((1.0, -0.25), (-1.0, -0.25), (1.0, 1.0)))
+        assert sample(f, grid).left_power is None
+        assert sample(f + PowerSum(0.0, ((0.5, -0.1),)), grid).left_power == (0.5, -0.1)
+
     def test_right_anchored_metadata(self):
         grid = uniform_grid(0.0, 1.0, 16)
         u = sample(kappa_form(0.5, anchor=1.0, side=Side.RIGHT), grid)
