@@ -7,19 +7,18 @@ and derivative via the Euler power rule
     I^a : c (x - r)^b  ->  c Gamma(b+1)/Gamma(b+1+a) (x - r)^(b+a)
     D^a : c (x - r)^b  ->  c Gamma(b+1)/Gamma(b+1-a) (x - r)^(b-a)
 
-(one-sided: the left form vanishes for x < r, the right form mirrors it),
-together with the step-function images
+(one-sided: the left form vanishes for x < r, the right form mirrors it).
+A step ``H 1(x>c)`` is the power ``H (x - c)^0``, so ``I^a`` maps it to
+``H (x - c)^a / Gamma(1+a)`` and ``D^a`` to ``H (x - c)^-a / Gamma(1-a)``.
+The kernel ``(x - a)**(alpha - 1)`` is the exponent ``b = a - 1``
+member; its derivative exponent lands on the Gamma pole ``b - a = -1``
+and the term is annihilated (the zero is encoded explicitly, never
+computed as a division by an overflowing Gamma).
 
-    I^a [H 1(x>c)] = H (x - c)^a / Gamma(1+a) 1(x>c)
-    D^a [H 1(x>c)] = H (x - c)^-a / Gamma(1-a) 1(x>c).
-
-The kernel ``(x - a)**(alpha - 1)`` is the exponent ``b = a - 1`` member;
-its derivative exponent lands on the Gamma pole ``b - a = -1`` and the
-term is annihilated (the zero is encoded explicitly, never computed as a
-division by an overflowing Gamma).
-
-Gaussians and mollifier bumps carry no closed-form one-sided calculus;
-for those the high-resolution spectral reference is the oracle.
+A Gaussian's one-sided derivative has the closed form ``D^a_left
+exp(-x^2/2) = exp(-x^2/4) D_a(-x)`` (the right one is the same at ``-x``),
+with ``D_a`` the parabolic cylinder function (NIST DLMF 12.5).  numpy has
+no ``D_a``, so Gaussians are only sampled; bumps have no closed form.
 """
 
 from __future__ import annotations
@@ -35,12 +34,8 @@ from .core import (
     SampledFunction,
     Side,
     _leading_power,
-    discrete_fourier,
     gamma_fn,
-    inverse_discrete_fourier,
     line_grid,
-    spectral_multiplier,
-    trapezoid,
 )
 
 __all__ = [
@@ -57,8 +52,6 @@ __all__ = [
     "value_at_base",
     "sample",
     "sample_line",
-    "gaussian_spectral_reference",
-    "spectral_multiplier",
     "parse_function_spec",
     "describe_function",
 ]
@@ -105,15 +98,19 @@ class PowerSum(ClosedFormFunction):
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = x - self.anchor if self.orientation is Side.LEFT else self.anchor - x
-        out = np.zeros_like(t)
-        inside = t >= 0.0
-        with np.errstate(divide="ignore"):
-            for c, b in self.terms:
-                if b == 0.0:
-                    out[inside] += c
-                else:
-                    out[inside] += c * np.power(t[inside], b)
-        return out
+        return _one_sided_powers(t, self.terms)
+
+
+def _one_sided_powers(t: np.ndarray, terms) -> np.ndarray:
+    """``sum c t^e`` over the terms ``(c, e)`` where ``t >= 0``, and 0 where ``t < 0``."""
+    inside = t >= 0.0
+    out = np.zeros_like(t)
+    for c, e in terms:
+        # a negative t raises to a NaN that the mask drops
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = 1.0 if e == 0.0 else np.power(t, e)
+        out += np.where(inside, c * power, 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,11 +163,9 @@ class Bump(ClosedFormFunction):
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         s = (x - self.center) / self.radius
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = self.height * np.exp(1.0 - 1.0 / (1.0 - si**2))
-        return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bump = self.height * np.exp(1.0 - 1.0 / (1.0 - s**2))
+        return np.where(np.abs(s) < 1.0, bump, 0.0)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -198,26 +193,35 @@ def _require_orientation(f: ClosedFormFunction, side: Side) -> None:
         )
 
 
+def _euler_image(f: ClosedFormFunction, order: float, side: Side) -> ClosedFormFunction:
+    """Euler power rule image: ``I^order`` for ``order > 0``, ``D^-order`` for ``order < 0``.
+
+    A step enters as its height, a power ``t^0`` anchored at the jump.
+    An exponent that lands on the Gamma pole ``-1`` drops out.
+    """
+    if isinstance(f, FunctionSum):
+        return FunctionSum(tuple(_euler_image(p, order, side) for p in f.parts))
+    if not isinstance(f, (PowerSum, Step)):
+        raise UnsupportedFamilyError(
+            f"no closed-form fractional {'integral' if order > 0 else 'derivative'} "
+            f"for {type(f).__name__}; use the numerical operators"
+        )
+    _require_orientation(f, side)
+    if isinstance(f, Step):
+        f = PowerSum(f.c, ((f.height, 0.0),), f.orientation)
+    terms = tuple(
+        (c * gamma_fn(b + 1.0) / gamma_fn(b + 1.0 + order), b + order)
+        for c, b in f.terms
+        if abs(b + order + 1.0) > _POLE_TOL
+    )
+    return PowerSum(f.anchor, terms, f.orientation)
+
+
 def oracle_frac_integral(f: ClosedFormFunction, alpha: float, side: Side | str = Side.LEFT) -> ClosedFormFunction:
     """Exact one-sided fractional integral of order ``alpha`` on the family."""
-    side = Side.parse(side)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if isinstance(f, FunctionSum):
-        return FunctionSum(tuple(oracle_frac_integral(p, alpha, side) for p in f.parts))
-    if isinstance(f, PowerSum):
-        _require_orientation(f, side)
-        terms = tuple(
-            (c * gamma_fn(b + 1.0) / gamma_fn(b + 1.0 + alpha), b + alpha) for c, b in f.terms
-        )
-        return PowerSum(f.anchor, terms, f.orientation)
-    if isinstance(f, Step):
-        _require_orientation(f, side)
-        return PowerSum(f.c, ((f.height / gamma_fn(1.0 + alpha), alpha),), f.orientation)
-    raise UnsupportedFamilyError(
-        f"no closed-form fractional integral for {type(f).__name__}; "
-        "use the numerical operators or the spectral reference"
-    )
+    return _euler_image(f, alpha, Side.parse(side))
 
 
 def oracle_frac_derivative(
@@ -238,29 +242,13 @@ def oracle_frac_derivative(
         raise ValueError("oracle derivative implemented for 0 < alpha < 1")
     if kind not in ("rl", "caputo"):
         raise ValueError(f"unknown derivative kind {kind!r}")
+    if kind == "rl":
+        return _euler_image(f, -alpha, side)
     if isinstance(f, FunctionSum):
         return FunctionSum(tuple(oracle_frac_derivative(p, alpha, side, kind) for p in f.parts))
     if isinstance(f, Step):
-        if kind == "caputo":
-            raise UnsupportedFamilyError("Caputo derivative needs an absolutely continuous function")
-        _require_orientation(f, side)
-        return PowerSum(f.c, ((f.height / gamma_fn(1.0 - alpha), -alpha),), f.orientation)
-    if not isinstance(f, PowerSum):
-        raise UnsupportedFamilyError(
-            f"no closed-form fractional derivative for {type(f).__name__}; "
-            "use the numerical operators or the spectral reference"
-        )
-    _require_orientation(f, side)
-    terms = []
-    for c, b in f.terms:
-        new_exp = b - alpha
-        if abs(new_exp + 1.0) <= _POLE_TOL:
-            # Gamma pole annihilates the kernel exponent b = alpha - 1.
-            continue
-        terms.append((c * gamma_fn(b + 1.0) / gamma_fn(b + 1.0 - alpha), new_exp))
-    rl = PowerSum(f.anchor, tuple(terms), f.orientation)
-    if kind == "rl":
-        return rl
+        raise UnsupportedFamilyError("Caputo derivative needs an absolutely continuous function")
+    rl = _euler_image(f, -alpha, side)
     for _, b in f.terms:
         if b < 0.0:
             raise UnsupportedFamilyError(
@@ -273,10 +261,8 @@ def oracle_frac_derivative(
     base_value = sum(c for c, b in f.terms if b == 0.0)
     if base_value == 0.0:
         return rl
-    kernel_term = PowerSum(
-        f.anchor, ((-base_value / gamma_fn(1.0 - alpha), -alpha),), f.orientation
-    )
-    return FunctionSum((rl, kernel_term))
+    kernel = PowerSum(f.anchor, ((-base_value / gamma_fn(1.0 - alpha), -alpha),), f.orientation)
+    return FunctionSum((rl, kernel))
 
 
 def value_at_base(f: ClosedFormFunction, base: float) -> float:
@@ -300,24 +286,15 @@ def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndar
         return out
     if isinstance(f, PowerSum):
         sgn = 1.0 if f.orientation is Side.LEFT else -1.0
-        t = (x - f.anchor) if f.orientation is Side.LEFT else (f.anchor - x)
-        out = np.zeros_like(t)
-        inside = t >= 0.0
-        with np.errstate(divide="ignore"):
-            for c, b in f.terms:
-                if b == 0.0:
-                    continue
-                out[inside] += sgn * c * b * np.power(t[inside], b - 1.0)
-        return out
+        t = x - f.anchor if f.orientation is Side.LEFT else f.anchor - x
+        return _one_sided_powers(t, [(sgn * c * b, b - 1.0) for c, b in f.terms if b != 0.0])
     if isinstance(f, Gaussian):
         return f.value(x) * (-(x - f.mu) / f.s**2)
     if isinstance(f, Bump):
         s = (x - f.center) / f.radius
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = f.value(x[inside]) * (-2.0 * si / (1.0 - si**2) ** 2) / f.radius
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = f.value(x) * (-2.0 * s / (1.0 - s**2) ** 2) / f.radius
+        return np.where(np.abs(s) < 1.0, slope, 0.0)
     raise UnsupportedFamilyError(f"no classical derivative for {type(f).__name__}")
 
 
@@ -330,10 +307,9 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     holds the non-finite marker that singular-aware consumers look for.
     Equal exponents anchored at one end are summed, in one power sum or
     across several, and an exponent whose coefficients cancel records
-    nothing (:func:`~fracsobolev.core._leading_power`).
+    nothing (:func:`~fracsobolev.core._leading_power`); when all of them
+    cancel, the end node holds the value of the terms that are left.
     """
-    left = _endpoint_power(f, grid.a, Side.LEFT)
-    right = _endpoint_power(f, grid.b, Side.RIGHT)
     with np.errstate(divide="ignore", invalid="ignore"):
         if _anchored(f, grid.b, Side.RIGHT):
             # the reflection's distances x_{n-j} - a, at which the right-side
@@ -341,18 +317,26 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
             values = PowerSum(grid.a, f.terms).value(grid.nodes)[::-1].copy()
         else:
             values = np.asarray(f.value(grid.nodes), dtype=float)
-    return SampledFunction(grid, values, left_power=left, right_power=right)
+    leaves = _leaves(f)
+    powers = []
+    for node, base, side in ((0, grid.a, Side.LEFT), (-1, grid.b, Side.RIGHT)):
+        anchored = [_anchored(p, base, side) for p in leaves]
+        terms = [term for p, at_end in zip(leaves, anchored) if at_end for term in p.terms]
+        powers.append(_leading_power(terms))
+        if powers[-1] is None and any(e < 0.0 for _, e in terms):
+            kept = tuple(
+                PowerSum(p.anchor, [(c, e) for c, e in p.terms if e >= 0.0], p.orientation) if at_end else p
+                for p, at_end in zip(leaves, anchored)
+            )
+            values[node] = FunctionSum(kept).value(grid.nodes[node])
+    return SampledFunction(grid, values, left_power=powers[0], right_power=powers[1])
 
 
-def _endpoint_power(f: ClosedFormFunction, base: float, side: Side) -> tuple[float, float] | None:
-    """:func:`~fracsobolev.core._leading_power` of every term of ``f`` anchored at ``base``."""
-
-    def terms(g: ClosedFormFunction) -> list[tuple[float, float]]:
-        if isinstance(g, FunctionSum):
-            return [term for part in g.parts for term in terms(part)]
-        return list(g.terms) if _anchored(g, base, side) else []
-
-    return _leading_power(terms(f))
+def _leaves(f: ClosedFormFunction) -> tuple[ClosedFormFunction, ...]:
+    """The parts of ``f`` that are not sums, nested sums flattened."""
+    if isinstance(f, FunctionSum):
+        return tuple(leaf for part in f.parts for leaf in _leaves(part))
+    return (f,)
 
 
 def _anchored(f: ClosedFormFunction, base: float, side: Side) -> bool:
@@ -365,109 +349,6 @@ def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> LineFunctio
     grid = line_grid(half_width, n)
     values = np.asarray(f.value(grid.nodes), dtype=float)
     return LineFunction(half_width, values).check_decay()
-
-
-def gaussian_spectral_reference(
-    f: ClosedFormFunction,
-    alpha: float,
-    side: Side | str = Side.LEFT,
-    half_width: float = 16.0,
-    n: int = 1 << 16,
-) -> LineFunction:
-    """High-resolution spectral fractional derivative on the line.
-
-    Reference realization for rapidly decaying functions (Gaussians,
-    bumps, and sums of them): run an ``n = 2^16``-point transform,
-    multiply the spectrum by the one-sided symbol, transform back, and
-    return the restriction to ``[-half_width, half_width]``.
-
-    The transform itself lives on a window 16 times wider than the
-    requested one, and the folded tail images are removed analytically.
-    Both matter: the one-sided derivative of a decaying function picks up
-    an algebraic ``|x|^(-1-alpha)`` far tail, and a periodic transform
-    folds that tail back into the window — at the requested window size
-    the folded images would pollute the reference at the 1e-2 level, two
-    orders above its advertised accuracy.  Beyond the support the tail is
-    ``-alpha/Gamma(1-alpha) integral u(y) (x-y)^(-1-alpha) dy``, so each
-    image is known through the moments of ``u``; subtracting the
-    moment expansion (through second order, with the image sum's own
-    tail handled by an integral remainder) pushes the fold-back below
-    1e-7 relative.  The default sizes leave the output step equal to a
-    4096-cell grid on the requested window, so coarse realizations
-    compare node-for-node.  The imaginary residue is checked small
-    before being discarded.
-    """
-    side = Side.parse(side)
-    widen = 16
-    wide = widen * half_width
-    if n % (2 * widen):
-        raise ValueError(f"n must be a multiple of {2 * widen}")
-    grid = line_grid(wide, n)
-    vals = np.asarray(f.value(grid.nodes), dtype=float)
-    scale = float(np.max(np.abs(vals))) or 1.0
-    inside = np.abs(grid.nodes) <= half_width
-    edge = float(np.max(np.abs(vals[~inside]))) if np.any(~inside) else 0.0
-    if edge > 1e-10 * scale:
-        raise ValueError("function has not decayed inside +-half_width; enlarge the window")
-    xi, uhat = discrete_fourier(vals[:-1], wide)
-    dhat = spectral_multiplier(xi, alpha, side) * uhat
-    d = inverse_discrete_fourier(dhat, wide)
-    imag = float(np.max(np.abs(d.imag)))
-    real_scale = float(np.max(np.abs(d.real))) or 1.0
-    if imag > 1e-8 * real_scale:
-        raise ValueError(f"spectral derivative has non-negligible imaginary part ({imag:.2e})")
-    closed = np.concatenate([d.real, d.real[:1]])
-    j0 = (n * (widen - 1)) // (2 * widen)
-    out = closed[j0 : j0 + n // widen + 1].copy()
-    out += _foldback_correction(grid.nodes, vals, grid.h, out.size, half_width, wide, alpha, side)
-    return LineFunction(half_width, out, decay_checked=True)
-
-
-def _foldback_correction(
-    x_wide: np.ndarray,
-    vals: np.ndarray,
-    dx: float,
-    n_out: int,
-    half_width: float,
-    wide: float,
-    alpha: float,
-    side: Side,
-) -> np.ndarray:
-    """Analytic removal of the periodized far tail of the one-sided derivative.
-
-    For the left derivative and ``x`` beyond the support of ``u``, the
-    exact value is ``-alpha/Gamma(1-alpha) integral u(y) (x-y)^(-1-alpha)
-    dy``; the transform adds one such image per period.  Expanding
-    ``(z - y)^(-s)`` in moments of ``u`` about 0 (monopole, dipole,
-    quadrupole) and summing over image offsets ``z = x + 2 * wide * k``
-    gives the folded mass to subtract.  The right side mirrors with the
-    odd moments' signs flipped.
-    """
-    residue = 1.0 - alpha
-    if residue <= 0 and residue == round(residue):
-        # integer order: the derivative is local, there is no far tail,
-        # and 1/Gamma at the pole is an exact zero
-        return np.zeros(n_out)
-    m0 = trapezoid(vals, dx)
-    m1 = trapezoid(vals * x_wide, dx)
-    m2 = trapezoid(vals * x_wide * x_wide, dx)
-    x_out = np.linspace(-half_width, half_width, n_out)
-    zbase = x_out if side is Side.LEFT else -x_out
-    period = 2.0 * wide
-    count = 256
-    k = np.arange(1, count + 1, dtype=float)
-    z = zbase[None, :] + period * k[:, None]
-    s = 1.0 + alpha
-    moment = (m0, m1 if side is Side.LEFT else -m1, m2)
-    weight = (1.0, s, s * (s + 1.0) / 2.0)
-    tail = np.zeros_like(x_out)
-    for j in range(3):
-        power = s + j
-        series = np.sum(z**-power, axis=0)
-        # integral remainder for the images past the last summed one
-        series += (zbase + period * (count + 0.5)) ** (1.0 - power) / (period * (power - 1.0))
-        tail += weight[j] * moment[j] * series
-    return alpha / gamma_fn(1.0 - alpha) * tail
 
 
 # ---------------------------------------------------------------------------

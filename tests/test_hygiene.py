@@ -272,3 +272,43 @@ def test_one_endpoint_power_rule():
                       for node in ast.walk(func) if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name) and node.func.id == "_flagged_powers"]
     assert not found, f"a second endpoint power rule: {found}"
+
+
+def test_oracle_keeps_closed_forms_only():
+    """The oracle stays independent of the code it checks and states each rule
+    once: ``oracle.py`` imports no name of the Fourier layer that
+    ``spectral_derivative`` runs and reaches no ``fft``; one function divides
+    by a ``gamma_fn`` call a numerator that holds one (the Euler rule); and no
+    subscript indexed by a comparison mask is assigned to."""
+    fourier = {"discrete_fourier", "inverse_discrete_fourier", "spectral_multiplier",
+               "spectral_derivative", "_fourier_plan", "_symbol_plan", "_spectrum", "fft"}
+
+    def calls_gamma(node):
+        return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "gamma_fn" for sub in ast.walk(node))
+
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    masks = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Compare)
+             for target in node.targets if isinstance(target, ast.Name)}
+    found, euler = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"oracle.py:{node.lineno} import {a.name}" for a in node.names
+                      if set(a.name.split(".")) & fourier]
+        elif isinstance(node, ast.Attribute) and node.attr in fourier:
+            found.append(f"oracle.py:{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in fourier:
+            found.append(f"oracle.py:{node.lineno} {node.id}")
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"oracle.py:{node.lineno} {ast.unparse(t)} =" for t in targets
+                      if isinstance(t, ast.Subscript) and (isinstance(t.slice, ast.Compare) or (
+                          isinstance(t.slice, ast.Name) and t.slice.id in masks))]
+        elif isinstance(node, ast.FunctionDef):
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+                   and isinstance(sub.right, ast.Call) and calls_gamma(sub.right)
+                   and calls_gamma(sub.left) for sub in ast.walk(node)):
+                euler.add(node.name)
+    assert not found, f"the oracle reaches the Fourier layer or scatters by a mask: {found}"
+    assert euler == {"_euler_image"}, f"the Euler Gamma ratio is written in {sorted(euler)}"

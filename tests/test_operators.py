@@ -32,7 +32,6 @@ from fracsobolev.oracle import (
     PowerSum,
     Side,
     Step,
-    gaussian_spectral_reference,
     oracle_frac_derivative,
     oracle_frac_integral,
     sample,
@@ -652,22 +651,69 @@ class TestCaputoDerivative:
             caputo_derivative(kappa(0.5, "left", unit_grid(64)), 0.5)
 
 
+def gaussian_liouville(x: np.ndarray, alpha: float, side: str = "left") -> np.ndarray:
+    """D^alpha of the unit Gaussian g = exp(-x^2/2), by Gauss-Legendre quadrature.
+
+    D^alpha_left g(x) = 1/Gamma(1-alpha) int_0^inf s^-alpha g'(x - s) ds.  With
+    s = u^4 and k = 4(1 - alpha) an integer, s^-alpha ds = 4 u^(k-1) du is a
+    polynomial weight, and g'(x - s) is below 1e-20 past s = max(x, 0) + 10,
+    so 128 nodes on [0, (max(x, 0) + 10)^(1/4)] reach roundoff.  The right
+    derivative of the even g is the left one at -x.
+    """
+    x = np.asarray(x, dtype=float) * (1.0 if side == "left" else -1.0)
+    k = 4.0 * (1.0 - alpha)
+    assert k == round(k), "needs 4(1 - alpha) to be an integer"
+    t, w = np.polynomial.legendre.leggauss(128)
+    top = (np.maximum(x, 0.0) + 10.0) ** 0.25
+    u = top[:, None] * (t + 1.0) / 2.0
+    y = x[:, None] - u**4
+    integrand = 4.0 * u ** (k - 1.0) * -y * np.exp(-y * y / 2.0)
+    return top / 2.0 * (integrand @ w) / gamma_fn(1.0 - alpha)
+
+
+# (alpha, x, D^alpha_left exp(-x^2/2) at x), frozen from the closed form
+# exp(-x^2/4) D_alpha(-x) of NIST DLMF 12.5, evaluated with mpmath at 30
+# digits as mp.exp(-x**2/4) * mp.pcfd(alpha, -x)
+GAUSSIAN_LIOUVILLE = (
+    (0.25, -3.0, 0.0147567479645923470545096109567),
+    (0.25, 0.0, 0.815408844545835224884613114363),
+    (0.25, 1.5, -0.0561689045519472940746915733985),
+    (0.25, 16.0, -0.0160697084785719730995194836699),
+    (0.5, -1.0, 0.655908545986868578972691074731),
+    (0.5, 0.5, 0.205846929971409982585912866656),
+    (0.5, 2.0, -0.332914583425364481446965812012),
+    (0.5, 9.5, -0.0246742137617148177568935687144),
+    (0.75, -0.25, 0.495180923312960551911138837606),
+    (0.75, 1.0, -0.432004658882616132986072084288),
+    (0.75, 4.0, -0.0570636360017315949001725506145),
+    (0.75, -16.0, 2.05851902363853332819628296706e-55),
+)
+
+
+class TestGaussianLiouville:
+    @pytest.mark.parametrize("alpha, x, exact", GAUSSIAN_LIOUVILLE)
+    def test_matches_the_closed_form(self, alpha, x, exact):
+        assert abs(gaussian_liouville(np.array([x]), alpha)[0] - exact) <= 1e-14
+        # the right derivative of the even Gaussian mirrors the left one
+        assert abs(gaussian_liouville(np.array([-x]), alpha, "right")[0] - exact) <= 1e-14
+
+
 class TestMarchaudDerivative:
-    def test_matches_spectral_reference(self):
+    def test_matches_closed_form(self):
         # rel L-inf <= 1e-3 at n=4096, L=16 on a unit Gaussian
         u = sample_line(Gaussian(0.0, 1.0), 16.0, 4096)
-        ref = gaussian_spectral_reference(Gaussian(0.0, 1.0), 0.5, "left")
+        ref = gaussian_liouville(u.x, 0.5, "left")
         d = marchaud_derivative(u, 0.5, "left")
-        scale = np.max(np.abs(ref.values))
-        assert np.max(np.abs(d.values - ref.values)) <= 1e-3 * scale
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(d.values - ref)) <= 1e-3 * scale
 
     def test_other_orders_and_sides(self):
         u = sample_line(Gaussian(0.0, 1.0), 16.0, 4096)
         for alpha, side in ((0.25, "left"), (0.75, "right")):
-            ref = gaussian_spectral_reference(Gaussian(0.0, 1.0), alpha, side)
+            ref = gaussian_liouville(u.x, alpha, side)
             d = marchaud_derivative(u, alpha, side)
-            scale = np.max(np.abs(ref.values))
-            assert np.max(np.abs(d.values - ref.values)) <= 2e-4 * scale
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(d.values - ref)) <= 2e-4 * scale
 
     def test_zero_maps_to_zero(self):
         u = LineFunction(8.0, np.zeros(257))
@@ -681,11 +727,11 @@ class TestMarchaudDerivative:
 
     def test_sub_grid_bound_covers_model_term(self):
         u = sample_line(Gaussian(0.0, 1.0), 16.0, 4096)
-        ref = gaussian_spectral_reference(Gaussian(0.0, 1.0), 0.5, "left")
+        ref = gaussian_liouville(u.x, 0.5, "left")
         d = marchaud_derivative(u, 0.5, "left")
         bound = marchaud_small_offset_bound(u, 0.5)
         assert bound > 0.0
-        assert np.max(np.abs(d.values - ref.values)) <= bound
+        assert np.max(np.abs(d.values - ref)) <= bound
 
     def test_warns_when_tail_visible(self):
         x = np.linspace(-16.0, 16.0, 1025)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsobolev.core import Side, uniform_grid
+from fracsobolev.core import Side, spectral_multiplier, uniform_grid
 from fracsobolev.oracle import (
     Bump,
     FunctionSum,
@@ -16,15 +16,15 @@ from fracsobolev.oracle import (
     Step,
     UnsupportedFamilyError,
     classical_derivative_values,
-    gaussian_spectral_reference,
     oracle_frac_derivative,
     oracle_frac_integral,
     parse_function_spec,
     sample,
     sample_line,
-    spectral_multiplier,
     value_at_base,
 )
+from fracsobolev.operators import caputo_derivative
+from fracsobolev.spaces import lp_norm
 
 # Frozen references (mpmath, 30 digits).
 G23_OVER_G28 = 0.69592503204502823  # Gamma(2.3)/Gamma(2.8)
@@ -227,6 +227,28 @@ class TestSampling:
         assert sample(f, grid).left_power is None
         assert sample(f + PowerSum(0.0, ((0.5, -0.1),)), grid).left_power == (0.5, -0.1)
 
+    @pytest.mark.parametrize("f", [
+        PowerSum(0.0, ((1.0, -0.25), (-1.0, -0.25), (1.0, 1.0))),
+        PowerSum(0.0, ((1.0, -0.25),)) + PowerSum(0.0, ((-1.0, -0.25), (1.0, 1.0))),
+        FunctionSum((PowerSum(0.0, ((1.0, -0.25),)), FunctionSum((PowerSum(0.0, ((-1.0, -0.25), (1.0, 1.0))),)))),
+    ])
+    def test_cancelled_exponent_leaves_a_finite_base_node(self, f):
+        # x^-1/4 - x^-1/4 + x is x: the base node holds x's value, 0
+        grid = uniform_grid(0.0, 1.0, 1024)
+        u = sample(f, grid)
+        assert u.values[0] == 0.0
+        assert abs(lp_norm(u, 1) - 0.5) <= 1e-15
+        exact = grid.nodes[1:] ** 0.5 * INV_GAMMA_1P5  # D^1/2 x
+        assert np.max(np.abs(caputo_derivative(u, 0.5).values[1:] - exact)) <= 1e-13
+
+    def test_cancelled_exponent_at_the_right_end(self):
+        grid = uniform_grid(0.0, 1.0, 64)
+        f = PowerSum(1.0, ((2.0, -0.5), (-2.0, -0.5), (3.0, 0.0)), Side.RIGHT) + Bump(0.5, 0.2)
+        u = sample(f, grid)
+        assert u.right_power is None
+        assert u.values[-1] == 3.0
+        assert np.array_equal(u.values[:-1], f.value(grid.nodes[:-1]))
+
     def test_right_anchored_metadata(self):
         grid = uniform_grid(0.0, 1.0, 16)
         u = sample(kappa_form(0.5, anchor=1.0, side=Side.RIGHT), grid)
@@ -253,21 +275,65 @@ class TestSpectral:
         m = spectral_multiplier(xi, 0.5, "left")
         assert np.allclose(m[::-1], np.conj(m), atol=1e-15)
 
-    def test_reference_first_order_limit(self):
-        ref = gaussian_spectral_reference(Gaussian(0.0, 1.0), 1.0, "left", n=1 << 12)
-        x = ref.x
-        expected = -x * np.exp(-0.5 * x**2)
-        assert np.max(np.abs(ref.values - expected)) <= 1e-6
-        ref_r = gaussian_spectral_reference(Gaussian(0.0, 1.0), 1.0, "right", n=1 << 12)
-        assert np.max(np.abs(ref_r.values + expected)) <= 1e-6
-
-    def test_reference_rejects_undecayed(self):
-        with pytest.raises(ValueError):
-            gaussian_spectral_reference(Gaussian(0.0, 8.0), 0.5, half_width=8.0, n=1 << 10)
-
     def test_sample_line_decay(self):
         lf = sample_line(Gaussian(0.0, 1.0), 16.0, 256)
         assert lf.decay_checked
+
+
+EXPONENTS = (-0.75, -0.25, 0.0, 0.3, 1.0, 1.3, 2.0, 2.5)
+# coefficients of both signs, one per exponent
+COEFFS = (1.5, -2.0, 0.7, -1.1, 3.0, -0.4, 2.2, -0.9)
+
+
+def masked_powers(f: PowerSum, x: np.ndarray, derivative: bool) -> np.ndarray:
+    """Reference: the power sum or its derivative, gathered and scattered by a mask."""
+    t = x - f.anchor if f.orientation is Side.LEFT else f.anchor - x
+    sgn = 1.0 if f.orientation is Side.LEFT else -1.0
+    out = np.zeros_like(t)
+    inside = t >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, b in f.terms:
+            if derivative:
+                if b != 0.0:
+                    out[inside] += sgn * c * b * np.power(t[inside], b - 1.0)
+            elif b == 0.0:
+                out[inside] += c
+            else:
+                out[inside] += c * np.power(t[inside], b)
+    return out
+
+
+class TestPowerLoop:
+    """The ``np.where`` loop gives the masked loop's bits."""
+
+    @pytest.mark.parametrize("n", [7, 100, 1024, 2000, 65536])
+    @pytest.mark.parametrize("orientation", [Side.LEFT, Side.RIGHT])
+    def test_bits_match_the_masked_loop(self, n, orientation):
+        x = uniform_grid(0.0, 1.0, n).nodes
+        term_sets = [((c, b),) for c, b in zip(COEFFS, EXPONENTS)]
+        term_sets.append(tuple(zip(COEFFS, EXPONENTS)))
+        for anchor in (0.0, 1.0, 0.37, -0.5, 1.5):
+            for terms in term_sets:
+                f = PowerSum(anchor, terms, orientation)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = (f.value(x), classical_derivative_values(f, x))
+                    want = (masked_powers(f, x, False), masked_powers(f, x, True))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), (anchor, terms)
+
+    @pytest.mark.parametrize("n", [7, 100, 1024, 65536])
+    def test_bump_bits_match_the_masked_form(self, n):
+        x = uniform_grid(0.0, 1.0, n).nodes
+        for b in (Bump(0.5, 0.2, -1.3), Bump(0.05, 0.3), Bump(1.0, 0.5, 2.0)):
+            s = (x - b.center) / b.radius
+            inside = np.abs(s) < 1.0
+            value, slope = np.zeros_like(x), np.zeros_like(x)
+            si = s[inside]
+            value[inside] = b.height * np.exp(1.0 - 1.0 / (1.0 - si**2))
+            slope[inside] = value[inside] * (-2.0 * si / (1.0 - si**2) ** 2) / b.radius
+            assert np.array_equal(b.value(x).view(np.int64), value.view(np.int64))
+            got = classical_derivative_values(b, x)
+            assert np.array_equal(got.view(np.int64), slope.view(np.int64))
 
 
 class TestParser:
