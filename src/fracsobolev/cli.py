@@ -12,12 +12,17 @@ Four commands::
 
 Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 I/O error.
 
-Functions are given in the spec grammar of the oracle module, or as a
-path to a ``x,value`` CSV previously written by ``compute``.  Output
-files are written atomically (temp file, then rename).  ``--config``
-names a JSON file whose keys mirror the long flags; explicit flags win.
-The environment variable ``FRAC_DEFAULT_N`` overrides the default grid
-size used when ``--grid``/``--line`` is omitted.
+``--fn`` is required by ``compute`` and ``norm``, and by ``verify`` for a
+check that takes a function.  It is given in the spec grammar of the
+oracle module, or as a path to a ``x,value`` CSV previously written by
+``compute``.  A CSV carries its own grid, so every command rejects
+``--grid``/``--line`` beside it.  A spec is sampled on ``--grid``, on
+``--line``, or else on ``[0, 1]`` with 2048 cells, which the environment
+variable ``FRAC_DEFAULT_N`` overrides; ``const`` and ``kappa`` anchor at
+the base point of the grid they are sampled on.  Output files are
+written atomically (temp file, then rename).  ``--config`` names a JSON
+file whose keys mirror the command's long flags; any other key is a
+usage error, and explicit flags win.
 
 Imports: at start-up this module loads the standard library and the
 package's ``__version__`` only, so ``--version``, ``--help`` and usage
@@ -79,11 +84,7 @@ def _json_ready(obj):
     contain them, so they travel as ``"inf"``/``"-inf"``/``"nan"``.
     """
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+        return obj if math.isfinite(obj) else _format_value(obj)
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -199,7 +200,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise _UsageError(f"config {args.config!r} must hold a JSON object")
     for key, value in table.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in args.long_flags:
             raise _UsageError(f"config key {key!r} does not match any flag")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
@@ -235,11 +236,7 @@ def _parse_line(text: str) -> tuple[float, int]:
     return half_width, n
 
 
-def _resolve_function(
-    spec: str, grid: Grid | None, side: Side
-) -> ClosedFormFunction | SampledFunction:
-    if spec.endswith(".csv"):
-        return _read_csv(spec)
+def _resolve_function(spec: str, grid: Grid | None, side: Side) -> ClosedFormFunction:
     from . import oracle
 
     try:
@@ -248,30 +245,37 @@ def _resolve_function(
         raise _UsageError(f"bad function spec {spec!r}: {exc}") from exc
 
 
-def _domain(args: argparse.Namespace) -> tuple[Grid | None, tuple[float, int] | None]:
+def _function_input(
+    args: argparse.Namespace, command: str, on_line: bool = True
+) -> tuple[Side, Grid | None, ClosedFormFunction | None, SampledFunction | LineFunction]:
+    """``(side, grid, f, u)`` from ``--fn``, ``--side``, ``--grid`` and ``--line``.
+
+    A CSV carries its own grid: ``f`` is None and ``grid`` is ``u``'s.  A
+    spec is parsed on the grid it is sampled on, ``--grid`` or else the
+    default ``[0, 1]`` grid, or sampled on ``--line`` with ``grid`` None;
+    without ``on_line``, ``--line`` is a usage error for ``command``.
+    """
+    if not args.fn:
+        raise _UsageError(f"{command} needs --fn")
+    from . import core, oracle
+
+    side = core.Side.parse(args.side or "left")
     grid = _parse_grid(args.grid) if args.grid else None
     line = _parse_line(args.line) if args.line else None
     if grid is not None and line is not None:
         raise _UsageError("give either --grid or --line, not both")
-    return grid, line
-
-
-def _sample_on(
-    f: ClosedFormFunction | SampledFunction,
-    grid: Grid | None,
-    line: tuple[float, int] | None,
-) -> SampledFunction | LineFunction:
-    from . import core, oracle
-
-    if isinstance(f, core.SampledFunction):
+    if line is not None and not on_line:
+        raise _UsageError(f"{command} works on interval grids; use --grid")
+    if args.fn.endswith(".csv"):
         if grid is not None or line is not None:
             raise _UsageError("CSV input carries its own grid; drop --grid/--line")
-        return f
-    if line is not None:
-        return oracle.sample_line(f, line[0], line[1])
-    if grid is None:
+        u = _read_csv(args.fn)
+        return side, u.grid, None, u
+    if line is None and grid is None:
         grid = core.uniform_grid(0.0, 1.0, _default_n())
-    return oracle.sample(f, grid)
+    f = _resolve_function(args.fn, grid, side)
+    u = oracle.sample_line(f, *line) if line is not None else oracle.sample(f, grid)
+    return side, grid, f, u
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +285,10 @@ def _sample_on(
 def _cmd_compute(args: argparse.Namespace) -> int:
     if args.alpha is None:
         raise _UsageError("compute needs --alpha")
+    if args.scheme and args.what != "deriv":
+        raise _UsageError("--scheme applies to deriv only")
+    side, _, _, u = _function_input(args, f"compute {args.what}", on_line=args.what == "deriv")
     from . import core, operators
-
-    side = core.Side.parse(args.side or "left")
-    grid, line = _domain(args)
-    f = _resolve_function(args.fn, grid, side)
-    u = _sample_on(f, grid, line)
 
     if args.what == "deriv":
         scheme = args.scheme or operators._default_scheme(u)
@@ -298,10 +300,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if isinstance(out, core.LineFunction):
             out = out.as_sampled()
     else:
-        if args.scheme:
-            raise _UsageError("--scheme applies to deriv only")
-        if isinstance(u, core.LineFunction):
-            raise _UsageError("integral is defined on interval grids; use --grid")
         out = operators.frac_integral(u, args.alpha, side)
 
     if args.out:
@@ -314,16 +312,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_norm(args: argparse.Namespace) -> int:
     if args.space is None:
         raise _UsageError("norm needs --space")
-    from . import core, spaces
+    from . import spaces
 
     if args.space not in spaces._FAMILIES:
         raise _UsageError(f"unknown space {args.space!r}; pick one of {spaces._FAMILIES}")
     if args.alpha is None:
         raise _UsageError("norm needs --alpha")
-    side = core.Side.parse(args.side or "left")
-    grid, line = _domain(args)
-    f = _resolve_function(args.fn, grid, side)
-    u = _sample_on(f, grid, line)
+    _, _, _, u = _function_input(args, "norm")
     try:
         p = 2.0 if args.p is None else args.p
         spec = spaces.NormSpec(args.space, spaces.FracOrder(args.alpha), p)
@@ -364,9 +359,9 @@ def _verify_weak_pairing(args, f, u, grid, side) -> VerificationReport:
 
 
 def _verify_w1p(args, f, u, grid, side) -> VerificationReport:
-    from . import core, verify
+    from . import verify
 
-    if isinstance(f, core.SampledFunction):
+    if f is None:
         raise _UsageError("w1p_consistency needs a closed-form --fn")
     return verify.check_consistency_w1p(f, args.alpha, args.p, grid, **_tolerance(args))
 
@@ -405,23 +400,24 @@ def _reject_unused(args: argparse.Namespace, used: tuple[str, ...]) -> None:
 
 
 def _single_function_check(name: str, args: argparse.Namespace) -> VerificationReport:
-    from . import core, oracle
-
     flags, adapter = _FN_CHECKS[name]
     _reject_unused(args, ("alpha", "side", "grid", "line", *flags))
-    side = core.Side.parse(args.side or "left")
-    grid, line = _domain(args)
-    if line is not None:
-        raise _UsageError(f"verify {name} works on interval grids; use --grid")
-    if grid is None:
-        grid = core.uniform_grid(0.0, 1.0, _default_n())
     if args.alpha is None:
         raise _UsageError(f"verify {name} needs --alpha")
     # unset flags take the library's defaults; an explicit 0 goes to the library
     args.p = 2.0 if args.p is None else args.p
-    f = _resolve_function(args.fn, grid, side)
-    u = f if isinstance(f, core.SampledFunction) else oracle.sample(f, grid)
+    side, grid, f, u = _function_input(args, f"verify {name}", on_line=False)
     return adapter(args, f, u, grid, side)
+
+
+def _write_status(report: VerificationReport, label: str = "") -> None:
+    """One report's PASS/FAIL line on stdout; ``label`` goes before its theorem id."""
+    status = "PASS" if report.passed else "FAIL"
+    worst = _format_value(max(report.residuals))
+    sys.stdout.write(
+        f"{status} {label}{report.theorem_id} (worst residual {worst}, "
+        f"tolerance {_format_value(report.tolerance)})\n"
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -442,12 +438,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _reject_unused(args, ())
         report = checks[name]()
 
-    status = "PASS" if report.passed else "FAIL"
-    worst = max(report.residuals)
-    sys.stdout.write(
-        f"{status} {report.theorem_id} (worst residual {_format_value(worst)}, "
-        f"tolerance {_format_value(report.tolerance)})\n"
-    )
+    _write_status(report)
     if args.json:
         _write_json(args.json, report.to_dict())
     return 0 if report.passed else 1
@@ -463,15 +454,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     for name, runner in verify.canonical_checks().items():
         report = runner()
         reports.append(report.to_dict())
-        status = "PASS" if report.passed else "FAIL"
         if not report.passed:
             failures += 1
-        worst = max(report.residuals)
-        sys.stdout.write(
-            f"{status} {name}: {report.theorem_id} "
-            f"(worst residual {_format_value(worst)}, "
-            f"tolerance {_format_value(report.tolerance)})\n"
-        )
+        _write_status(report, f"{name}: ")
     sys.stdout.write(
         f"{len(reports) - failures} passed, {failures} failed, {len(reports)} total\n"
     )
@@ -532,6 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--json", help="write all reports as a JSON array")
     p_suite.set_defaults(handler=_cmd_suite)
 
+    for command in sub.choices.values():
+        # the attributes a --config key may set: the command's long flags
+        flags = {a.dest for a in command._actions if a.option_strings} - {"help"}
+        command.set_defaults(long_flags=flags)
     return parser
 
 

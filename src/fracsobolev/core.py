@@ -276,7 +276,7 @@ class LineFunction:
         return SampledFunction(self.grid, self.values)
 
 
-def _coarsened(u: SampledFunction | LineFunction, step: int) -> SampledFunction | LineFunction:
+def _coarsened(u: SampledFunction, step: int) -> SampledFunction:
     """Every ``step``-th node of ``u``: an exact, artifact-free resolution change.
 
     The extension checks of :mod:`~fracsobolev.verify` take their constant
@@ -288,10 +288,7 @@ def _coarsened(u: SampledFunction | LineFunction, step: int) -> SampledFunction 
     n = u.grid.n
     if n % step:
         raise ValueError(f"need a multiple of {step} cells to coarsen, got {n}")
-    values = u.values[::step].copy()
-    if isinstance(u, LineFunction):
-        return replace(u, values=values)
-    return replace(u, grid=Grid(u.grid.a, u.grid.b, n // step), values=values)
+    return replace(u, grid=Grid(u.grid.a, u.grid.b, n // step), values=u.values[::step].copy())
 
 
 @dataclass(frozen=True)

@@ -332,10 +332,8 @@ def _split_left_singular(
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite samples away from the base node")
         return vals, None
-    coeff, exponent = power
-    t = u.grid.nodes - u.grid.a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        regular = coeff * np.power(t, exponent)
+    regular = _power_values(u.grid, *power)
+    with np.errstate(invalid="ignore"):
         # the base node is inf - inf; overwritten just below
         np.subtract(vals, regular, out=regular)
     regular[0] = 0.0
@@ -709,9 +707,7 @@ def kappa(alpha: float, side: Side | str, grid: Grid) -> SampledFunction:
         raise ValueError("kappa is the kernel for orders in (0, 1]")
     if alpha == 1.0:
         return SampledFunction(grid, np.ones(grid.n + 1))
-    with np.errstate(divide="ignore"):
-        vals = np.power(grid.nodes - grid.a, alpha - 1.0)
-    left = SampledFunction(grid, vals, left_power=(1.0, alpha - 1.0))
+    left = SampledFunction(grid, _power_values(grid, 1.0, alpha - 1.0), left_power=(1.0, alpha - 1.0))
     return left if side is Side.LEFT else left.reflected()
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "oracle_frac_integral",
     "oracle_frac_derivative",
     "classical_derivative_values",
-    "value_at_base",
     "sample",
     "sample_line",
     "parse_function_spec",
@@ -265,17 +264,6 @@ def oracle_frac_derivative(
     return FunctionSum((rl, kernel))
 
 
-def value_at_base(f: ClosedFormFunction, base: float) -> float:
-    """Limit of ``f`` at a base point, taken from inside the domain.
-
-    The one-sided families already encode their limits in ``value``
-    (``0^0 = 1`` for constants, ``inf`` for negative exponents at the
-    anchor), so this is plain evaluation with overflow warnings silenced.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.asarray(f.value(np.asarray([float(base)]))).flat[0])
-
-
 def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndarray:
     """Nodal values of the classical derivative f' (exact per family)."""
     x = np.asarray(x, dtype=float)
@@ -301,34 +289,39 @@ def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndar
 def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     """Evaluate ``f`` at the nodes, recording singular endpoint behaviour.
 
-    If ``f`` contains one-sided power terms with negative exponents
-    anchored at an endpoint of the grid, the sample carries the matching
-    ``left_power`` / ``right_power`` metadata and the endpoint node itself
-    holds the non-finite marker that singular-aware consumers look for.
-    Equal exponents anchored at one end are summed, in one power sum or
-    across several, and an exponent whose coefficients cancel records
-    nothing (:func:`~fracsobolev.core._leading_power`); when all of them
-    cancel, the end node holds the value of the terms that are left.
+    Each end records the leading power of the power sums anchored there
+    and oriented into the grid as ``left_power`` / ``right_power``, and its
+    node holds the non-finite marker that singular-aware consumers look
+    for.  Equal exponents are summed, in one power sum or across several,
+    and an exponent whose coefficients cancel records nothing
+    (:func:`~fracsobolev.core._leading_power`).
+
+    Every part of ``f`` is evaluated in its own frame: a power sum anchored
+    at the right end at the reflection's distances ``x_{n-j} - a``, alone
+    or inside a sum, since the right-side operators subtract its power
+    again there and ``b - x_j`` can round apart; every other part at the
+    nodes.  An end that records no power holds the limit of ``f`` from
+    inside the domain: its cancelled exponents drop out, and a power sum
+    anchored at that end but oriented away from the domain adds 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if _anchored(f, grid.b, Side.RIGHT):
-            # the reflection's distances x_{n-j} - a, at which the right-side
-            # operators subtract the power again; b - x_j can round apart
-            values = PowerSum(grid.a, f.terms).value(grid.nodes)[::-1].copy()
-        else:
-            values = np.asarray(f.value(grid.nodes), dtype=float)
+    ends = ((0, grid.a, Side.LEFT), (grid.n, grid.b, Side.RIGHT))
     leaves = _leaves(f)
-    powers = []
-    for node, base, side in ((0, grid.a, Side.LEFT), (-1, grid.b, Side.RIGHT)):
-        anchored = [_anchored(p, base, side) for p in leaves]
-        terms = [term for p, at_end in zip(leaves, anchored) if at_end for term in p.terms]
-        powers.append(_leading_power(terms))
-        if powers[-1] is None and any(e < 0.0 for _, e in terms):
-            kept = tuple(
-                PowerSum(p.anchor, [(c, e) for c, e in p.terms if e >= 0.0], p.orientation) if at_end else p
-                for p, at_end in zip(leaves, anchored)
-            )
-            values[node] = FunctionSum(kept).value(grid.nodes[node])
+    powers = [
+        _leading_power([term for p in leaves if _anchored(p, base, side) for term in p.terms])
+        for _, base, side in ends
+    ]
+    values = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for leaf in leaves:
+            if _anchored(leaf, grid.b, Side.RIGHT):
+                part = _one_sided_powers(grid.nodes - grid.a, leaf.terms)[::-1].copy()
+            else:
+                part = np.asarray(leaf.value(grid.nodes), dtype=float)
+            for (node, base, side), power in zip(ends, powers):
+                if power is None and isinstance(leaf, PowerSum) and abs(leaf.anchor - base) < 1e-14:
+                    inside = leaf.orientation is side
+                    part[node] = sum(c for c, e in leaf.terms if e == 0.0) if inside else 0.0
+            values = part if values is None else values + part
     return SampledFunction(grid, values, left_power=powers[0], right_power=powers[1])
 
 
@@ -392,7 +385,7 @@ def _parse_single(text: str, grid: Grid | None, side: Side) -> ClosedFormFunctio
     head, body = m.group("head"), m.group("body")
     if head == "const":
         value = float(body)
-        anchor = _base_point(grid, side, head)
+        anchor = _base_point(grid, side)
         return PowerSum(anchor, ((value, 0.0),), side)
     fields = _parse_fields(body, head)
     if head == "pow":
@@ -426,7 +419,7 @@ def _parse_single(text: str, grid: Grid | None, side: Side) -> ClosedFormFunctio
         _reject_extras(fields, head)
         if not 0.0 < alpha < 1.0:
             raise ValueError("kappa needs 0 < alpha < 1")
-        anchor = _base_point(grid, kside, head)
+        anchor = _base_point(grid, kside)
         return PowerSum(anchor, ((1.0, alpha - 1.0),), kside)
     raise ValueError(f"unknown function family {head!r}")
 
@@ -456,7 +449,7 @@ def _reject_extras(fields: dict[str, str], head: str) -> None:
         raise ValueError(f"unknown fields for {head!r}: {sorted(fields)}")
 
 
-def _base_point(grid: Grid | None, side: Side, head: str) -> float:
+def _base_point(grid: Grid | None, side: Side) -> float:
     if grid is None:
         return 0.0
     return grid.a if side is Side.LEFT else grid.b

@@ -70,7 +70,6 @@ from .oracle import (
     describe_function,
     sample,
     sample_line,
-    value_at_base,
 )
 from .spaces import (
     NormSpec,
@@ -1321,7 +1320,7 @@ def check_consistency_w1p(
     su = sample(u, grid)
     lhs = rl_derivative(su, alpha, Side.LEFT).values
 
-    u_a = value_at_base(u, grid.a)
+    u_a = float(su.values[0])
     if not math.isfinite(u_a):
         raise ValueError("the formula needs a finite base value")
     t = grid.nodes - grid.a

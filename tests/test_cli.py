@@ -201,6 +201,15 @@ class TestComputeCommand:
         ]
         assert len(data_lines) == 33
 
+    def test_default_grid_anchors_the_base_point(self, monkeypatch, capsys):
+        # const:1 from the right is anchored at b of the grid it is sampled on
+        monkeypatch.delenv("FRAC_DEFAULT_N", raising=False)
+        args = ["compute", "integral", "--alpha", "0.5", "--side", "right", "--fn", "const:1"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main([*args, "--grid", "0,1,2048"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestNormCommand:
     def test_gagliardo_norm_of_the_unit_gaussian(self, tmp_path):
@@ -356,6 +365,17 @@ class TestVerifyCommand:
         assert main(["verify", "ibp_zero_trace", "--config", str(cfg)]) == 2
         assert "does not use --tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, table", [
+        (["verify", "ibp_zero_trace"], {"check": "ftwfc", "handler": 1}),
+        (["suite", "all"], {"target": "x"}),
+    ])
+    def test_config_keys_name_long_flags_only(self, argv, table, tmp_path, capsys):
+        # a positional or internal attribute is not a flag a config may set
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(table))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "does not match any flag" in capsys.readouterr().err
+
     def test_density_rejects_a_tolerance(self, capsys):
         code = main(["verify", "density", "--alpha", "0.5", "--fn", "bump:c=0.5;r=0.3",
                      "--grid", "0,1,512", "--tolerance", "1e-30"])
@@ -461,6 +481,26 @@ class TestSuiteCommand:
 
 
 class TestIoBehaviour:
+    @pytest.mark.parametrize("argv, command", [
+        (["compute", "deriv", "--alpha", "0.5"], "compute deriv"),
+        (["norm", "--space", "gagliardo", "--alpha", "0.5"], "norm"),
+    ])
+    def test_a_missing_function_is_a_usage_error(self, argv, command, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"frac: {command} needs --fn\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "deriv", "--alpha", "0.5"],
+        ["norm", "--space", "one_sided_left", "--alpha", "0.5"],
+        ["verify", "ftwfc", "--alpha", "0.5"],
+    ])
+    def test_a_csv_input_carries_its_own_grid(self, argv, tmp_path, capsys):
+        csv = tmp_path / "t16.csv"
+        assert main(["compute", "deriv", "--alpha", "0.5", "--fn", "const:1",
+                     "--grid", "0,1,16", "--out", str(csv)]) == 0
+        assert main([*argv, "--fn", str(csv), "--grid", "0,1,4096"]) == 2
+        assert "CSV input carries its own grid; drop --grid/--line" in capsys.readouterr().err
+
     def test_unwritable_output_exits_three(self):
         r = run_cli("compute", "deriv", "--alpha", "0.5", "--fn", "const:1",
                     "--grid", "0,1,64", "--out", "/no/such/dir/out.csv")

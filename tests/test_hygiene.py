@@ -312,3 +312,19 @@ def test_oracle_keeps_closed_forms_only():
                 euler.add(node.name)
     assert not found, f"the oracle reaches the Fourier layer or scatters by a mask: {found}"
     assert euler == {"_euler_image"}, f"the Euler Gamma ratio is written in {sorted(euler)}"
+
+
+def test_one_function_reads_a_function_input():
+    """The command line turns ``--fn`` into a function in one place:
+    exactly one function in ``cli.py`` calls ``_resolve_function``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    callers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_resolve_function"
+            for sub in ast.walk(node)
+        )
+    ]
+    assert len(callers) == 1, callers

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsobolev import operators
 from fracsobolev.core import Side, spectral_multiplier, uniform_grid
 from fracsobolev.oracle import (
     Bump,
@@ -21,9 +22,8 @@ from fracsobolev.oracle import (
     parse_function_spec,
     sample,
     sample_line,
-    value_at_base,
 )
-from fracsobolev.operators import caputo_derivative
+from fracsobolev.operators import caputo_derivative, frac_integral, rl_derivative
 from fracsobolev.spaces import lp_norm
 
 # Frozen references (mpmath, 30 digits).
@@ -171,11 +171,6 @@ class TestEvaluation:
         x = np.array([0.0, 0.5, 1.0])
         assert np.allclose(f.value(x), [0.0, 0.0, 2.0 * np.sqrt(0.5)])
 
-    def test_value_at_base(self):
-        assert value_at_base(PowerSum(0.0, ((3.0, 0.0), (1.0, 2.0))), 0.0) == 3.0
-        assert value_at_base(kappa_form(0.5), 0.0) == np.inf
-        assert value_at_base(Gaussian(0.0, 1.0), 0.0) == 1.0
-
     def test_bump_support_and_peak(self):
         b = Bump(0.5, 0.2, height=2.0)
         assert b.value(np.array([0.29, 0.71])).tolist() == [0.0, 0.0]
@@ -248,6 +243,32 @@ class TestSampling:
         assert u.right_power is None
         assert u.values[-1] == 3.0
         assert np.array_equal(u.values[:-1], f.value(grid.nodes[:-1]))
+
+    def test_power_oriented_away_from_its_end_adds_zero_there(self):
+        # (x - 1)^-1/2 from the left vanishes on [0, 1): node 16 holds the
+        # limit from inside, 0, and nothing is recorded
+        grid = uniform_grid(0.0, 1.0, 16)
+        u = sample(PowerSum(1.0, ((1.0, -0.5),), Side.LEFT), grid)
+        assert u.values.tolist() == [0.0] * 17
+        assert u.left_power is None and u.right_power is None
+        assert frac_integral(u, 0.5).values.tolist() == [0.0] * 17
+
+    @pytest.mark.parametrize("n", [1000, 2000, 3000])
+    def test_right_anchored_power_is_sampled_in_its_frame_inside_a_sum(self, n):
+        # provenance: three spellings of one function give the same samples
+        # and the same right-side operators; each is sampled at the
+        # reflection's distances, so the reflection's regular part is 0
+        grid = uniform_grid(0.0, 1.0, n)
+        p = PowerSum(1.0, ((1.3, -0.25),), Side.RIGHT)
+        spellings = (p, FunctionSum((p,)), p + PowerSum(1.0, ((0.0, 2.0),), Side.RIGHT))
+        samples = [sample(f, grid) for f in spellings]
+        for u in samples:
+            assert u.right_power == (1.3, -0.25)
+            assert np.array_equal(u.values, samples[0].values)
+            regular, _ = operators._split_left_singular(u.reflected())
+            assert np.count_nonzero(regular) == 0
+            for op in (rl_derivative, frac_integral):
+                assert np.array_equal(op(u, 0.4, "right").values, op(samples[0], 0.4, "right").values)
 
     def test_right_anchored_metadata(self):
         grid = uniform_grid(0.0, 1.0, 16)

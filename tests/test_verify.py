@@ -661,6 +661,15 @@ class TestW1pConsistency:
         assert rep.details["residual"] < 1e-6
         assert rep.details["base_value"] == 1.0
 
+    def test_cancelled_exponent_reads_the_base_value_of_x(self):
+        # x^-1/4 - x^-1/4 + x is x: u(a) is the sample's base node, the limit 0
+        cancelled = PowerSum(0.0, ((1.0, -0.25), (-1.0, -0.25), (1.0, 1.0)))
+        rep = check_consistency_w1p(cancelled, 0.5, 2.0)
+        plain = check_consistency_w1p(PowerSum(0.0, ((1.0, 1.0),)), 0.5, 2.0)
+        assert rep.passed
+        assert rep.residuals == plain.residuals
+        assert rep.details == plain.details
+
     def test_zero_trace_input_drops_the_kernel_term(self):
         rep = check_consistency_w1p(Bump(0.5, 0.25), 0.5, 2.0, unit_grid(2048))
         assert rep.passed
