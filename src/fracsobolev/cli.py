@@ -15,14 +15,17 @@ Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 I/O error.
 ``--fn`` is required by ``compute`` and ``norm``, and by ``verify`` for a
 check that takes a function.  It is given in the spec grammar of the
 oracle module, or as a path to a ``x,value`` CSV previously written by
-``compute``.  A CSV carries its own grid, so every command rejects
-``--grid``/``--line`` beside it.  A spec is sampled on ``--grid``, on
-``--line``, or else on ``[0, 1]`` with 2048 cells, which the environment
-variable ``FRAC_DEFAULT_N`` overrides; ``const`` and ``kappa`` anchor at
-the base point of the grid they are sampled on.  Output files are
-written atomically (temp file, then rename).  ``--config`` names a JSON
-file whose keys mirror the command's long flags; any other key is a
-usage error, and explicit flags win.
+``compute``.  Above its rows a CSV lists the flagged nodes (``# flagged:
+i,j``) and writes one ``# left_power: c,e`` or ``# right_power: c,e``
+line per recorded endpoint term, lowest exponent first; a file with one
+such line per end reads as a one-term record.  A CSV carries its own
+grid, so every command rejects ``--grid``/``--line`` beside it.  A spec
+is sampled on ``--grid``, on ``--line``, or else on ``[0, 1]`` with 2048
+cells, which the environment variable ``FRAC_DEFAULT_N`` overrides;
+``const`` and ``kappa`` anchor at the base point of the grid they are
+sampled on.  Output files are written atomically (temp file, then
+rename).  ``--config`` names a JSON file whose keys mirror the command's
+long flags; any other key is a usage error, and explicit flags win.
 
 Imports: at start-up this module loads the standard library and the
 package's ``__version__`` only, so ``--version``, ``--help`` and usage
@@ -126,10 +129,8 @@ def _csv_text(u: SampledFunction) -> str:
     flagged = [i for i, v in enumerate(vals) if not math.isfinite(v)]
     if flagged:
         lines.append("# flagged: " + ",".join(str(i) for i in flagged))
-    for tag in ("left_power", "right_power"):
-        if getattr(u, tag) is not None:
-            c, e = getattr(u, tag)
-            lines.append(f"# {tag}: {_format_value(c)},{_format_value(e)}")
+    for tag, terms in (("left_power", u.left_terms), ("right_power", u.right_terms)):
+        lines += [f"# {tag}: {_format_value(c)},{_format_value(e)}" for c, e in terms]
     for x, v in zip(u.grid.nodes.tolist(), vals):
         lines.append(f"{_format_value(x)},{_format_value(v)}")
     return "\n".join(lines) + "\n"
@@ -140,7 +141,7 @@ def _write_csv(path: str, u: SampledFunction) -> None:
 
 
 def _read_csv(path: str) -> SampledFunction:
-    powers = {}
+    terms: dict[str, list[tuple[float, float]]] = {"left_power": [], "right_power": []}
     xs: list[float] = []
     vs: list[float] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -150,10 +151,10 @@ def _read_csv(path: str) -> SampledFunction:
                 continue
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
-                for tag in ("left_power", "right_power"):
+                for tag in terms:
                     if body.startswith(tag + ":"):
                         c, _, e = body[len(tag) + 1 :].partition(",")
-                        powers[tag] = (float(c), float(e))
+                        terms[tag].append((float(c), float(e)))
                 continue
             x, _, v = line.partition(",")
             xs.append(float(x))
@@ -166,7 +167,7 @@ def _read_csv(path: str) -> SampledFunction:
     from . import core
 
     grid = core.Grid(xs[0], xs[-1], len(xs) - 1)
-    return core.SampledFunction(grid, vs, **powers)
+    return core.SampledFunction(grid, vs, *map(core._endpoint_terms, terms.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ small set of numerical primitives the operators are built from:
   ``(x - y)**(alpha - 1)``, exact on piecewise-linear data,
 * a discrete Fourier layer with the convention
   ``uhat(xi) = integral u(x) exp(-i xi x) dx``,
-* :func:`_leading_power`, the one rule that reduces the endpoint power
-  terms ``c t^e`` of a function to the power its samples record,
+* :func:`_endpoint_terms`, the one rule that turns the endpoint power
+  terms ``c t^e`` of a function into the record its samples keep,
 * :func:`_plan`, the one store of grid-only tables kept between calls
   (the operators' kernel plans, the Fourier tables, the spectral symbols).
 
@@ -157,16 +157,18 @@ class SampledFunction:
 
     ``values`` has length ``grid.n + 1``.  A non-finite entry marks a node
     where the function is singular/undefined (norms and quadratures either
-    skip it or, when the leading behaviour near the base endpoint is known,
-    use ``left_power`` / ``right_power``: a pair ``(coeff, exponent)``
-    meaning ``u(x) ~ coeff * (x - a)**exponent`` near ``a`` (respectively
-    ``coeff * (b - x)**exponent`` near ``b``).
+    skip it or, when the behaviour near an end is known, use its record).
+    ``left_terms`` records the power terms ``(c, e)`` of ``u(x) ~ sum c
+    (x - a)**e`` near ``a``, and ``right_terms`` those of ``sum c (b -
+    x)**e`` near ``b``, each as :func:`_endpoint_terms` builds them: the
+    lowest exponent first.  ``left_power`` / ``right_power`` read the
+    leading term, or None when the end records none.
     """
 
     grid: Grid
     values: np.ndarray
-    left_power: tuple[float, float] | None = None
-    right_power: tuple[float, float] | None = None
+    left_terms: tuple[tuple[float, float], ...] = ()
+    right_terms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -180,32 +182,45 @@ class SampledFunction:
     def x(self) -> np.ndarray:
         return self.grid.nodes
 
+    @property
+    def left_power(self) -> tuple[float, float] | None:
+        """The leading recorded term ``(c, e)`` at ``a``, or None."""
+        return self.left_terms[0] if self.left_terms else None
+
+    @property
+    def right_power(self) -> tuple[float, float] | None:
+        """The leading recorded term ``(c, e)`` at ``b``, or None."""
+        return self.right_terms[0] if self.right_terms else None
+
     def reflected(self) -> SampledFunction:
         """Samples of x -> u(a + b - x) on the same grid."""
-        return SampledFunction(
-            self.grid,
-            self.values[::-1].copy(),
-            left_power=self.right_power,
-            right_power=self.left_power,
-        )
+        values = self.values[::-1].copy()
+        return SampledFunction(self.grid, values, self.right_terms, self.left_terms)
 
     def interp(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise-linear interpolant (zero outside [a, b])."""
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
 
-def _leading_power(terms) -> tuple[float, float] | None:
-    """The power ``(c, e)`` recorded for the endpoint terms ``c t^e``: the one rule.
+def _summed_terms(terms) -> list[tuple[float, float]]:
+    """The terms ``(c, e)`` with equal exponents summed and zero sums dropped.
 
-    Equal exponents sum their coefficients and an exponent whose sum is 0
-    drops out; the lowest exponent left below 0 comes back, or None.
+    Each exponent keeps the place of its first occurrence.
     """
     sums: dict[float, float] = {}
     for coeff, exponent in terms:
-        if exponent < 0.0:
-            sums[exponent] = sums.get(exponent, 0.0) + coeff
-    lead = min((e for e, c in sums.items() if c != 0.0), default=None)
-    return None if lead is None else (sums[lead], lead)
+        sums[exponent] = sums.get(exponent, 0.0) + coeff
+    return [(c, e) for e, c in sums.items() if c != 0.0]
+
+
+def _endpoint_terms(terms) -> tuple[tuple[float, float], ...]:
+    """The record kept for the endpoint power terms ``c t^e``: the one rule.
+
+    Every exponent below 0 is kept, equal exponents sum their
+    coefficients, and a zero sum drops out; the lowest exponent comes
+    first.
+    """
+    return tuple(sorted(_summed_terms((c, e) for c, e in terms if e < 0.0), key=lambda t: t[1]))
 
 
 @dataclass(frozen=True)

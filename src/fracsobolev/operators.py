@@ -65,10 +65,12 @@ with the orientation conventions in which constants have derivative
 exists, which is also what makes the left/right mirror tests exact.
 
 A non-finite base node marks kernel-type data.  Those inputs are split as
-``u = c0 (x-a)^g + r`` (coefficient and exponent from sampling metadata
-when present, otherwise fitted from the two nodes nearest the base; the
-fit is exact for pure powers), the power part is mapped by the exact
-Euler rule, and the quadrature only ever sees the regular remainder.
+``u = sum_i c_i (x-a)^(e_i) + r``: the terms are the sample's record at
+the base (:attr:`~fracsobolev.core.SampledFunction.left_terms`) when it
+has one, otherwise one term fitted from the two nodes nearest the base
+(exact for pure powers).  Each term is mapped by the exact Euler rule,
+the quadrature only ever sees the regular remainder, and the output
+records every image whose exponent is below 0.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
-    _leading_power,
+    _endpoint_terms,
     _log_offsets,
     _plan,
     _spectrum,
@@ -282,39 +284,39 @@ def _reflection_conjugate(op):
 # singular-base bookkeeping
 
 
-def _base_power(u: SampledFunction) -> tuple[float, float] | None:
-    """Leading ``coeff * (x - a)^exponent`` behaviour at the left base node.
+def _base_power(u: SampledFunction) -> tuple[tuple[float, float], ...]:
+    """The power terms ``(coeff, exponent)`` of ``u`` at the left base node.
 
-    Metadata from sampling wins; otherwise fit the two nodes nearest the
-    base (exact for a pure power).  Returns None when the base node is
-    finite or when no credible singular fit exists (in which case the
-    caller patches the node by linear extrapolation).
+    The sample's record wins; otherwise fit one term from the two nodes
+    nearest the base (exact for a pure power).  Returns ``()`` when the
+    base node is finite or when no credible singular fit exists (in which
+    case the caller patches the node by linear extrapolation).
     """
     if np.isfinite(u.values[0]):
-        return None
-    if u.left_power is not None:
-        return u.left_power
+        return ()
+    if u.left_terms:
+        return u.left_terms
     v1, v2 = float(u.values[1]), float(u.values[2])
     if not (np.isfinite(v1) and np.isfinite(v2)) or v1 == 0.0 or v2 == 0.0:
-        return None
+        return ()
     ratio = v2 / v1
     if ratio <= 0.0 or ratio >= 1.0:
-        return None  # not decaying away from the base: no singular power
+        return ()  # not decaying away from the base: no singular power
     exponent = math.log2(ratio)
     if exponent <= -1.0 + 1e-9:
         raise ValueError(
             f"base-node singularity fits exponent {exponent:.4f} <= -1: not locally integrable"
         )
     if exponent > -1e-4:
-        return None
+        return ()
     coeff = v1 / u.grid.h**exponent
-    return (coeff, exponent)
+    return ((coeff, exponent),)
 
 
 def _split_left_singular(
     u: SampledFunction,
-) -> tuple[np.ndarray, tuple[float, float] | None]:
-    """Return (regular part nodal values, power part) with u = regular + power.
+) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+    """Return (regular part nodal values, power terms) with u = regular + sum of the terms.
 
     With a finite base node the regular part is ``u.values`` itself, not a
     copy: callers only read it.
@@ -323,23 +325,25 @@ def _split_left_singular(
     if np.isfinite(vals[0]):
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite samples away from the base node")
-        return vals, None
-    power = _base_power(u)
-    if power is None:
+        return vals, ()
+    terms = _base_power(u)
+    if not terms:
         # no credible power behaviour: patch the marker node and move on
         vals = vals.copy()
         vals[0] = 2.0 * vals[1] - vals[2]
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite samples away from the base node")
-        return vals, None
-    regular = _power_values(u.grid, *power)
+        return vals, ()
+    regular = _power_values(u.grid, *terms[0])
     with np.errstate(invalid="ignore"):
         # the base node is inf - inf; overwritten just below
+        for term in terms[1:]:
+            regular += _power_values(u.grid, *term)
         np.subtract(vals, regular, out=regular)
     regular[0] = 0.0
     if not np.all(np.isfinite(regular)):
         raise ValueError("samples keep a singular residue after removing the fitted power")
-    return regular, power
+    return regular, terms
 
 
 def _power_values(grid: Grid, coeff: float, exponent: float) -> np.ndarray:
@@ -393,7 +397,7 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("frac_integral implemented for 0 < alpha <= 1")
-    regular, power = _split_left_singular(u)
+    regular, terms = _split_left_singular(u)
     grid = u.grid
     plan = _plan(_product_plan, alpha, grid.n)
     out = _toeplitz(regular, plan)
@@ -402,15 +406,13 @@ def frac_integral(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
         out += regular[0] * plan.base
     out *= grid.h**alpha / gamma_fn(alpha)
 
-    out_power: tuple[float, float] | None = None
-    if power is not None:
-        image = _euler_image(*power, shift=alpha)
-        if image is not None:
-            out = out + np.nan_to_num(_power_values(grid, *image), nan=0.0, posinf=0.0, neginf=0.0)
-            if image[1] < 0.0:
-                out[0] = math.inf if image[0] > 0 else -math.inf
-                out_power = image
-    return SampledFunction(grid, out, left_power=out_power)
+    images = [image for term in terms if (image := _euler_image(*term, shift=alpha)) is not None]
+    for image in images:
+        out = out + np.nan_to_num(_power_values(grid, *image), nan=0.0, posinf=0.0, neginf=0.0)
+    record = _endpoint_terms(images)
+    if record:
+        out[0] = math.copysign(math.inf, record[0][0])
+    return SampledFunction(grid, out, record)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("rl_derivative implemented for 0 < alpha < 1")
-    regular, power = _split_left_singular(u)
+    regular, terms = _split_left_singular(u)
     grid = u.grid
     out = _l1_slope_sum(regular, grid, alpha)
     base_val = regular[0]
@@ -454,13 +456,13 @@ def rl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT
         with np.errstate(divide="ignore"):
             out[1:] += base_val * np.power(t[1:], -alpha) / gamma_fn(1.0 - alpha)
         singular_terms.append((base_val / gamma_fn(1.0 - alpha), -alpha))
-    if power is not None:
-        image = _euler_image(*power, shift=-alpha)
+    for term in terms:
+        image = _euler_image(*term, shift=-alpha)
         if image is not None:
             out[1:] += _power_values(grid, *image)[1:]
             singular_terms.append(image)
     out[0] = math.inf
-    return SampledFunction(grid, out, left_power=_leading_power(singular_terms))
+    return SampledFunction(grid, out, _endpoint_terms(singular_terms))
 
 
 def _gl_plan(alpha: float, n: int) -> _Plan:
@@ -517,7 +519,8 @@ def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | Lin
     on each side and leave every other value as ``m`` gradients of the
     zero-filled samples.  An endpoint power ``c t^e``, ``t`` the distance
     from that end, maps through the plain d/dx to ``(c e, e - 1)`` at the
-    left end and ``(-c e, e - 1)`` at the right; ``e = 0`` records none.
+    left end and ``(-c e, e - 1)`` at the right, term by term; ``e = 0``
+    records none.
     A line function gives a line function.
     """
     flagged = ~np.isfinite(u.values)
@@ -527,12 +530,10 @@ def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | Lin
     if isinstance(u, LineFunction):
         return LineFunction(u.half_width, out)
 
-    def slope(power: tuple[float, float] | None, sign: float) -> tuple[float, float] | None:
-        if power is None or power[1] == 0.0:
-            return None
-        return (sign * power[0] * power[1], power[1] - 1.0)
+    def slope(terms, sign: float) -> tuple[tuple[float, float], ...]:
+        return tuple((sign * c * e, e - 1.0) for c, e in terms if e != 0.0)
 
-    return SampledFunction(u.grid, out, slope(u.left_power, 1.0), slope(u.right_power, -1.0))
+    return SampledFunction(u.grid, out, slope(u.left_terms, 1.0), slope(u.right_terms, -1.0))
 
 
 def frac_derivative(
@@ -698,7 +699,7 @@ def kappa(alpha: float, side: Side | str, grid: Grid) -> SampledFunction:
     """The kernel ``(x-a)^(alpha-1)`` (left) or ``(b-x)^(alpha-1)`` (right).
 
     The base node carries the non-finite marker and the sample records its
-    own leading power so every operator treats it exactly.  The right
+    own power so every operator treats it exactly.  The right
     kernel is the left one, reflected.  At ``alpha = 1`` the kernel is the
     constant 1 (no singular node).
     """
@@ -707,7 +708,8 @@ def kappa(alpha: float, side: Side | str, grid: Grid) -> SampledFunction:
         raise ValueError("kappa is the kernel for orders in (0, 1]")
     if alpha == 1.0:
         return SampledFunction(grid, np.ones(grid.n + 1))
-    left = SampledFunction(grid, _power_values(grid, 1.0, alpha - 1.0), left_power=(1.0, alpha - 1.0))
+    record = _endpoint_terms([(1.0, alpha - 1.0)])
+    left = SampledFunction(grid, _power_values(grid, 1.0, alpha - 1.0), record)
     return left if side is Side.LEFT else left.reflected()
 
 

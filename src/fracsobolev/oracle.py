@@ -23,6 +23,7 @@ no ``D_a``, so Gaussians are only sampled; bumps have no closed form.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -33,7 +34,8 @@ from .core import (
     LineFunction,
     SampledFunction,
     Side,
-    _leading_power,
+    _endpoint_terms,
+    _summed_terms,
     gamma_fn,
     line_grid,
 )
@@ -275,7 +277,9 @@ def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndar
     if isinstance(f, PowerSum):
         sgn = 1.0 if f.orientation is Side.LEFT else -1.0
         t = x - f.anchor if f.orientation is Side.LEFT else f.anchor - x
-        return _one_sided_powers(t, [(sgn * c * b, b - 1.0) for c, b in f.terms if b != 0.0])
+        # cancelled exponents drop out before the powers are taken (inf - inf at t = 0)
+        terms = _summed_terms((sgn * c * b, b - 1.0) for c, b in f.terms if b != 0.0)
+        return _one_sided_powers(t, terms)
     if isinstance(f, Gaussian):
         return f.value(x) * (-(x - f.mu) / f.s**2)
     if isinstance(f, Bump):
@@ -289,16 +293,17 @@ def classical_derivative_values(f: ClosedFormFunction, x: np.ndarray) -> np.ndar
 def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     """Evaluate ``f`` at the nodes, recording singular endpoint behaviour.
 
-    Each end records the leading power of the power sums anchored there
-    and oriented into the grid as ``left_power`` / ``right_power``, and its
-    node holds the non-finite marker that singular-aware consumers look
-    for.  Equal exponents are summed, in one power sum or across several,
-    and an exponent whose coefficients cancel records nothing
-    (:func:`~fracsobolev.core._leading_power`).
+    Each end records every power term ``c t^e``, ``e < 0``, of the power
+    sums anchored there and oriented into the grid, as ``left_terms`` /
+    ``right_terms`` (lowest exponent first), and its node holds the
+    ``+-inf`` marker with the sign of the leading coefficient, which
+    singular-aware consumers look for.  Equal exponents are summed, in one
+    power sum or across several, and an exponent whose coefficients cancel
+    records nothing (:func:`~fracsobolev.core._endpoint_terms`).
 
     Every part of ``f`` is evaluated in its own frame: a power sum anchored
     at the right end at the reflection's distances ``x_{n-j} - a``, alone
-    or inside a sum, since the right-side operators subtract its power
+    or inside a sum, since the right-side operators subtract its powers
     again there and ``b - x_j`` can round apart; every other part at the
     nodes.  An end that records no power holds the limit of ``f`` from
     inside the domain: its cancelled exponents drop out, and a power sum
@@ -306,8 +311,8 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
     """
     ends = ((0, grid.a, Side.LEFT), (grid.n, grid.b, Side.RIGHT))
     leaves = _leaves(f)
-    powers = [
-        _leading_power([term for p in leaves if _anchored(p, base, side) for term in p.terms])
+    records = [
+        _endpoint_terms([term for p in leaves if _anchored(p, base, side) for term in p.terms])
         for _, base, side in ends
     ]
     values = None
@@ -317,12 +322,15 @@ def sample(f: ClosedFormFunction, grid: Grid) -> SampledFunction:
                 part = _one_sided_powers(grid.nodes - grid.a, leaf.terms)[::-1].copy()
             else:
                 part = np.asarray(leaf.value(grid.nodes), dtype=float)
-            for (node, base, side), power in zip(ends, powers):
-                if power is None and isinstance(leaf, PowerSum) and abs(leaf.anchor - base) < 1e-14:
+            for (node, base, side), record in zip(ends, records):
+                if not record and isinstance(leaf, PowerSum) and abs(leaf.anchor - base) < 1e-14:
                     inside = leaf.orientation is side
                     part[node] = sum(c for c, e in leaf.terms if e == 0.0) if inside else 0.0
             values = part if values is None else values + part
-    return SampledFunction(grid, values, left_power=powers[0], right_power=powers[1])
+    for (node, _, _), record in zip(ends, records):
+        if record:
+            values[node] = math.copysign(math.inf, record[0][0])
+    return SampledFunction(grid, values, *records)
 
 
 def _leaves(f: ClosedFormFunction) -> tuple[ClosedFormFunction, ...]:

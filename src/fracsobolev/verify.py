@@ -328,9 +328,11 @@ def _pair(
 
     Either factor may carry a flagged endpoint; the cell is then the
     exact integral of (power behaviour) x (linear interpolant of the
-    other factor).  Flags at the same end of both factors are rejected.
+    other factor), summed over every power term ``c_i t^e_i`` the end
+    records.  Flags at the same end of both factors are rejected.
     ``absolute`` gives ``∫ |f| |g|``, the natural scale for pairing
-    residuals.
+    residuals; in a flagged cell it reads the power behaviour as
+    ``sum |c_i| t^e_i``.
     """
     if not isinstance(g, SampledFunction):
         g = SampledFunction(f.grid, np.asarray(g, dtype=float))
@@ -356,18 +358,18 @@ def _pair(
         arr = fv if f_bad else gv
         lin = gv if f_bad else fv
         oriented = sing if is_left else sing.reflected()
-        power = _base_power(oriented)
-        if power is None:
+        terms = _base_power(oriented)
+        if not terms:
             # no credible power behaviour: patch the marker linearly,
             # matching what the operator layer does with such nodes
             arr[idx] = 2.0 * arr[other] - arr[2 * other - idx]
             if absolute:
                 arr[idx] = abs(arr[idx])
             continue
-        coeff, expo = power
-        if absolute:
-            coeff = abs(coeff)
-        total += _power_cell_pair((coeff, expo), float(lin[idx]), float(lin[other]), h)
+        for coeff, expo in terms:
+            if absolute:
+                coeff = abs(coeff)
+            total += _power_cell_pair((coeff, expo), float(lin[idx]), float(lin[other]), h)
         arr[idx] = np.nan  # keep the trapezoid away from this cell
 
     prod = fv * gv

@@ -22,7 +22,7 @@ import pytest
 from golden_report import GOLDEN, SCHEMA, assert_reproduces_golden
 
 import fracsobolev
-from fracsobolev import core, operators, verify
+from fracsobolev import core, operators, oracle, verify
 from fracsobolev.cli import _csv_text, _read_csv, _write_csv, main
 from fracsobolev.core import Grid, SampledFunction, Side
 
@@ -595,7 +595,7 @@ class TestCsvFormat:
     def test_singular_markers_and_metadata_survive(self, tmp_path):
         g = Grid(0.0, 1.0, 4)
         u = SampledFunction(
-            g, np.array([math.inf, 2.0, 3.0, 4.0, 5.0]), (1.5, -0.5), None
+            g, np.array([math.inf, 2.0, 3.0, 4.0, 5.0]), ((1.5, -0.5),), ()
         )
         text = _csv_text(u)
         assert text.splitlines()[0] == "x,value"
@@ -607,6 +607,38 @@ class TestCsvFormat:
         assert v.left_power == (1.5, -0.5)
         assert math.isinf(v.values[0])
         assert list(v.values[1:]) == [2.0, 3.0, 4.0, 5.0]
+
+    def test_a_single_power_line_reads_as_a_one_term_record(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("x,value\n# flagged: 2\n# right_power: 2,-0.25\n0,1\n0.5,2\n1,inf\n")
+        u = _read_csv(str(path))
+        assert u.right_terms == ((2.0, -0.25),) and u.left_terms == ()
+        assert u.right_power == (2.0, -0.25)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_a_multi_term_record_has_one_answer(self, tmp_path, side, n):
+        # x^-1/2 - 2 x^-1/4 as one power sum and as a sum of two, each
+        # sampled and read back from its CSV: one record, one set of samples,
+        # one output of each operator
+        terms = ((1.0, -0.5), (-2.0, -0.25))
+        anchor = 0.0 if side is Side.LEFT else 1.0
+        parts = tuple(oracle.PowerSum(anchor, (term,), side) for term in terms)
+        g = Grid(0.0, 1.0, n)
+        samples = []
+        for k, f in enumerate((oracle.PowerSum(anchor, terms, side), oracle.FunctionSum(parts))):
+            u = oracle.sample(f, g)
+            path = tmp_path / f"{k}.csv"
+            path.write_text(_csv_text(u))
+            assert _csv_text(u).count(f"# {side.value}_power: ") == 2
+            samples += [u, _read_csv(str(path))]
+        first = samples[0]
+        assert (first.left_terms or first.right_terms) == terms
+        for u in samples:
+            assert (u.left_terms, u.right_terms) == (first.left_terms, first.right_terms)
+            assert np.array_equal(u.values, first.values)
+            for op in (operators.frac_integral, operators.rl_derivative):
+                assert np.array_equal(op(u, 0.5, side).values, op(first, 0.5, side).values)
 
     def test_nonuniform_spacing_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -302,7 +302,7 @@ class TestDataModel:
 
     def test_reflection_involution(self):
         g = uniform_grid(0.0, 1.0, 8)
-        u = SampledFunction(g, g.nodes**2, left_power=(1.0, -0.5))
+        u = SampledFunction(g, g.nodes**2, left_terms=((1.0, -0.5),))
         r = u.reflected()
         assert r.right_power == (1.0, -0.5)
         assert r.left_power is None

@@ -252,7 +252,7 @@ def test_one_kept_slot():
 
 
 def test_one_endpoint_power_rule():
-    """Endpoint power terms are combined by ``core._leading_power`` alone, and
+    """Endpoint power terms are combined by ``core._endpoint_terms`` alone, and
     ``spaces._lp_power_integral`` decides each recorded power once:
     ``operators.py`` and ``oracle.py`` pick no power by a ``min(``/``max(``
     with a ``key=``, and ``spaces._flagged_powers`` is called only from
@@ -272,6 +272,72 @@ def test_one_endpoint_power_rule():
                       for node in ast.walk(func) if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name) and node.func.id == "_flagged_powers"]
     assert not found, f"a second endpoint power rule: {found}"
+
+
+def _innermost_functions(tree: ast.AST, predicate) -> list[str]:
+    """The innermost function around each node of ``tree`` that satisfies ``predicate``."""
+    found = []
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                found.append(name)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else name)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_endpoint_record():
+    """Every endpoint record is built by ``core._endpoint_terms`` and read
+    whole in named places only.  ``_leading_power`` is gone.  The raw term
+    tuples ``left_terms``/``right_terms`` are read by the ``left_power`` /
+    ``right_power`` properties, ``SampledFunction.reflected``,
+    ``operators._base_power``, ``nodal_derivative`` (its ``slope``) and
+    ``cli._csv_text``, and ``_base_power``'s terms by
+    ``_split_left_singular`` and ``verify._pair``; every other reader takes
+    the leading term.  A function that gives a sample a record names
+    ``_endpoint_terms``, or maps a record term by term (``reflected``,
+    ``nodal_derivative``)."""
+    raw = {"left_terms", "right_terms"}
+
+    def named(node: ast.AST, names) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names)
+
+    def calls(node: ast.AST, names) -> bool:
+        return isinstance(node, ast.Call) and named(node.func, names)
+
+    def gives_a_record(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            any(k.arg in raw for k in node.keywords) or (named(node.func, {"SampledFunction"})
+                                                         and len(node.args) > 2))
+
+    seen: dict[str, set[str]] = {"readers": set(), "base": set(), "summed": set(), "records": set()}
+    builders, legacy = set(), []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for key, predicate in (
+            ("readers", lambda n: (isinstance(n, ast.Attribute) and n.attr in raw)
+             or (isinstance(n, ast.Constant) and n.value in raw)),
+            ("base", lambda n: calls(n, {"_base_power"})),
+            ("summed", lambda n: calls(n, {"_summed_terms"})),
+            ("records", gives_a_record),
+        ):
+            seen[key] |= {f"{path.stem}.{name}" for name in _innermost_functions(tree, predicate)}
+        builders |= {f"{path.stem}.{name}" for name in _innermost_functions(
+            tree, lambda n: named(n, {"_endpoint_terms"}))}
+        legacy += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                   if named(n, {"_leading_power"})
+                   or (isinstance(n, ast.FunctionDef) and n.name == "_leading_power")]
+    assert not legacy, f"_leading_power is still named: {legacy}"
+    assert seen["readers"] == {"core.left_power", "core.right_power", "core.reflected",
+                               "operators._base_power", "operators.nodal_derivative",
+                               "cli._csv_text"}, seen["readers"]
+    assert seen["base"] == {"operators._split_left_singular", "verify._pair"}, seen["base"]
+    assert seen["summed"] == {"core._endpoint_terms", "oracle.classical_derivative_values"}
+    unbuilt = seen["records"] - builders - {"core.reflected", "operators.nodal_derivative"}
+    assert not unbuilt, f"a record made without core._endpoint_terms: {sorted(unbuilt)}"
 
 
 def test_oracle_keeps_closed_forms_only():

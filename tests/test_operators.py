@@ -62,6 +62,9 @@ INV_GAMMA_HALF = 0.5641895835477562869  # 1/Gamma(1/2)
 G23_OVER_G27 = 0.7553069177996519999  # Gamma(2.3)/Gamma(2.7)
 G3_OVER_G15 = 2.2567583341910251478  # Gamma(3)/Gamma(1.5)
 INV_GAMMA_2P5 = 0.7522527780636750493  # 1/Gamma(5/2)
+NEG2_G34_OVER_G14 = -0.67597824006728472900  # -2 Gamma(3/4)/Gamma(1/4)
+G05_OVER_G06 = 1.1902115743071552999  # Gamma(1/2)/Gamma(3/5)
+NEG2_G075_OVER_G085 = -2.2030285239521553350  # -2 Gamma(3/4)/Gamma(0.85)
 
 
 def unit_grid(n: int) -> Grid:
@@ -246,7 +249,7 @@ class TestToeplitzProduct:
         else:
             u = sample(PowerSum(1.0, (power,), Side.RIGHT), g)
         regular, split = operators._split_left_singular(u if side == "left" else u.reflected())
-        assert split == power
+        assert split == (power,)
         assert np.array_equal(regular.view(np.int64), np.zeros(g.n + 1).view(np.int64))
         ops = ((frac_integral, alpha), (rl_derivative, -alpha))
         mirrors = [op(left_u, alpha, "left").values for op, _ in ops]
@@ -477,7 +480,7 @@ class TestInputsStayUntouched:
         marker[0] = math.inf
         return [
             SampledFunction(g, 1.0 + np.exp(x) * np.sin(3.0 * x)),
-            SampledFunction(g, singular, left_power=(1.5, -0.25)),
+            SampledFunction(g, singular, left_terms=((1.5, -0.25),)),
             SampledFunction(g, singular),
             SampledFunction(g, marker),
         ]
@@ -580,6 +583,62 @@ class TestRlDerivative:
             errs.append(np.max(np.abs(back.values[lo:hi] - u.values[lo:hi])))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 0.8
+
+
+class TestMultiTermRecord:
+    """x^-1/2 - 2 x^-1/4: every recorded term is split off and mapped exactly."""
+
+    TERMS = ((1.0, -0.5), (-2.0, -0.25))
+
+    def power(self, side: Side) -> PowerSum:
+        return PowerSum(0.0 if side is Side.LEFT else 1.0, self.TERMS, side)
+
+    @staticmethod
+    def record(u: SampledFunction, side: Side):
+        """The terms recorded at the end ``side`` names, and those at the other end."""
+        return (u.left_terms, u.right_terms) if side is Side.LEFT else (u.right_terms, u.left_terms)
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    @pytest.mark.parametrize(
+        "op, oracle", [(frac_integral, oracle_frac_integral), (rl_derivative, oracle_frac_derivative)]
+    )
+    def test_matches_the_oracle_next_to_the_base_and_at_the_far_end(self, op, oracle, side, n):
+        g, f = unit_grid(n), self.power(side)
+        out = op(sample(f, g), 0.5, side).values
+        exact = oracle(f, 0.5, side).value(g.nodes)
+        for j in (1, n) if side is Side.LEFT else (n - 1, 0):
+            assert abs(out[j] / exact[j] - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_images_are_recorded(self, side):
+        u = sample(self.power(side), unit_grid(64))
+        # D^1/2 annihilates x^-1/2 and maps -2 x^-1/4 to c x^-3/4
+        (term,), other = self.record(rl_derivative(u, 0.5, side), side)
+        assert term[1] == -0.75 and abs(term[0] / NEG2_G34_OVER_G14 - 1.0) <= 1e-15
+        assert other == ()
+        # I^1/2 maps both to exponents >= 0: nothing is recorded or flagged
+        i = frac_integral(u, 0.5, side)
+        assert i.left_terms == i.right_terms == ()
+        assert np.all(np.isfinite(i.values))
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_every_singular_image_is_recorded_and_read_back(self, side):
+        g = unit_grid(1024)
+        u = sample(self.power(side), g)
+        i = frac_integral(u, 0.1, side)
+        terms, other = self.record(i, side)
+        assert [e for _, e in terms] == [-0.4, -0.15] and other == ()
+        for (c, _), want in zip(terms, (G05_OVER_G06, NEG2_G075_OVER_G085)):
+            assert abs(c / want - 1.0) <= 1e-15
+        assert i.values[0 if side is Side.LEFT else -1] == math.inf  # the sign of the leading term
+        # D^0.1 I^0.1 is the identity: the record and the samples come back
+        d = rl_derivative(i, 0.1, side)
+        terms, _ = self.record(d, side)
+        assert [e for _, e in terms] == [-0.5, -0.25]
+        assert np.allclose([c for c, _ in terms], [1.0, -2.0], rtol=1e-15, atol=0.0)
+        inner = slice(1, -1)
+        assert np.max(np.abs(d.values[inner] - u.values[inner])) <= 1e-13 * np.max(np.abs(u.values[inner]))
 
 
 class TestGlDerivative:
@@ -919,7 +978,7 @@ class TestEndpointConstant:
         g = unit_grid(256)
         with np.errstate(divide="ignore"):
             vals = (g.nodes - g.a) ** -0.8  # harder singularity than the probe
-        u = SampledFunction(g, vals, left_power=(1.0, -0.8))
+        u = SampledFunction(g, vals, left_terms=((1.0, -0.8),))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             endpoint_constant(u, 0.5)
@@ -1007,10 +1066,10 @@ class TestNodalDerivative:
         g = unit_grid(32)
         vals = np.linspace(1.0, 2.0, 33)
         vals[0] = vals[-1] = math.inf
-        d = nodal_derivative(SampledFunction(g, vals, (2.0, -0.5), (3.0, -0.25)))
+        d = nodal_derivative(SampledFunction(g, vals, ((2.0, -0.5),), ((3.0, -0.25),)))
         assert d.left_power == (-1.0, -1.5)  # c e, e - 1
         assert d.right_power == (0.75, -1.25)  # -c e, e - 1
-        d = nodal_derivative(SampledFunction(g, vals, (5.0, 0.0), (2.0, 1.0)))
+        d = nodal_derivative(SampledFunction(g, vals, ((5.0, 0.0),), ((2.0, 1.0),)))
         assert d.left_power is None  # a constant records none
         assert d.right_power == (-2.0, 0.0)
         assert nodal_derivative(d).right_power is None
@@ -1107,7 +1166,7 @@ class TestOperatorProperties:
         slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
         g = unit_grid(256)
         with np.errstate(divide="ignore"):
-            hard = SampledFunction(g, (g.nodes - g.a) ** -0.8, left_power=(1.0, -0.8))
+            hard = SampledFunction(g, (g.nodes - g.a) ** -0.8, left_terms=((1.0, -0.8),))
         for call, text in (
             (lambda: marchaud_derivative(slow, 0.5, "left"), "window-tail"),
             (lambda: marchaud_derivative(slow, 0.5, "right"), "window-tail"),

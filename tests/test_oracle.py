@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ G23_OVER_G18 = 1.2526650576810508  # Gamma(2.3)/Gamma(1.8)
 G13_OVER_G18 = 0.96358850590850063  # Gamma(1.3)/Gamma(1.8)
 INV_GAMMA_HALF = 0.5641895835477563  # 1/Gamma(0.5)
 INV_GAMMA_1P5 = 1.1283791670955126  # 1/Gamma(1.5)
+
+
+MULTI_TERM = ((1.0, -0.5), (-2.0, -0.25))  # x^-1/2 - 2 x^-1/4
 
 
 def kappa_form(alpha: float, anchor: float = 0.0, side: Side = Side.LEFT) -> PowerSum:
@@ -185,6 +190,16 @@ class TestEvaluation:
             fd = (f.value(x + eps) - f.value(x - eps)) / (2 * eps)
             assert np.allclose(exact, fd, atol=1e-6, rtol=1e-6)
 
+    def test_classical_derivative_of_a_cancelled_exponent(self):
+        # x^-1/4 - x^-1/4 + x is x: its derivative is 1 at the base node
+        # too, with no inf - inf on the way
+        x = uniform_grid(0.0, 1.0, 8).nodes
+        f = PowerSum(0.0, ((1.0, -0.25), (-1.0, -0.25), (1.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = classical_derivative_values(f, x)
+        assert d.tolist() == [1.0] * 9
+
     def test_classical_derivative_rejects_step(self):
         with pytest.raises(UnsupportedFamilyError):
             classical_derivative_values(Step(0.5, 1.0), np.array([0.1]))
@@ -269,6 +284,22 @@ class TestSampling:
             assert np.count_nonzero(regular) == 0
             for op in (rl_derivative, frac_integral):
                 assert np.array_equal(op(u, 0.4, "right").values, op(samples[0], 0.4, "right").values)
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_every_endpoint_term_is_recorded(self, side, n):
+        # x^-1/2 - 2 x^-1/4: both terms, leading first, under a +inf marker
+        anchor = 0.0 if side is Side.LEFT else 1.0
+        u = sample(PowerSum(anchor, MULTI_TERM, side), uniform_grid(0.0, 1.0, n))
+        terms, node = (u.left_terms, 0) if side is Side.LEFT else (u.right_terms, n)
+        assert terms == MULTI_TERM
+        assert u.values[node] == np.inf
+        assert np.all(np.isfinite(np.delete(u.values, node)))
+
+    def test_marker_takes_the_sign_of_the_leading_term(self):
+        u = sample(PowerSum(0.0, ((-1.0, -0.5), (2.0, -0.25))), uniform_grid(0.0, 1.0, 16))
+        assert u.values[0] == -np.inf
+        assert u.left_power == (-1.0, -0.5)
 
     def test_right_anchored_metadata(self):
         grid = uniform_grid(0.0, 1.0, 16)

@@ -194,6 +194,19 @@ class TestWeakPairing:
             rep = check_weak_pairing(u, rl_derivative(u, 0.5), 0.5)
             assert rep.passed, rep.inputs["u"]
 
+    def test_every_recorded_term_is_paired_in_closed_form(self):
+        # int_0^1 x^-1/2 - 2 x^-1/4 dx = -2/3: the first cell is exact for
+        # both terms, and the trapezoid rule past it errs by 1.0e-3
+        g = unit_grid(1024)
+        u = sample(PowerSum(0.0, ((1.0, -0.5), (-2.0, -0.25))), g)
+        one = np.ones(g.n + 1)
+        assert abs(verify._pair(u, one) + 2.0 / 3.0) <= 1.1e-3
+        # the absolute scale reads the first cell as x^-1/2 + 2 x^-1/4
+        h, rest = g.h, np.abs(u.values[1:])
+        first = 2.0 * h**0.5 + 8.0 / 3.0 * h**0.75
+        scale = first + float(np.sum(0.5 * h * (rest[:-1] + rest[1:])))
+        assert abs(verify._pair(u, one, absolute=True) / scale - 1.0) <= 1e-14
+
     def test_right_sided_variant(self):
         g = unit_grid(1024)
         u = sample(const(1.0), g)
