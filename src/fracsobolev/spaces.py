@@ -46,6 +46,7 @@ from .core import (
     Side,
     _fit_slope,
     _log_offsets,
+    _plan,
     _spectrum,
     _warn,
     discrete_fourier,
@@ -104,9 +105,7 @@ class NormSpec:
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {_FAMILIES}"
-            )
+            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         if not (math.isinf(self.p) or self.p >= 1.0):
             raise ValueError(f"p must lie in [1, inf], got {self.p}")
 
@@ -133,10 +132,10 @@ class TraceValue:
 def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[float, str | None]:
     """``(int |u|^p, reason)`` (``sup |u|`` at ``p = inf``) by the cell rule of :func:`lp_norm`.
 
-    It decides each recorded power ``c t^e`` once: the end cell adds
-    ``int_0^h |c t^e|^p dt`` (``sup`` on ``(0, h]`` at ``p = inf``), +inf
-    when ``c != 0`` and ``1 + p e <= 0`` (``e < 0`` at inf), and ``reason``
-    says why the first such power diverges (None when none does).
+    Each recorded end is decided once, by its leading term ``c t^e``: +inf
+    when ``c != 0`` and ``1 + p e <= 0`` (``e < 0`` at inf), ``reason``
+    saying why (None when no end diverges); else the end cell adds ``int_0^h
+    |sum c_i t^e_i|^p dt`` (``sup |c t^e|`` on ``(0, h]`` at ``p = inf``).
     """
     vals = np.abs(np.asarray(u.values, dtype=float))
     finite = np.isfinite(vals)
@@ -150,7 +149,8 @@ def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[flo
         cells[~(finite[:-1] & finite[1:])] = 0.0
     h = u.grid.h
     masses, reason = [], None
-    for (coeff, exponent), phrase in _flagged_powers(u):
+    for terms, phrase in _flagged_powers(u):
+        coeff, exponent = terms[0]
         if coeff == 0.0:
             masses.append(0.0)
         elif exponent < 0.0 if math.isinf(p) else 1.0 + p * exponent <= 0.0:
@@ -162,20 +162,55 @@ def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[flo
             masses.append(abs(coeff) * h**exponent)
         else:
             moment = 1.0 + p * exponent
-            masses.append(abs(coeff) ** p * h**moment / moment)
+            mass = abs(coeff) ** p * h**moment / moment
+            masses.append(mass * _end_cell_factor(terms, p, h) if len(terms) > 1 else mass)
     if math.isinf(p):
         return max([float(np.max(cells)), *masses]), reason
     return sum(masses, float(h * np.sum(cells))), reason
 
 
-def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[tuple[float, float], str]]:
-    """``((c, e), phrase naming it and its end)`` for each flagged end that records a power."""
+def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[tuple, str]]:
+    """``(terms, phrase naming the leading term and its end)`` for each flagged end with a record."""
     ends = (
-        ("left", u.values[0], getattr(u, "left_power", None)),
-        ("right", u.values[-1], getattr(u, "right_power", None)),
+        ("left", u.values[0], getattr(u, "left_terms", ())),
+        ("right", u.values[-1], getattr(u, "right_terms", ())),
     )
-    return [(power, f"the endpoint power {power[0]:.6g} t^{power[1]:.6g} at its {end} end")
-            for end, node, power in ends if power is not None and not math.isfinite(node)]
+    return [(terms, f"the endpoint power {terms[0][0]:.6g} t^{terms[0][1]:.6g} at its {end} end")
+            for end, node, terms in ends if terms and not math.isfinite(node)]
+
+
+def _gauss_legendre(count: int) -> tuple[tuple[float, float], ...]:
+    """``(node, weight)`` of the ``count``-point Gauss-Legendre rule on ``[0, 1]``.
+
+    Newton's method on the Legendre polynomial from Tricomi's guesses, not
+    the LAPACK eigenvalue solve of ``legendre.leggauss``, whose 24 nodes
+    agree bitwise and weights to 6.7e-16.
+    """
+    from numpy.polynomial import legendre
+
+    poly = np.zeros(count + 1)
+    poly[-1] = 1.0
+    slope = legendre.legder(poly)
+    x = np.array([math.cos(math.pi * (i + 0.75) / (count + 0.5)) for i in range(count)])
+    for _ in range(10):  # quadratic convergence: 4 steps reach the last bit
+        x -= legendre.legval(x, poly) / legendre.legval(x, slope)
+    weights = 1.0 / ((1.0 - x * x) * legendre.legval(x, slope) ** 2)
+    return tuple(zip((0.5 * (1.0 - x)).tolist(), weights.tolist()))
+
+
+def _end_cell_factor(terms: tuple[tuple[float, float], ...], p: float, h: float) -> float:
+    """``int_0^h |sum c_i t^e_i|^p dt`` over the leading term's ``|c_0|^p h^beta / beta``.
+
+    With ``beta = 1 + p e_0 > 0`` and ``t = h s^(1/beta)``, ``|c_0 t^e_0|^p
+    dt`` is constant in ``s``, and ``|1 + sum_{i>0} (c_i / c_0) t^(e_i -
+    e_0)|^p`` is integrated over ``s in [0, 1]`` by 24 Gauss-Legendre points.
+    """
+    (c0, e0), rest = terms[0], terms[1:]
+    total = 0.0
+    for s, weight in _plan(_gauss_legendre, 24):
+        t = h * s ** (1.0 / (1.0 + p * e0))
+        total += weight * abs(1.0 + sum(c / c0 * t ** (e - e0) for c, e in rest)) ** p
+    return total
 
 
 def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
@@ -278,35 +313,35 @@ def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
 # Gagliardo (difference-quotient) seminorm
 
 
-def _square_row_sums(vals: np.ndarray, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``sum_{j < n-k} (u(x_j + t) - u(x_j))^2`` for the offsets ``t = (k + theta) h``.
+def _square_row_sums(vals: np.ndarray, k: np.ndarray, theta: np.ndarray, on_line: bool) -> np.ndarray:
+    """``sum_j (u(x_j + t) - u(x_j))^2`` for the offsets ``t = (k + theta) h``.
 
-    These are the rows whose shifted node ``x_j + t`` lies before the last
-    node, where the interpolant reads ``(1-theta) v[j+k] + theta v[j+k+1]``.
-    With ``D_j = v[j+k] - v[j]`` and ``E_j = v[j+k+1] - v[j+k]`` a row is
-    quadratic in ``theta``::
-
-        sum (D + theta E)^2 = S_DD + 2 theta S_DE + theta^2 S_EE
-                            = (1-theta) S_DD + theta S_(D+E) - theta (1-theta) S_EE,
-
-    and ``D + E`` is the difference at lag ``k + 1``.  So each row needs the
-    lag energies ``q[m] = sum_{j <= n-m} (v[j+m] - v[j])^2`` at ``m = k`` and
-    ``k + 1`` (less the one term ``j = n - k`` of ``q[k]``) and a suffix sum
-    of the squared steps ``E``.  For ``m > _DIRECT_LAGS`` the lag energy is
-    ``2 sum v^2 - 2 R(m)`` less the squares of the ``m`` nodes at each end,
-    with the autocorrelation ``R`` from one zero-padded ``rfft``/``irfft``
-    pair (Wiener-Khinchin).  ``2 sum v^2 - 2 R(m)`` cancels at short lags of
-    smooth data, where the FFT's roundoff, relative to ``sum v^2``, would
-    swamp the small difference energy, so the lags up to ``_DIRECT_LAGS``
-    are summed directly from shifted slices (the head/tail split of
-    :func:`~fracsobolev.operators._toeplitz`).  Differences ignore a
-    constant, so the samples are first shifted by the one nearest their
-    mean: that keeps ``sum v^2``, and with it the roundoff, small, and a
-    constant input gives exact zeros.
+    On an interval the sum runs over ``j < n-k``; on the line over all
+    integers, ``v`` being 0 outside the nodes ``0..n``.  With ``D_j = v[j+k]
+    - v[j]`` and ``E_j = v[j+k+1] - v[j+k]`` a row is ``sum (D + theta E)^2
+    = (1-theta) S_DD + theta S_(D+E) - theta (1-theta) S_EE``, and ``D + E``
+    is the difference at lag ``k + 1``: a row needs the lag energies ``q[m]
+    = sum_{j <= n-m} (v[j+m] - v[j])^2`` at ``m = k, k + 1``.  On the line
+    they add the squares of the ``m`` nodes at each end, paired with zeros,
+    and ``S_EE = q[1]``; on an interval ``S_DD`` drops its term ``j = n -
+    k`` and ``S_EE`` is a suffix sum of squared steps.  Past
+    ``_DIRECT_LAGS`` the lag energy is ``2 sum v^2 - 2 R(m)`` less those end
+    squares, with the autocorrelation ``R`` from one zero-padded
+    ``rfft``/``irfft`` pair; at shorter lags of smooth data that difference
+    cancels below the FFT's roundoff, so they are summed directly (the
+    head/tail split of :func:`~fracsobolev.operators._toeplitz`).  The
+    samples are first shifted by the one nearest their mean, which keeps
+    ``sum v^2`` and its roundoff small and gives a constant exact zeros;
+    the line's end squares are of the samples as given.
     """
     n = vals.size - 1
     v = vals - vals[np.argmin(np.abs(vals - np.mean(vals)))]
-    q = np.zeros(n + 2)  # q[n + 1] = 0: no pair is that far apart
+    q = np.zeros(n + 2)  # q[n + 1] = 0: no pair inside the window is that far apart
+
+    def ends(w: np.ndarray) -> np.ndarray:  # at m - 1: the squares of m nodes at each end
+        squares = w * w
+        return np.cumsum(squares) + np.cumsum(squares[::-1])
+
     head = min(n, _DIRECT_LAGS)
     for m in range(1, head + 1):
         d = v[m:] - v[:-m]
@@ -315,21 +350,18 @@ def _square_row_sums(vals: np.ndarray, k: np.ndarray, theta: np.ndarray) -> np.n
         size = 1 << (2 * n).bit_length()  # no lag wraps around
         spectrum = np.fft.rfft(v, size)
         corr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)
-        squares = v * v
         lag = np.arange(head + 1, n + 1)
-        ends = np.cumsum(squares)[lag - 1] + np.cumsum(squares[::-1])[lag - 1]
-        q[head + 1 : n + 1] = 2.0 * np.sum(squares) - 2.0 * corr[lag] - ends
+        q[head + 1 : n + 1] = 2.0 * np.sum(v * v) - 2.0 * corr[lag] - ends(v)[lag - 1]
         # q is 0 at a period of periodic samples: keep roundoff from making it negative
         np.maximum(q, 0.0, out=q)
+    if on_line:
+        q[1:] += ends(vals)
+        return (1.0 - theta) * q[k] + theta * q[k + 1] - theta * (1.0 - theta) * q[1]
     steps = np.diff(v) ** 2
     # steps_after[k] = sum_{m >= k} (v[m+1] - v[m])^2
     steps_after = np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
     last_pair = (v[n] - v[n - k]) ** 2
-    return (
-        (1.0 - theta) * (q[k] - last_pair)
-        + theta * q[k + 1]
-        - theta * (1.0 - theta) * steps_after[k]
-    )
+    return (1.0 - theta) * (q[k] - last_pair) + theta * q[k + 1] - theta * (1.0 - theta) * steps_after[k]
 
 
 class _Modulus(NamedTuple):
@@ -339,7 +371,7 @@ class _Modulus(NamedTuple):
     weights: np.ndarray  # trapezoid weights in log t
     inner: np.ndarray  # omega_p(t)^p at each offset
     last: np.ndarray  # last node x_j with x_j + t inside the domain
-    mass: float  # int |u|^p on the line (its zero-extension tail); 0 on an interval
+    mass: float  # h sum |u_j|^p on the line (its zero-extension tail); 0 on an interval
     t_max: float
 
 
@@ -347,33 +379,29 @@ def _gagliardo_modulus(u: SampledFunction | LineFunction, p: float) -> _Modulus:
     """The rows ``omega_p(t)^p = int |u(x+t)-u(x)|^p dx`` of the Gagliardo integral.
 
     One row per offset of :func:`~fracsobolev.core._log_offsets` from
-    ``h/2`` to the domain width (on the line: the window diameter).  Each is
-    a trapezoid sum over the nodes ``x_j`` with ``x_j + t`` inside the
-    domain (on the line: every node, reading the interpolant as 0 right of
-    the window).  The rows do not depend on the order ``alpha``.
+    ``h/2`` to the domain width (on the line: the window diameter); the rows
+    do not depend on ``alpha``.  An offset ``t = (k + theta) h`` pairs
+    ``x_j`` with ``x_m + theta h``, ``m = j + k``, where the interpolant
+    reads ``s[m] = v[m] + theta (v[m+1] - v[m])``, and at ``m = n``
+    ``u.interp``: 0 right of the window unless ``theta = 0``.
 
-    For ``p = 2`` the rows come from the lag sums of
-    :func:`_square_row_sums` in ``O(n log n)`` plus ``O(1)`` per offset: an
-    offset ``t = (k + theta) h`` has the row sum ``S_DD + 2 theta S_DE +
-    theta^2 S_EE``, with the lags up to ``_DIRECT_LAGS`` summed directly and
-    the rest from one FFT autocorrelation.  Three nodes per offset are
-    read with ``np.interp``: ``x_{n-k}``, whose shift may leave
-    the window, where the interpolant is 0 and not ``(1-theta) u[n]``, and
-    the two trapezoid ends, whose halves are taken back out.  On the line
-    the nodes past ``x_{n-k}`` add ``u(x_j)^2`` each.  The result agrees
-    with the interpolated rows to roundoff, not bitwise.
+    On the line, ``u`` being 0 outside the window, a row is one sum over R:
+    ``h [sum_{m=0..n} |s[m] - v[m-k]|^p + sum_{j>n-k} |v[j]|^p]``, ``v[m-k]
+    = 0`` for ``m < k``.  The strip left of the window is in it, so the rows
+    and the tail ``mass = h sum |v|^p`` do not change when the samples move
+    by whole nodes.  On an interval a row is the trapezoid over the columns
+    ``m = k..last + k``, the nodes with ``x_j + t <= b``.
 
-    Other ``p`` build ``_GAGLIARDO_BLOCK // (n + 1)`` rows at a time from
-    contiguous windows of the samples, zero-padded on the right, and of
-    their steps: a row reads ``v[j+k] - v[j] + theta (v[j+k+1] - v[j+k])``
-    for every node, then takes ``|.|^p`` and one trapezoid.  The one node
-    per offset whose shift leaves the window, ``x_{n-k}``, is read with
-    ``u.interp`` instead (one call per block), since there the interpolant
-    is 0 and not ``(1-theta) u[n]``.  On an interval each row is zero past
-    the last node with ``x + t <= b``.  ``p = 1`` skips the power, which is
-    exact.  The rows agree with interpolating each offset to roundoff, not
-    bitwise: ``x_j + t`` is split into cell and fraction once per offset
-    rather than by ``np.interp`` per node.
+    ``p = 2`` takes the rows from :func:`_square_row_sums` in ``O(n log
+    n)`` plus ``O(1)`` per offset.  On the line its interpolant ramps to 0
+    over the cells beside the window, so the two columns that differ from
+    the cut are replaced: ``m = -1`` (``theta^2 v[0]^2``) and ``m = n``.  On
+    an interval ``np.interp`` reads ``x_{n-k}`` and the trapezoid ends.
+    Other ``p`` build ``_GAGLIARDO_BLOCK // (n + 1)`` rows at a time as ``s
+    - v[. - k]``, from the steps and from windows of the samples zero-padded
+    on the left, with one ``u.interp`` call per block for ``m = n``; ``p =
+    1`` skips the exact power.  Both agree with interpolating each offset
+    to roundoff, not bitwise.
     """
     grid = u.grid
     h = grid.h
@@ -382,67 +410,57 @@ def _gagliardo_modulus(u: SampledFunction | LineFunction, p: float) -> _Modulus:
     on_line = isinstance(u, LineFunction)
     t_max = 2.0 * u.half_width if on_line else grid.width
     offsets, weights = _log_offsets(h / 2.0, t_max)
-
-    abs_p = np.abs(vals) ** p
+    n = x.size - 1
     if on_line:
-        # cumulative mass of |u|^p from the left window edge, for the strip
-        # x < -L where only the shifted copy is alive
-        cum = np.concatenate([[0.0], np.cumsum(h * 0.5 * (abs_p[:-1] + abs_p[1:]))])
-
-    if on_line:
-        inner = np.interp(np.minimum(offsets, grid.width), x - grid.a, cum)
-        last = np.full(offsets.size, x.size - 1)
+        last = np.full(offsets.size, n)
+        mass = h * float(np.sum(np.abs(vals) ** p))
     else:
         # nodes with x + t inside the interval; rows keep a zero tail past them
         last = np.searchsorted(x, grid.b - offsets + 1e-12 * grid.width, side="right") - 1
-        inner = np.zeros(offsets.size)
-    # on the uniform grid an offset t = (k + theta) h reads the interpolant
-    # at x_j + t as v[j+k] + theta (v[j+k+1] - v[j+k]) while j + k < n
-    n = x.size - 1
+        mass = 0.0
     k, theta = np.divmod(offsets / h, 1.0)
     k = k.astype(int)
+    edge_x = x[n - k] + offsets  # right of x_n unless theta = 0
     if p == 2.0:
-        def row_end(j: np.ndarray) -> np.ndarray:
-            shifted = np.interp(x[j] + offsets, x, vals, left=0.0, right=0.0)
-            return (shifted - vals[j]) ** 2
-
-        row_sums = _square_row_sums(vals, k, theta)
-        leaving = row_end(n - k)
+        row_sums = _square_row_sums(vals, k, theta, on_line)
+        edge = np.interp(edge_x, x, vals, left=0.0, right=0.0) - vals[n - k]
         if on_line:
-            # past x_{n-k} the shifted copy is 0 and the row adds u(x_j)^2
-            tail = np.concatenate([[0.0], np.cumsum(abs_p[::-1])])
-            row_sums += leaving + tail[k]
+            row_sums += edge**2 - ((1.0 - theta) * vals[n] - vals[n - k]) ** 2 - (theta * vals[0]) ** 2
+            return _Modulus(offsets, weights, h * row_sums, last, mass, t_max)
+
+        def row_end(j: np.ndarray) -> np.ndarray:
+            return (np.interp(x[j] + offsets, x, vals, left=0.0, right=0.0) - vals[j]) ** 2
+
+        row_sums += np.where(last >= n - k, edge**2, 0.0)
+        inner = h * (row_sums - 0.5 * (row_end(np.zeros_like(k)) + row_end(last)))
+        return _Modulus(offsets, weights, inner, last, mass, t_max)
+
+    # row k of shifted reads v[m-k] for m = 0..n, with zeros left of the window
+    shifted = sliding_window_view(np.concatenate([np.zeros(n + 1), vals]), n + 1)
+    step = np.diff(vals, append=0.0)
+    # tail[k]: the nodes x_j, j > n - k, whose shifted copy is 0
+    tail = np.concatenate([[0.0], np.cumsum(np.abs(vals[::-1]) ** p)]) if on_line else None
+    cols = np.arange(x.size)
+    inner = np.empty(offsets.size)
+    rows = max(1, _GAGLIARDO_BLOCK // x.size)
+    for start in range(0, offsets.size, rows):
+        block = slice(start, start + rows)
+        kb = k[block]
+        diff = np.multiply.outer(theta[block], step)
+        diff += vals
+        diff -= shifted[n + 1 - kb]
+        diff[:, n] = u.interp(edge_x[block]) - vals[n - kb]
+        if not on_line:
+            stop = (last[block] + kb)[:, None]
+            diff[(cols < kb[:, None]) | (cols > stop)] = 0.0
+        np.abs(diff, out=diff)
+        if p != 1.0:  # x ** 1.0 == x, but has no fast path
+            diff **= p
+        if on_line:
+            inner[block] = h * (np.sum(diff, axis=1) + tail[kb])
         else:
-            row_sums += np.where(last >= n - k, leaving, 0.0)
-        inner += h * (row_sums - 0.5 * (row_end(np.zeros_like(k)) + row_end(last)))
-    else:
-        # row k of here/step reads v[j+k] and v[j+k+1] - v[j+k] for j = 0..n,
-        # with zeros right of the window
-        pad = np.concatenate([vals, np.zeros(n + 1)])
-        here = sliding_window_view(pad, n + 1)
-        step = sliding_window_view(np.diff(pad), n + 1)
-        cols = np.arange(x.size)
-        rows = max(1, _GAGLIARDO_BLOCK // x.size)
-        for start in range(0, offsets.size, rows):
-            block = slice(start, start + rows)
-            kb = k[block]
-            diff = here[kb]
-            diff -= vals
-            slope = step[kb]
-            slope *= theta[block, None]
-            diff += slope
-            # unless theta = 0, x_{n-k} + t lies right of x_n, where the
-            # interpolant is 0 and not (1-theta) v[n]: read it through interp
-            edge = n - kb
-            diff[np.arange(kb.size), edge] = u.interp(x[edge] + offsets[block]) - vals[edge]
-            if not on_line:
-                diff[cols > last[block, None]] = 0.0
-            np.abs(diff, out=diff)
-            if p != 1.0:  # x ** 1.0 == x, but has no fast path
-                diff **= p
-            ends = diff[:, 0] + np.take_along_axis(diff, last[block, None], axis=1)[:, 0]
-            inner[block] += h * (np.sum(diff, axis=1) - 0.5 * ends)
-    mass = float(cum[-1]) if on_line else 0.0
+            ends = diff[np.arange(kb.size), kb] + np.take_along_axis(diff, stop, axis=1)[:, 0]
+            inner[block] = h * (np.sum(diff, axis=1) - 0.5 * ends)
     return _Modulus(offsets, weights, inner, last, mass, t_max)
 
 
@@ -479,9 +497,7 @@ def _modulus_decay(rows: _Modulus, h: float) -> float:
     return _fit_slope(np.log(t[keep]), np.log(inner[keep]))
 
 
-def gagliardo_seminorm(
-    u: SampledFunction | LineFunction, alpha: float, p: float
-) -> float:
+def gagliardo_seminorm(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
     """Difference-quotient seminorm of order ``alpha`` in ``L^p``.
 
     ``p = inf`` returns the Hölder-type sup over node pairs, or +inf with a
@@ -501,13 +517,13 @@ def gagliardo_seminorm(
     The sub-grid offsets ``t < h/2`` are excluded;
     :func:`gagliardo_small_offset_bound` bounds what they could contribute.
 
-    ``p = 2`` costs ``O(n log n)``: every offset's inner integral comes from
-    one FFT autocorrelation of the samples plus directly summed short lags
-    (see :func:`_gagliardo_modulus`), and agrees with interpolating each
-    offset to about 1e-14 relative.  Other ``p`` cost ``O(n)`` per offset:
-    each row is read from shifted slices of the samples, with one
-    interpolated node per offset where the shift leaves the window, and
-    agrees with interpolating each offset to about 1e-14 relative.
+    On the line ``u`` is 0 outside the window and each row is one sum over
+    R by one rule, the strip left of the window included (see
+    :func:`_gagliardo_modulus`), so moving the samples by whole nodes moves
+    the value by roundoff only.  ``p = 2`` costs ``O(n log n)`` (one FFT
+    autocorrelation plus directly summed short lags), other ``p`` ``O(n)``
+    per offset; both agree with interpolating each offset to about 1e-14
+    relative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
@@ -537,24 +553,18 @@ def gagliardo_seminorm(
         return 0.0
     smoothness = _modulus_decay(rows, u.grid.h) / p
     if math.isnan(smoothness):
-        _warn(
-            f"difference-quotient seminorm: divergence not checked on n={u.grid.n} "
-            "cells (fewer than 8 offsets lie in the modulus fit window); "
-            "reporting the value on this grid"
-        )
+        _warn(f"difference-quotient seminorm: divergence not checked on n={u.grid.n} "
+              "cells (fewer than 8 offsets lie in the modulus fit window); "
+              "reporting the value on this grid")
     elif smoothness < alpha:
-        _warn(
-            "difference-quotient seminorm grows without bound: its modulus "
-            f"omega_p(t)^p decays like t^s with s/p = {smoothness:.4g} < "
-            f"alpha = {alpha:g}; reporting +inf"
-        )
+        _warn("difference-quotient seminorm grows without bound: its modulus "
+              f"omega_p(t)^p decays like t^s with s/p = {smoothness:.4g} < "
+              f"alpha = {alpha:g}; reporting +inf")
         return math.inf
     return full ** (1.0 / p)
 
 
-def gagliardo_small_offset_bound(
-    u: SampledFunction | LineFunction, alpha: float, p: float
-) -> float:
+def gagliardo_small_offset_bound(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
     """Bound on the excluded ``t < h/2`` part of the seminorm's p-th power.
 
     Uses ``|u(x+t)-u(x)| <= Lip * t`` with the interpolant's Lipschitz
@@ -572,12 +582,8 @@ def gagliardo_small_offset_bound(
 
 
 # B_2j / (2j)! for j = 1..8: the Euler-Maclaurin corrections of _zeta
-_ZETA_CORRECTIONS = tuple(
-    b / math.factorial(2 * j)
-    for j, b in enumerate(
-        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1
-    )
-)
+_ZETA_CORRECTIONS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1))
 
 
 def _zeta(x: float) -> float:
@@ -611,9 +617,7 @@ def _zeta_negative(s: float) -> float:
     )
 
 
-def _kink_corrected_moment(
-    xi: np.ndarray, density: np.ndarray, power: float
-) -> float:
+def _kink_corrected_moment(xi: np.ndarray, density: np.ndarray, power: float) -> float:
     """``int |xi|^power * density dxi`` on the frequency grid.
 
     The trapezoid sum is spectrally accurate for smooth decaying data
@@ -656,9 +660,7 @@ def weighted_spectral_integral(u: LineFunction, power: float) -> float:
 
 
 def holder_quotient(
-    u: SampledFunction | LineFunction,
-    exponent: float,
-    subinterval: tuple[float, float],
+    u: SampledFunction | LineFunction, exponent: float, subinterval: tuple[float, float]
 ) -> float:
     """``max |u(x)-u(y)| / |x-y|^exponent`` over node pairs in the subinterval.
 
@@ -704,9 +706,7 @@ def holder_quotient(
     return best
 
 
-def trace(
-    u: SampledFunction, alpha: float, p: float, side: Side | str = Side.LEFT
-) -> TraceValue:
+def trace(u: SampledFunction, alpha: float, p: float, side: Side | str = Side.LEFT) -> TraceValue:
     """Endpoint value of the continuous representative, with its stability.
 
     The left-sided space embeds into Hölder-continuous functions up to the

@@ -217,7 +217,10 @@ class TestNormCommand:
                     "--fn", "gauss:mu=0;s=1", "--line", "16,4096")
         assert r.returncode == 0, r.stderr
         value = float(r.stdout.strip())
-        assert value == pytest.approx(2.8370175261299431, rel=1e-9)
+        assert value == pytest.approx(2.8370174165894184, rel=1e-9)
+        # exact: (||u||_2^2 + 2 pi)^{1/2} = (sqrt(pi) + 2 pi)^{1/2}; the grid
+        # misses the offsets below h/2 (gagliardo_small_offset_bound)
+        assert value == pytest.approx(2.838245788878247, rel=5e-4)
 
     def test_json_sidecar(self, tmp_path):
         out = tmp_path / "norm.json"

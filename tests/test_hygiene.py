@@ -293,8 +293,9 @@ def test_one_endpoint_record():
     whole in named places only.  ``_leading_power`` is gone.  The raw term
     tuples ``left_terms``/``right_terms`` are read by the ``left_power`` /
     ``right_power`` properties, ``SampledFunction.reflected``,
-    ``operators._base_power``, ``nodal_derivative`` (its ``slope``) and
-    ``cli._csv_text``, and ``_base_power``'s terms by
+    ``operators._base_power``, ``nodal_derivative`` (its ``slope``),
+    ``cli._csv_text`` and ``spaces._flagged_powers`` (whose end cell
+    integrates every term), and ``_base_power``'s terms by
     ``_split_left_singular`` and ``verify._pair``; every other reader takes
     the leading term.  A function that gives a sample a record names
     ``_endpoint_terms``, or maps a record term by term (``reflected``,
@@ -333,7 +334,7 @@ def test_one_endpoint_record():
     assert not legacy, f"_leading_power is still named: {legacy}"
     assert seen["readers"] == {"core.left_power", "core.right_power", "core.reflected",
                                "operators._base_power", "operators.nodal_derivative",
-                               "cli._csv_text"}, seen["readers"]
+                               "cli._csv_text", "spaces._flagged_powers"}, seen["readers"]
     assert seen["base"] == {"operators._split_left_singular", "verify._pair"}, seen["base"]
     assert seen["summed"] == {"core._endpoint_terms", "oracle.classical_derivative_values"}
     unbuilt = seen["records"] - builders - {"core.reflected", "operators.nodal_derivative"}
