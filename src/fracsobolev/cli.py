@@ -20,11 +20,14 @@ i,j``) and writes one ``# left_power: c,e`` or ``# right_power: c,e``
 line per recorded endpoint term, lowest exponent first; a file with one
 such line per end reads as a one-term record.  A CSV carries its own
 grid, so every command rejects ``--grid``/``--line`` beside it.  A spec
-is sampled on ``--grid``, on ``--line``, or else on ``[0, 1]`` with 2048
-cells, which the environment variable ``FRAC_DEFAULT_N`` overrides;
-``const`` and ``kappa`` anchor at the base point of the grid they are
-sampled on.  Output files are written atomically (temp file, then
-rename).  ``--config`` names a JSON file whose keys mirror the command's
+is sampled on the interval grid ``--grid a,b,n``, on the line grid
+``--line L,n`` (the window ``[-L, L]`` standing for the real line), or
+else on ``[0, 1]`` with 2048 cells, which the environment variable
+``FRAC_DEFAULT_N`` overrides; ``const`` and ``kappa`` anchor at the base
+point of the grid they are sampled on.  Either way the commands get one
+sample type, and the grid's mark picks the default scheme; a CSV always
+reads back on an interval grid.  Output files are written atomically
+(temp file, then rename).  ``--config`` names a JSON file whose keys mirror the command's
 long flags; any other key is a usage error, and explicit flags win.
 
 Imports: at start-up this module loads the standard library and the
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
-    from .core import Grid, LineFunction, SampledFunction, Side
+    from .core import Grid, SampledFunction, Side
     from .oracle import ClosedFormFunction
     from .verify import VerificationReport
 
@@ -248,7 +251,7 @@ def _resolve_function(spec: str, grid: Grid | None, side: Side) -> ClosedFormFun
 
 def _function_input(
     args: argparse.Namespace, command: str, on_line: bool = True
-) -> tuple[Side, Grid | None, ClosedFormFunction | None, SampledFunction | LineFunction]:
+) -> tuple[Side, Grid | None, ClosedFormFunction | None, SampledFunction]:
     """``(side, grid, f, u)`` from ``--fn``, ``--side``, ``--grid`` and ``--line``.
 
     A CSV carries its own grid: ``f`` is None and ``grid`` is ``u``'s.  A
@@ -289,7 +292,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.scheme and args.what != "deriv":
         raise _UsageError("--scheme applies to deriv only")
     side, _, _, u = _function_input(args, f"compute {args.what}", on_line=args.what == "deriv")
-    from . import core, operators
+    from . import operators
 
     if args.what == "deriv":
         scheme = args.scheme or operators._default_scheme(u)
@@ -298,8 +301,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise _UsageError(f"unknown scheme {scheme!r}; pick one of {schemes}")
         scheme = _SCHEME_ALIASES.get(scheme, scheme)
         out = operators.frac_derivative(u, args.alpha, side, scheme=scheme)
-        if isinstance(out, core.LineFunction):
-            out = out.as_sampled()
     else:
         out = operators.frac_integral(u, args.alpha, side)
 

@@ -2,8 +2,14 @@
 
 Everything downstream (fractional-order operators, norms, verification
 checks) works on uniform grids and identifies a sampled function with its
-piecewise-linear interpolant.  This module owns that data model plus the
-small set of numerical primitives the operators are built from:
+piecewise-linear interpolant.  There is one sample type,
+:class:`SampledFunction`, on one of two kinds of :class:`Grid`: an
+interval grid ``[a, b]`` (:func:`uniform_grid`), or a line grid ``[-L,
+L]`` (:func:`line_grid`) marked ``on_line``, a window that truncates the
+real line, outside which the function is 0.  The mark lives on the grid,
+so the operators and norms read it there and keep no type of their own.
+This module owns that data model plus the small set of numerical
+primitives the operators are built from:
 
 * the Gamma function (with explicit pole errors),
 * Grunwald–Letnikov binomial weights,
@@ -37,7 +43,6 @@ __all__ = [
     "Side",
     "Grid",
     "SampledFunction",
-    "LineFunction",
     "FracOrder",
     "uniform_grid",
     "line_grid",
@@ -96,6 +101,10 @@ class Side(enum.Enum):
 class Grid:
     """Uniform grid with ``n`` cells on ``[a, b]``, nodes ``a + j h``.
 
+    ``on_line`` marks the window ``[-L, L]`` of :func:`line_grid`, which
+    stands for the real line: samples on it are read as 0 outside the
+    window.  Such a window has ``a = -b`` and at least 2 cells.
+
     .. attribute:: h
 
         Cell width ``(b - a) / n``.
@@ -104,12 +113,19 @@ class Grid:
     a: float
     b: float
     n: int
+    on_line: bool = False
 
     def __post_init__(self) -> None:
         if not self.b > self.a:
             raise ValueError(f"empty interval: a={self.a}, b={self.b}")
         if self.n < 1:
             raise ValueError(f"need at least one cell, got n={self.n}")
+        if self.on_line and (self.a != -self.b or self.n < 2):
+            raise ValueError(f"a line window is [-L, L] with at least 3 nodes, got {self!r}")
+
+    def __repr__(self) -> str:
+        mark = ", on_line=True" if self.on_line else ""
+        return f"Grid(a={self.a!r}, b={self.b!r}, n={self.n!r}{mark})"
 
     @property
     def h(self) -> float:
@@ -121,7 +137,7 @@ class Grid:
 
         The same array comes back on every access: it is stored on the
         instance outside the dataclass fields, so equality, hashing and
-        ``repr`` still see ``(a, b, n)`` alone.
+        ``repr`` still see the fields alone.
         """
         nodes = self.__dict__.get("_nodes")
         if nodes is None:
@@ -135,8 +151,8 @@ class Grid:
         return self.b - self.a
 
     def refine(self, factor: int = 2) -> Grid:
-        """Same interval with ``factor`` times as many cells."""
-        return Grid(self.a, self.b, self.n * factor)
+        """Same interval (or line window) with ``factor`` times as many cells."""
+        return replace(self, n=self.n * factor)
 
 
 def uniform_grid(a: float, b: float, n: int) -> Grid:
@@ -145,10 +161,10 @@ def uniform_grid(a: float, b: float, n: int) -> Grid:
 
 
 def line_grid(half_width: float, n: int) -> Grid:
-    """Grid over ``[-L, L]`` used to truncate the real line."""
+    """The line window ``[-L, L]`` with ``n`` cells, marked ``on_line``."""
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    return Grid(-float(half_width), float(half_width), int(n))
+    return Grid(-float(half_width), float(half_width), int(n), on_line=True)
 
 
 @dataclass(frozen=True)
@@ -163,6 +179,12 @@ class SampledFunction:
     x)**e`` near ``b``, each as :func:`_endpoint_terms` builds them: the
     lowest exponent first.  ``left_power`` / ``right_power`` read the
     leading term, or None when the end records none.
+
+    On a line grid (``grid.on_line``) the samples stand for a function on
+    the real line, 0 outside the window, so they record no endpoint terms.
+    The Fourier layer reads its ``n`` periodic samples ``values[:-1]`` (the
+    node at ``+L`` is dropped), which is lossless once the function has
+    decayed at the ends (:meth:`check_decay`).
     """
 
     grid: Grid
@@ -177,6 +199,8 @@ class SampledFunction:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid with {self.grid.n + 1} nodes"
             )
+        if self.grid.on_line and (self.left_power or self.right_power):
+            raise ValueError("samples on a line grid record no endpoint terms: the line has no ends")
 
     @property
     def x(self) -> np.ndarray:
@@ -201,6 +225,24 @@ class SampledFunction:
         """Evaluate the piecewise-linear interpolant (zero outside [a, b])."""
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
+    def check_decay(self) -> SampledFunction:
+        """Warn unless the samples have decayed at both ends; returns ``self``.
+
+        The warning fires when an end value exceeds 1e-8 times the largest
+        magnitude: on a line window the Fourier-side operators would then
+        see an artificial periodic jump.
+        """
+        scale = float(np.max(np.abs(self.values))) or 1.0
+        edge = max(abs(float(self.values[0])), abs(float(self.values[-1])))
+        if edge > 1e-8 * scale:
+            _warn(f"function has not decayed at +-L: edge/max = {edge / scale:.3e}")
+        return self
+
+
+# the benchmark's tracer (``perfbench/spans.py``) still patches
+# ``LineFunction.interp`` by this name; ROADMAP item 1 drops it, then this alias
+LineFunction = SampledFunction
+
 
 def _summed_terms(terms) -> list[tuple[float, float]]:
     """The terms ``(c, e)`` with equal exponents summed and zero sums dropped.
@@ -223,74 +265,6 @@ def _endpoint_terms(terms) -> tuple[tuple[float, float], ...]:
     return tuple(sorted(_summed_terms((c, e) for c, e in terms if e < 0.0), key=lambda t: t[1]))
 
 
-@dataclass(frozen=True)
-class LineFunction:
-    """Samples over ``[-L, L]`` standing in for a function on the real line.
-
-    The layout matches :class:`SampledFunction` (``n + 1`` nodes including
-    both endpoints).  Fourier-side operators use the ``n`` periodic samples
-    (the node at ``+L`` is dropped), which is lossless once the function has
-    decayed at the ends; ``decay_checked`` records that the decay test ran.
-    """
-
-    half_width: float
-    values: np.ndarray
-    decay_checked: bool = False
-
-    def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 3:
-            raise ValueError("values must be a 1-d array with at least 3 nodes")
-
-    @property
-    def n(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def grid(self) -> Grid:
-        """The window's grid, built once per function (so its nodes are too)."""
-        grid = self.__dict__.get("_grid")
-        if grid is None:
-            grid = line_grid(self.half_width, self.n)
-            object.__setattr__(self, "_grid", grid)
-        return grid
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.nodes
-
-    def check_decay(self) -> LineFunction:
-        """Verify the samples have decayed at both ends of the window.
-
-        Emits a warning (and leaves ``decay_checked`` False) when the
-        endpoint values exceed 1e-8 times the max magnitude, since
-        Fourier-side operators then see an artificial periodic jump.
-        """
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        edge = max(abs(float(self.values[0])), abs(float(self.values[-1])))
-        if edge > 1e-8 * scale:
-            _warn(f"function has not decayed at +-L: edge/max = {edge / scale:.3e}")
-            return self
-        return replace(self, decay_checked=True)
-
-    def samples(self) -> np.ndarray:
-        """The ``n`` periodic samples used by the Fourier layer."""
-        return self.values[:-1]
-
-    def interp(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(x, self.x, self.values, left=0.0, right=0.0)
-
-    def reflected(self) -> LineFunction:
-        """Samples of x -> u(-x); keeps ``decay_checked`` (the decay test is symmetric)."""
-        return replace(self, values=self.values[::-1].copy())
-
-    def as_sampled(self) -> SampledFunction:
-        return SampledFunction(self.grid, self.values)
-
-
 def _coarsened(u: SampledFunction, step: int) -> SampledFunction:
     """Every ``step``-th node of ``u``: an exact, artifact-free resolution change.
 
@@ -303,7 +277,7 @@ def _coarsened(u: SampledFunction, step: int) -> SampledFunction:
     n = u.grid.n
     if n % step:
         raise ValueError(f"need a multiple of {step} cells to coarsen, got {n}")
-    return replace(u, grid=Grid(u.grid.a, u.grid.b, n // step), values=u.values[::step].copy())
+    return replace(u, grid=replace(u.grid, n=n // step), values=u.values[::step].copy())
 
 
 @dataclass(frozen=True)
@@ -558,15 +532,14 @@ def inverse_discrete_fourier(uhat: np.ndarray, half_width: float) -> np.ndarray:
     return np.fft.ifft(spec * inverse / (2.0 * half_width / n))
 
 
-def _spectrum(u: LineFunction) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`discrete_fourier` of the periodic samples, after the decay test.
+def _spectrum(u: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`discrete_fourier` of the periodic samples of a line window, after the decay test.
 
     Warns when more than 1e-8 of the spectral energy sits in the top
     frequency quartile (aliasing), and when ``u`` has not decayed.
     """
-    if not u.decay_checked:
-        u.check_decay()
-    xi, uhat = discrete_fourier(u.samples(), u.half_width)
+    u.check_decay()
+    xi, uhat = discrete_fourier(u.values[:-1], u.grid.b)
     energy = np.abs(uhat) ** 2
     top = np.abs(xi) >= 0.75 * float(np.max(np.abs(xi)))
     fraction = float(np.sum(energy[top])) / (float(np.sum(energy)) or 1.0)

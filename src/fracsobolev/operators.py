@@ -42,12 +42,13 @@ and 1.9 MB at ``2^16`` cells).
 
 Orders ``alpha = m + sigma`` above one take the order-``sigma`` operator
 and then ``m`` steps of :func:`nodal_derivative`, the one first derivative
-for grid and line functions: it flags the neighbours of a flagged node and
+on interval and line grids: it flags the neighbours of a flagged node and
 carries each endpoint power through the plain d/dx, so a recorded power
 that the integer derivatives make non-integrable still reaches the norms.
 
 Line-side operators (``marchaud_derivative``, ``spectral_derivative``)
-act on :class:`LineFunction` windows of the real line.  On the uniform
+act on samples on a line grid (``grid.on_line``), a window of the real
+line; every operator returns samples on its input's grid.  On the uniform
 grid the Marchaud integral is linear in the samples with a fixed kernel,
 so it is one more :func:`_toeplitz` product.  ``frac_derivative``
 dispatches through the ``_SCHEMES`` table, which the CLI also lists, and
@@ -85,7 +86,6 @@ import numpy as np
 from .core import (
     FracOrder,
     Grid,
-    LineFunction,
     SampledFunction,
     Side,
     _endpoint_terms,
@@ -471,16 +471,13 @@ def _gl_plan(alpha: float, n: int) -> _Plan:
 
 
 @_reflection_conjugate
-def gl_derivative(
-    u: SampledFunction | LineFunction, alpha: float, side: Side | str = Side.LEFT
-) -> SampledFunction | LineFunction:
+def gl_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """Truncated Grunwald-Letnikov derivative (zero extension past the base).
 
     First-order accurate for functions vanishing at the base point; needs
     finite nodal values everywhere, so kernel-type samples are rejected.
     At ``alpha = 1`` the weights collapse to the first backward
-    difference quotient.  A line function gives a line function (whose
-    decay is not checked).
+    difference quotient.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("gl_derivative implemented for 0 < alpha <= 1")
@@ -488,8 +485,6 @@ def gl_derivative(
     if not np.all(np.isfinite(vals)):
         raise ValueError("Grunwald-Letnikov needs finite nodal values everywhere")
     out = _toeplitz(vals, _plan(_gl_plan, alpha, u.grid.n)) / u.grid.h**alpha
-    if isinstance(u, LineFunction):
-        return LineFunction(u.half_width, out)
     return SampledFunction(u.grid, out)
 
 
@@ -508,7 +503,7 @@ def caputo_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.
     return SampledFunction(u.grid, _l1_slope_sum(u.values, u.grid, alpha))
 
 
-def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | LineFunction:
+def nodal_derivative(u: SampledFunction) -> SampledFunction:
     """Second-order finite-difference first derivative at the nodes.
 
     The package's one first-derivative step: :func:`frac_derivative`
@@ -521,14 +516,11 @@ def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | Lin
     from that end, maps through the plain d/dx to ``(c e, e - 1)`` at the
     left end and ``(-c e, e - 1)`` at the right, term by term; ``e = 0``
     records none.
-    A line function gives a line function.
     """
     flagged = ~np.isfinite(u.values)
     out = np.gradient(np.where(flagged, 0.0, u.values), u.grid.h, edge_order=2)
     # the end stencils (edge_order=2) reach two nodes: flag all within two
     out[np.convolve(flagged, np.ones(5))[2:-2] > 0.0] = math.inf
-    if isinstance(u, LineFunction):
-        return LineFunction(u.half_width, out)
 
     def slope(terms, sign: float) -> tuple[tuple[float, float], ...]:
         return tuple((sign * c * e, e - 1.0) for c, e in terms if e != 0.0)
@@ -537,11 +529,8 @@ def nodal_derivative(u: SampledFunction | LineFunction) -> SampledFunction | Lin
 
 
 def frac_derivative(
-    u: SampledFunction | LineFunction,
-    alpha: float,
-    side: Side | str = Side.LEFT,
-    scheme: str = "product_rl",
-) -> SampledFunction | LineFunction:
+    u: SampledFunction, alpha: float, side: Side | str = Side.LEFT, scheme: str = "product_rl"
+) -> SampledFunction:
     """Dispatch on scheme; orders above one add integer derivatives.
 
     For ``alpha = m + sigma`` with ``m >= 1`` the fractional part runs
@@ -555,12 +544,10 @@ def frac_derivative(
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(_SCHEMES)}")
     if scheme == "spectral":
-        if not isinstance(u, LineFunction):
-            raise ValueError("spectral derivative acts on line functions")
         return spectral_derivative(u, alpha, side)
-    if scheme == "marchaud" and not isinstance(u, LineFunction):
+    if scheme == "marchaud" and not u.grid.on_line:
         raise ValueError("Marchaud derivative acts on line functions")
-    if scheme in ("product_rl", "caputo") and isinstance(u, LineFunction):
+    if scheme in ("product_rl", "caputo") and u.grid.on_line:
         raise ValueError(f"scheme {scheme!r} acts on interval grids")
     if order.sigma == 1.0:
         d, steps = u, order.m + 1
@@ -596,7 +583,7 @@ def _marchaud_plan(alpha: float, half_width: float, n: int) -> _Plan:
 
 
 @_reflection_conjugate
-def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.LEFT) -> LineFunction:
+def marchaud_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """Marchaud form of the one-sided derivative on the truncated line.
 
     ``alpha/Gamma(1-alpha) * integral (u(x) - u(x-t)) / t^(1+alpha) dt``
@@ -618,9 +605,9 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     h = u.grid.h
     # t_max = window diameter: from any x, offsets beyond it look back past
     # the window edge, where the zero extension makes the tail analytic
-    t_min, t_max = h / 2.0, 2.0 * u.half_width
+    t_min, t_max = h / 2.0, u.grid.width
     vals = u.values
-    plan = _plan(_marchaud_plan, alpha, u.half_width, u.n)
+    plan = _plan(_marchaud_plan, alpha, u.grid.b, u.grid.n)
     integral = _toeplitz(vals, plan)
     integral += vals[0] * plan.base
 
@@ -635,24 +622,24 @@ def marchaud_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     # if u has not decayed, mass beyond the window (invisible here) would
     # contribute on the order of the edge value against the far kernel
     edge = max(abs(float(vals[0])), abs(float(vals[-1])))
-    tail_estimate = edge * u.half_width**-alpha / gamma_fn(1.0 - alpha)
+    tail_estimate = edge * u.grid.b**-alpha / gamma_fn(1.0 - alpha)
     result_scale = float(np.max(np.abs(result))) or 1.0
     if tail_estimate > 1e-6 * result_scale:
         _warn(
             f"window-tail contribution estimate {tail_estimate / result_scale:.2e} "
             "of the result: the input has not decayed at the window edges"
         )
-    return LineFunction(u.half_width, result)
+    return SampledFunction(u.grid, result)
 
 
-def marchaud_small_offset_bound(u: LineFunction, alpha: float) -> float:
+def marchaud_small_offset_bound(u: SampledFunction, alpha: float) -> float:
     """Bound on the modelled sub-grid part of the Marchaud integral."""
     h = u.grid.h
     lip = float(np.max(np.abs(nodal_derivative(u).values)))
     return alpha / gamma_fn(1.0 - alpha) * lip * (h / 2.0) ** (1.0 - alpha) / (1.0 - alpha)
 
 
-def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.LEFT) -> LineFunction:
+def spectral_derivative(u: SampledFunction, alpha: float, side: Side | str = Side.LEFT) -> SampledFunction:
     """Fourier-multiplier derivative ``F^-1[(+-i xi)^alpha F u]``.
 
     Principal branch symbol; requires a power-of-two sample count and a
@@ -661,20 +648,22 @@ def spectral_derivative(u: LineFunction, alpha: float, side: Side | str = Side.L
     the imaginary residue would lose more than 1e-8 relative.
     """
     side = Side.parse(side)
+    if not u.grid.on_line:
+        raise ValueError("spectral derivative acts on line functions")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n = u.n
+    n = u.grid.n
     if n & (n - 1):
         raise ValueError("spectral derivative needs a power-of-two sample count")
     _, uhat = _spectrum(u)
-    dhat = _plan(_symbol_plan, n, u.half_width, alpha)[side] * uhat
-    d = inverse_discrete_fourier(dhat, u.half_width)
+    dhat = _plan(_symbol_plan, n, u.grid.b, alpha)[side] * uhat
+    d = inverse_discrete_fourier(dhat, u.grid.b)
     imag = float(np.max(np.abs(d.imag)))
     real_scale = float(np.max(np.abs(d.real))) or 1.0
     if imag > 1e-8 * real_scale:
         raise ValueError(f"imaginary residue {imag / real_scale:.2e} of the real part exceeds 1e-8")
     closed = np.concatenate([d.real, d.real[:1]])
-    return LineFunction(u.half_width, closed)
+    return SampledFunction(u.grid, closed)
 
 
 _SCHEMES = {
@@ -686,9 +675,9 @@ _SCHEMES = {
 }
 
 
-def _default_scheme(u: SampledFunction | LineFunction) -> str:
+def _default_scheme(u: SampledFunction) -> str:
     """The scheme a caller gets without naming one: spectral on the line."""
-    return "spectral" if isinstance(u, LineFunction) else "product_rl"
+    return "spectral" if u.grid.on_line else "product_rl"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import (
     Grid,
-    LineFunction,
     SampledFunction,
     Side,
     _endpoint_terms,
@@ -345,11 +344,10 @@ def _anchored(f: ClosedFormFunction, base: float, side: Side) -> bool:
     return isinstance(f, PowerSum) and f.orientation is side and abs(f.anchor - base) < 1e-14
 
 
-def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> LineFunction:
-    """Evaluate ``f`` over ``[-L, L]`` and run the decay check."""
+def sample_line(f: ClosedFormFunction, half_width: float, n: int) -> SampledFunction:
+    """Evaluate ``f`` on the line window ``[-L, L]`` and run the decay check."""
     grid = line_grid(half_width, n)
-    values = np.asarray(f.value(grid.nodes), dtype=float)
-    return LineFunction(half_width, values).check_decay()
+    return SampledFunction(grid, f.value(grid.nodes)).check_decay()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ Seven norm families are provided through :func:`sobolev_norm`:
   which is a genuine norm on functions with vanishing endpoint constant,
 * ``gagliardo`` — double-integral difference-quotient seminorm plus the
   classical part,
-* ``fourier`` — the frequency-side definition, line functions only.
+* ``fourier`` — the frequency-side definition, on line grids only.
+
+Every norm takes one sample type, :class:`~fracsobolev.core.SampledFunction`,
+on an interval grid or on a line grid (``grid.on_line``, a window of the
+real line outside which the function is 0); the grid's mark picks the
+derivative scheme, the Gagliardo rows and the Fourier layer.
 
 Divergence policy: a norm that does not exist is a *result*, not a failure.
 It comes back as ``+inf`` with one warning that says why, decided from the
@@ -41,7 +46,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     FracOrder,
-    LineFunction,
     SampledFunction,
     Side,
     _fit_slope,
@@ -129,7 +133,7 @@ class TraceValue:
 # Lebesgue norms
 
 
-def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[float, str | None]:
+def _lp_power_integral(u: SampledFunction, p: float) -> tuple[float, str | None]:
     """``(int |u|^p, reason)`` (``sup |u|`` at ``p = inf``) by the cell rule of :func:`lp_norm`.
 
     Each recorded end is decided once, by its leading term ``c t^e``: +inf
@@ -169,12 +173,9 @@ def _lp_power_integral(u: SampledFunction | LineFunction, p: float) -> tuple[flo
     return sum(masses, float(h * np.sum(cells))), reason
 
 
-def _flagged_powers(u: SampledFunction | LineFunction) -> list[tuple[tuple, str]]:
+def _flagged_powers(u: SampledFunction) -> list[tuple[tuple, str]]:
     """``(terms, phrase naming the leading term and its end)`` for each flagged end with a record."""
-    ends = (
-        ("left", u.values[0], getattr(u, "left_terms", ())),
-        ("right", u.values[-1], getattr(u, "right_terms", ())),
-    )
+    ends = (("left", u.values[0], u.left_terms), ("right", u.values[-1], u.right_terms))
     return [(terms, f"the endpoint power {terms[0][0]:.6g} t^{terms[0][1]:.6g} at its {end} end")
             for end, node, terms in ends if terms and not math.isfinite(node)]
 
@@ -213,7 +214,7 @@ def _end_cell_factor(terms: tuple[tuple[float, float], ...], p: float, h: float)
     return total
 
 
-def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
+def lp_norm(u: SampledFunction, p: float) -> float:
     """L^p norm of the samples, ``1 <= p <= inf``, by one cell rule.
 
     A cell between two finite nodes adds ``h (|u_j|^p + |u_{j+1}|^p) / 2``
@@ -234,9 +235,7 @@ def lp_norm(u: SampledFunction | LineFunction, p: float) -> float:
 # Sobolev norms
 
 
-def _integer_derivatives(
-    u: SampledFunction | LineFunction, m: int
-) -> list[SampledFunction | LineFunction]:
+def _integer_derivatives(u: SampledFunction, m: int) -> list[SampledFunction]:
     """``[u, u', ..., u^(m)]`` by :func:`~fracsobolev.operators.nodal_derivative`."""
     chain = [u]
     for _ in range(m):
@@ -244,7 +243,7 @@ def _integer_derivatives(
     return chain
 
 
-def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
+def _one_sided_norm(u: SampledFunction, spec: NormSpec) -> float:
     """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call.
 
     A part is +inf only through a recorded endpoint power that
@@ -271,17 +270,17 @@ def _one_sided_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
     return math.inf
 
 
-def sobolev_norm(u: SampledFunction | LineFunction, spec: NormSpec) -> float:
+def sobolev_norm(u: SampledFunction, spec: NormSpec) -> float:
     """Norm of ``u`` in the family named by ``spec``.
 
-    Finite intervals use the product-integration derivative realization,
-    line functions the spectral one.  A divergent norm comes back as +inf
+    Interval grids use the product-integration derivative realization,
+    line grids the spectral one.  A divergent norm comes back as +inf
     with one warning that names its cause.
     """
     family, alpha, p = spec.family, spec.alpha, spec.p
 
     if family == "fourier":
-        if not isinstance(u, LineFunction):
+        if not u.grid.on_line:
             raise ValueError("fourier norms are defined on line functions only")
         if math.isinf(p):
             raise ValueError("fourier family requires p < inf")
@@ -375,7 +374,7 @@ class _Modulus(NamedTuple):
     t_max: float
 
 
-def _gagliardo_modulus(u: SampledFunction | LineFunction, p: float) -> _Modulus:
+def _gagliardo_modulus(u: SampledFunction, p: float) -> _Modulus:
     """The rows ``omega_p(t)^p = int |u(x+t)-u(x)|^p dx`` of the Gagliardo integral.
 
     One row per offset of :func:`~fracsobolev.core._log_offsets` from
@@ -407,8 +406,8 @@ def _gagliardo_modulus(u: SampledFunction | LineFunction, p: float) -> _Modulus:
     h = grid.h
     x = grid.nodes
     vals = np.asarray(u.values, dtype=float)
-    on_line = isinstance(u, LineFunction)
-    t_max = 2.0 * u.half_width if on_line else grid.width
+    on_line = grid.on_line
+    t_max = grid.width
     offsets, weights = _log_offsets(h / 2.0, t_max)
     n = x.size - 1
     if on_line:
@@ -497,7 +496,7 @@ def _modulus_decay(rows: _Modulus, h: float) -> float:
     return _fit_slope(np.log(t[keep]), np.log(inner[keep]))
 
 
-def gagliardo_seminorm(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
+def gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> float:
     """Difference-quotient seminorm of order ``alpha`` in ``L^p``.
 
     ``p = inf`` returns the Hölder-type sup over node pairs, or +inf with a
@@ -564,7 +563,7 @@ def gagliardo_seminorm(u: SampledFunction | LineFunction, alpha: float, p: float
     return full ** (1.0 / p)
 
 
-def gagliardo_small_offset_bound(u: SampledFunction | LineFunction, alpha: float, p: float) -> float:
+def gagliardo_small_offset_bound(u: SampledFunction, alpha: float, p: float) -> float:
     """Bound on the excluded ``t < h/2`` part of the seminorm's p-th power.
 
     Uses ``|u(x+t)-u(x)| <= Lip * t`` with the interpolant's Lipschitz
@@ -572,7 +571,7 @@ def gagliardo_small_offset_bound(u: SampledFunction | LineFunction, alpha: float
     """
     h = u.grid.h
     lip = float(np.max(np.abs(np.diff(u.values)))) / h
-    measure = 2.0 * u.half_width if isinstance(u, LineFunction) else u.grid.width
+    measure = u.grid.width
     rate = p * (1.0 - alpha)
     return 2.0 * measure * lip**p * (h / 2.0) ** rate / rate
 
@@ -637,10 +636,25 @@ def _kink_corrected_moment(xi: np.ndarray, density: np.ndarray, power: float) ->
     return total
 
 
-def fourier_seminorm(u: LineFunction, s: float, p: float) -> float:
-    """``int (1 + |xi|^{sp}) |uhat|^p dxi`` on the discrete frequency grid."""
-    if not isinstance(u, LineFunction):
+def _moment_window(u: SampledFunction) -> None:
+    """Reject samples whose Fourier moments :func:`_kink_corrected_moment` cannot take.
+
+    They need a line grid of at least 3 cells: the kink correction's second
+    difference across ``xi = 0`` reads 3 distinct frequencies.  The 2
+    samples of a 2-cell window give 0 and the Nyquist frequency, so
+    ``density[1]`` and ``density[-1]`` are one entry and the step ``xi[1] -
+    xi[0]`` is negative: the moment came out negative, or complex.
+    """
+    if not u.grid.on_line:
         raise ValueError("fourier seminorm is defined on line functions only")
+    if u.grid.n < 3:
+        raise ValueError(f"Fourier moments need a line window of at least 3 cells, got {u.grid.n}: "
+                         "their kink correction at xi = 0 reads 3 distinct frequencies")
+
+
+def fourier_seminorm(u: SampledFunction, s: float, p: float) -> float:
+    """``int (1 + |xi|^{sp}) |uhat|^p dxi`` on the discrete frequency grid."""
+    _moment_window(u)
     if math.isinf(p) or p < 1.0:
         raise ValueError(f"p must lie in [1, inf), got {p}")
     xi, uhat = _spectrum(u)
@@ -649,9 +663,10 @@ def fourier_seminorm(u: LineFunction, s: float, p: float) -> float:
     return float(np.sum(density) * dxi) + _kink_corrected_moment(xi, density, s * p)
 
 
-def weighted_spectral_integral(u: LineFunction, power: float) -> float:
+def weighted_spectral_integral(u: SampledFunction, power: float) -> float:
     """``(1/2pi) int |xi|^power |uhat|^2 dxi`` with the kink cell handled."""
-    xi, uhat = discrete_fourier(u.samples(), u.half_width)
+    _moment_window(u)
+    xi, uhat = discrete_fourier(u.values[:-1], u.grid.b)
     return _kink_corrected_moment(xi, np.abs(uhat) ** 2, power) / (2.0 * math.pi)
 
 
@@ -660,7 +675,7 @@ def weighted_spectral_integral(u: LineFunction, power: float) -> float:
 
 
 def holder_quotient(
-    u: SampledFunction | LineFunction, exponent: float, subinterval: tuple[float, float]
+    u: SampledFunction, exponent: float, subinterval: tuple[float, float]
 ) -> float:
     """``max |u(x)-u(y)| / |x-y|^exponent`` over node pairs in the subinterval.
 

@@ -39,7 +39,6 @@ import numpy as np
 from .core import (
     FracOrder,
     Grid,
-    LineFunction,
     SampledFunction,
     Side,
     _coarsened,
@@ -277,22 +276,19 @@ def _as_battery(family: "TestBattery | Sequence[ClosedFormFunction]") -> TestBat
 
 
 def _as_sampled(u, grid: Grid | None) -> SampledFunction:
-    if isinstance(u, SampledFunction):
-        return u
+    """A closed form sampled on ``grid`` (default ``[0, 1]``, 2048 cells), or interval samples as given."""
     if isinstance(u, ClosedFormFunction):
         return sample(u, grid if grid is not None else uniform_grid(0.0, 1.0, 2048))
-    raise TypeError(f"expected samples or a closed-form function, got {type(u).__name__}")
+    if isinstance(getattr(u, "grid", None), Grid) and not u.grid.on_line:
+        return u
+    raise TypeError(f"expected interval samples or a closed-form function, got {type(u).__name__}")
 
 
 def _describe(u) -> str:
     if isinstance(u, ClosedFormFunction):
         return describe_function(u)
-    if isinstance(u, SampledFunction):
-        g = u.grid
-        return f"samples[n={g.n};({g.a:g},{g.b:g})]"
-    if isinstance(u, LineFunction):
-        return f"line-samples[n={u.n};L={u.half_width:g}]"
-    return repr(u)
+    g = u.grid
+    return f"samples[n={g.n};({g.a:g},{g.b:g})]"
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +330,8 @@ def _pair(
     residuals; in a flagged cell it reads the power behaviour as
     ``sum |c_i| t^e_i``.
     """
-    if not isinstance(g, SampledFunction):
-        g = SampledFunction(f.grid, np.asarray(g, dtype=float))
+    if isinstance(g, np.ndarray):
+        g = SampledFunction(f.grid, g)
     if f.grid != g.grid:
         raise ValueError("pairing factors must share the grid")
     h = f.grid.h
@@ -792,7 +788,7 @@ def check_sobolev_inequality(
         held_out = Gaussian(0.3, 1.7)
 
     def line_ratio(f: ClosedFormFunction, g: Grid, lam: float = 1.0) -> float:
-        lf = LineFunction(half_width, f.value(lam * g.nodes)).check_decay()
+        lf = SampledFunction(g, f.value(lam * g.nodes)).check_decay()
         lhs = lp_norm(lf, r)
         rhs = lp_norm(marchaud_derivative(lf, alpha, Side.LEFT), p)
         return lhs / max(rhs, _TINY)
@@ -1395,7 +1391,7 @@ def check_line_equivalences(
     if not 0.0 < alpha < 1.0:
         raise ValueError("the line equivalences cover 0 < alpha < 1")
     battery = _as_battery(u_family)
-    lines: list[LineFunction] = []
+    lines: list[SampledFunction] = []
     for f in battery.members:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1419,9 +1415,8 @@ def check_line_equivalences(
         bound_ratios.append(march / max(c_alpha * gag1, _TINY))
 
         d = spectral_derivative(lf, alpha, Side.LEFT)
-        dx = 2.0 * lf.half_width / lf.n
-        phys = math.sqrt(dx * float(np.sum(d.samples() ** 2)))
-        xi, uhat = discrete_fourier(lf.samples(), lf.half_width)
+        phys = math.sqrt(lf.grid.h * float(np.sum(d.values[:-1] ** 2)))
+        xi, uhat = discrete_fourier(lf.values[:-1], lf.grid.b)
         dxi = float(xi[1] - xi[0])
         freq = math.sqrt(
             dxi / (2.0 * math.pi)

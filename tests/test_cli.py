@@ -258,6 +258,26 @@ class TestNormCommand:
         assert code == 0
         assert capsys.readouterr().out == "inf\n"
 
+    def test_a_two_cell_fourier_window_is_a_usage_error(self):
+        # the moment of 2 samples came out complex and the command ended in a
+        # TypeError traceback, with the exit code of a failed verification
+        r = run_cli("norm", "--space", "fourier", "--alpha", "0.5", "--p", "2",
+                    "--fn", "gauss:mu=0;s=1", "--line", "16,2")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            "frac: Fourier moments need a line window of at least 3 cells, got 2: "
+            "their kink correction at xi = 0 reads 3 distinct frequencies"]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND: right-side operators reject data flagged at their far end (ROADMAP item 15)"))
+    def test_symmetric_norm_of_a_left_kernel(self, capsys):
+        # x^-1/2 at order 0.4: both derivatives grow like x^-0.9 at 0, which
+        # is integrable at p = 1; today the command exits 2
+        code = main(["norm", "--space", "symmetric", "--alpha", "0.4", "--p", "1",
+                     "--fn", "kappa:alpha=0.5;side=left"])
+        assert code == 0, capsys.readouterr().err
+
     def test_unknown_space_is_a_usage_error(self):
         r = run_cli("norm", "--space", "besov", "--alpha", "0.5",
                     "--fn", "const:1")

@@ -14,7 +14,6 @@ from fracsobolev import core
 from fracsobolev.core import (
     FracOrder,
     Grid,
-    LineFunction,
     SampledFunction,
     Side,
     discrete_fourier,
@@ -290,10 +289,30 @@ class TestDataModel:
         assert used.refine(1) == used and used.refine(1).nodes is not used.nodes
 
     def test_line_function_grid_is_one_object(self):
-        u = LineFunction(4.0, np.exp(-line_grid(4.0, 64).nodes ** 2))
+        u = SampledFunction(line_grid(4.0, 64), np.exp(-line_grid(4.0, 64).nodes ** 2))
         assert u.grid is u.grid
         assert u.x is u.grid.nodes
         assert u.grid == line_grid(4.0, 64)
+
+    def test_the_line_is_a_mark_on_the_grid(self):
+        line, interval = line_grid(4.0, 64), uniform_grid(-4.0, 4.0, 64)
+        assert line.on_line and not interval.on_line
+        assert line != interval and line.nodes.tolist() == interval.nodes.tolist()
+        assert repr(line) == "Grid(a=-4.0, b=4.0, n=64, on_line=True)"
+        assert line.refine() == line_grid(4.0, 128)
+        u = SampledFunction(line, np.exp(-line.nodes**2))
+        assert core._coarsened(u, 2).grid == line_grid(4.0, 32)
+        assert u.reflected().grid is line
+
+    def test_line_samples_keep_the_window_checks(self):
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            line_grid(0.0, 8)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            line_grid(4.0, 1)
+        with pytest.raises(ValueError, match=r"\[-L, L\]"):
+            Grid(-1.0, 2.0, 8, on_line=True)
+        with pytest.raises(ValueError, match="no endpoint terms"):
+            SampledFunction(line_grid(4.0, 8), np.ones(9), left_terms=((1.0, -0.5),))
 
     def test_sampled_function_shape_check(self):
         g = uniform_grid(0.0, 1.0, 4)
@@ -313,16 +332,16 @@ class TestDataModel:
     def test_line_function_decay(self):
         L, n = 8.0, 64
         x = line_grid(L, n).nodes
-        ok = LineFunction(L, np.exp(-0.5 * x**2)).check_decay()
-        assert ok.decay_checked
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SampledFunction(line_grid(L, n), np.exp(-0.5 * x**2)).check_decay()
         with pytest.warns(UserWarning):
-            bad = LineFunction(L, np.cos(x)).check_decay()
-        assert not bad.decay_checked
+            SampledFunction(line_grid(L, n), np.cos(x)).check_decay()
 
     def test_decay_warning_names_the_caller(self):
         x = line_grid(16.0, 1024).nodes
-        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
-        wide = LineFunction(16.0, np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
+        slow = SampledFunction(line_grid(16.0, 1024), 1.0 / (1.0 + x**2))
+        wide = SampledFunction(line_grid(16.0, 1024), np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
         for call in (
             lambda: fourier_seminorm(slow, 0.5, 2.0),
             lambda: spectral_derivative(wide, 0.5),
@@ -359,8 +378,8 @@ class TestDataModel:
     )
     def test_every_warning_names_the_caller(self, call):
         x = line_grid(16.0, 1024).nodes
-        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
-        wide = LineFunction(16.0, np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
+        slow = SampledFunction(line_grid(16.0, 1024), 1.0 / (1.0 + x**2))
+        wide = SampledFunction(line_grid(16.0, 1024), np.exp(-x**2 / 18.0))  # edge about 7e-7 of the peak
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             call(slow, wide)

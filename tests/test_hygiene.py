@@ -395,3 +395,29 @@ def test_one_function_reads_a_function_input():
         )
     ]
     assert len(callers) == 1, callers
+
+
+def test_one_sample_type():
+    """Samples on an interval and on the line are one class, and the line is
+    a mark on the grid (``Grid.on_line``).  ``core`` binds ``LineFunction``
+    only as an alias of ``SampledFunction``, and the modules that read
+    samples neither name ``LineFunction`` nor ask a sample's type with
+    ``isinstance``."""
+    from fracsobolev import core
+
+    assert core.LineFunction is core.SampledFunction
+    core_tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    assert "LineFunction" not in {n.name for n in core_tree.body if isinstance(n, ast.ClassDef)}
+    sample_types = {"SampledFunction", "LineFunction"}
+    found = []
+    for name in ("operators", "spaces", "verify", "cli", "oracle"):
+        path = PACKAGE / f"{name}.py"
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: names LineFunction"] if re.search(r"\bLineFunction\b", text) else []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if kinds & sample_types:
+                    found.append(f"{path.name}:{node.lineno} isinstance on a sample type")
+    assert not found, found

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from fracsobolev import core, operators
 from fracsobolev.core import (
     Grid,
-    LineFunction,
     SampledFunction,
     gamma_fn,
     gl_weights,
+    line_grid,
     product_kernels,
     trapezoid,
 )
@@ -414,7 +414,7 @@ class TestKernelPlans:
     def test_alternating_orders_give_the_bits_of_fresh_plans(self):
         u = self.samples(3000, 7)
         calls = [(getattr(operators, name), u) for name in sorted(PLANNED)]
-        calls.append((marchaud_derivative, LineFunction(12.0, u.values)))
+        calls.append((marchaud_derivative, SampledFunction(line_grid(12.0, 3000), u.values)))
         for op, v in calls:
             for alpha in (0.3, 0.6, 0.3):
                 kept = op(v, alpha).values
@@ -438,7 +438,7 @@ class TestKernelPlans:
             for name in sorted(PLANNED):
                 for side in ("left", "right"):
                     getattr(operators, name)(u, 0.55, side)
-            marchaud_derivative(LineFunction(12.0, u.values), 0.55)
+            marchaud_derivative(SampledFunction(line_grid(12.0, n), u.values), 0.55)
             keys = {kind: key for kind, (key, _) in core._plans.items()}
             expected = dict.fromkeys(PLANNED.values(), (0.55, n))
             assert keys == {**expected, operators._marchaud_plan: (0.55, 12.0, n)}
@@ -641,6 +641,17 @@ class TestMultiTermRecord:
         assert np.max(np.abs(d.values[inner] - u.values[inner])) <= 1e-13 * np.max(np.abs(u.values[inner]))
 
 
+class TestFarEndFlag:
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "FOUND: right-side operators reject data flagged at their far end (ROADMAP item 15)"))
+    @pytest.mark.parametrize("op", [rl_derivative, frac_integral], ids=["rl_derivative", "frac_integral"])
+    def test_right_side_reads_a_left_end_flag(self, op):
+        # x^-1/4 is flagged at 0, the far end from the right; there the
+        # order-0.4 right derivative grows like x^-0.65 and the integral is bounded
+        u = sample(PowerSum(0.0, ((1.0, -0.25),)), unit_grid(1000))
+        assert np.all(np.isfinite(op(u, 0.4, "right").values[1:-1]))
+
+
 class TestGlDerivative:
     def test_agrees_with_product_rl_on_bump(self):
         errs = []
@@ -678,8 +689,7 @@ class TestGlDerivative:
     def test_line_function_passthrough(self):
         u = sample_line(Gaussian(0.0, 1.0), 8.0, 256)
         d = gl_derivative(u, 0.5)
-        assert isinstance(d, LineFunction)
-        assert d.n == u.n
+        assert d.grid == u.grid
 
 
 class TestCaputoDerivative:
@@ -775,7 +785,7 @@ class TestMarchaudDerivative:
             assert np.max(np.abs(d.values - ref)) <= 2e-4 * scale
 
     def test_zero_maps_to_zero(self):
-        u = LineFunction(8.0, np.zeros(257))
+        u = SampledFunction(line_grid(8.0, 256), np.zeros(257))
         assert np.all(marchaud_derivative(u, 0.5).values == 0.0)
 
     def test_even_function_mirror(self):
@@ -794,25 +804,25 @@ class TestMarchaudDerivative:
 
     def test_warns_when_tail_visible(self):
         x = np.linspace(-16.0, 16.0, 1025)
-        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
+        slow = SampledFunction(line_grid(16.0, 1024), 1.0 / (1.0 + x**2))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             marchaud_derivative(slow, 0.5)
         assert any("window-tail" in str(w.message) for w in rec)
 
 
-def marchaud_offset_loop(u: LineFunction, alpha: float, side: str = "left") -> np.ndarray:
+def marchaud_offset_loop(u: SampledFunction, alpha: float, side: str = "left") -> np.ndarray:
     """Reference: the Marchaud integral with one ``np.interp`` per offset.
 
     This is the per-offset form :func:`marchaud_derivative` had before it
     became one Toeplitz product; same offsets, weights and model terms.
     """
     if side == "right":
-        flipped = LineFunction(u.half_width, u.values[::-1].copy())
+        flipped = SampledFunction(u.grid, u.values[::-1].copy())
         return marchaud_offset_loop(flipped, alpha)[::-1]
     h = u.grid.h
     x = u.grid.nodes
-    t_min, t_max = h / 2.0, 2.0 * u.half_width
+    t_min, t_max = h / 2.0, 2.0 * u.grid.b
     count = max(8, int(round(80 * math.log10(t_max / t_min))) + 1)
     s = np.linspace(math.log(t_min), math.log(t_max), count)
     ds = s[1] - s[0]
@@ -846,7 +856,7 @@ class TestMarchaudKernelForm:
         # u[0] and u[n] are far from 0: the taps that read behind the left
         # window edge must see the zero fill np.interp uses, not u[0]
         x = np.linspace(-8.0, 8.0, 2049)
-        u = LineFunction(8.0, 1.0 / (1.0 + x**2) + 0.5 * np.tanh(x) + 0.7)
+        u = SampledFunction(line_grid(8.0, 2048), 1.0 / (1.0 + x**2) + 0.5 * np.tanh(x) + 0.7)
         with pytest.warns(UserWarning, match="window-tail"):
             got = marchaud_derivative(u, alpha, side).values
         ref = marchaud_offset_loop(u, alpha, side)
@@ -868,8 +878,8 @@ class TestSpectralDerivative:
         u = sample_line(Gaussian(0.0, 1.0), 16.0, 4096).check_decay()
         d = spectral_derivative(u, 0.5, "left")
         dx = u.grid.h
-        norm_phys = np.sqrt(dx * np.sum(d.samples() ** 2))
-        xi, uhat = discrete_fourier(u.samples(), u.half_width)
+        norm_phys = np.sqrt(dx * np.sum(d.values[:-1] ** 2))
+        xi, uhat = discrete_fourier(u.values[:-1], u.grid.b)
         dxi = xi[1] - xi[0]
         norm_spec = np.sqrt(np.sum(np.abs(xi) * np.abs(uhat) ** 2) * dxi / (2.0 * np.pi))
         assert abs(norm_phys - norm_spec) <= 1e-10 * norm_spec
@@ -878,7 +888,7 @@ class TestSpectralDerivative:
         # sin(3x) under a wide envelope: D^alpha ~ 3^alpha sin(3x + alpha*pi/2)
         envelope = Bump(0.0, 14.0, 1.0)
         x = np.linspace(-16.0, 16.0, 4097)
-        u = LineFunction(16.0, envelope.value(x) * np.sin(3.0 * x)).check_decay()
+        u = SampledFunction(line_grid(16.0, 4096), envelope.value(x) * np.sin(3.0 * x)).check_decay()
         d = spectral_derivative(u, 0.5, "left")
         pattern = 3.0**0.5 * np.sin(3.0 * x + 0.25 * np.pi) * envelope.value(x)
         inner = np.abs(x) <= 4.0
@@ -887,7 +897,7 @@ class TestSpectralDerivative:
 
     def test_aliasing_warning(self):
         x = np.linspace(-16.0, 16.0, 1025)
-        rough = LineFunction(16.0, np.sign(np.sin(5.0 * x)) * np.exp(-0.5 * x**2))
+        rough = SampledFunction(line_grid(16.0, 1024), np.sign(np.sin(5.0 * x)) * np.exp(-0.5 * x**2))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             spectral_derivative(rough, 0.5)
@@ -900,7 +910,7 @@ class TestSpectralDerivative:
             spectral_derivative(u, 0.5)
 
     def test_rejects_non_power_of_two(self):
-        u = LineFunction(8.0, np.exp(-np.linspace(-8, 8, 301) ** 2))
+        u = SampledFunction(line_grid(8.0, 300), np.exp(-np.linspace(-8, 8, 301) ** 2))
         with pytest.raises(ValueError, match="power-of-two"):
             spectral_derivative(u, 0.5)
 
@@ -908,7 +918,7 @@ class TestSpectralDerivative:
         # exp(-x^2/24.5) on (16, 1024): the residue is 4.1e-9 in absolute
         # terms and 1.1e-8 of the real part, which is what the test compares
         x = np.linspace(-16.0, 16.0, 1025)
-        u = LineFunction(16.0, np.exp(-(x**2) / 24.5))
+        u = SampledFunction(line_grid(16.0, 1024), np.exp(-(x**2) / 24.5))
         with warnings.catch_warnings(), pytest.raises(ValueError, match="residue") as info:
             warnings.simplefilter("ignore")  # the edges have not decayed
             spectral_derivative(u, 0.5)
@@ -1043,7 +1053,7 @@ class TestNodalDerivative:
     def test_line_function_is_one_gradient(self):
         line = sample_line(Gaussian(0.5, 1.0), 12.0, 1000)
         d = nodal_derivative(line)
-        assert isinstance(d, LineFunction) and d.half_width == line.half_width
+        assert d.grid == line.grid
         assert np.array_equal(d.values, np.gradient(line.values, line.grid.h, edge_order=2))
 
     @pytest.mark.parametrize("alpha", [1.5, 2.5])
@@ -1150,20 +1160,19 @@ class TestOperatorProperties:
             mirrored = op(u.reflected(), "left").values[::-1]
             m = np.isfinite(right) & np.isfinite(mirrored)
             assert np.max(np.abs(right[m] - mirrored[m])) == 0.0
-        # line operators: right = reflect, left, reflect, with an unchecked result
+        # line operators: right = reflect, left, reflect, on the line grid
         line = sample_line(Gaussian(1.0, 1.0), 16.0, 1024)
-        assert line.decay_checked
         for op in (marchaud_derivative, gl_derivative):
             right = op(line, 0.4, "right")
             mirrored = op(line.reflected(), 0.4, "left").reflected()
-            assert isinstance(right, LineFunction) and not right.decay_checked
+            assert right.grid.on_line
             assert np.array_equal(right.values, mirrored.values)
         mirrored_c = replace(endpoint_constant(u.reflected(), 0.4), side=Side.RIGHT)
         assert endpoint_constant(u, 0.4, "right") == mirrored_c
 
     def test_warnings_name_the_caller_on_both_sides(self):
         x = np.linspace(-16.0, 16.0, 1025)
-        slow = LineFunction(16.0, 1.0 / (1.0 + x**2))
+        slow = SampledFunction(line_grid(16.0, 1024), 1.0 / (1.0 + x**2))
         g = unit_grid(256)
         with np.errstate(divide="ignore"):
             hard = SampledFunction(g, (g.nodes - g.a) ** -0.8, left_terms=((1.0, -0.8),))
@@ -1197,7 +1206,7 @@ class TestMetamorphicRelations:
     def test_line_operators_commute_with_translation(self, name, side):
         op = getattr(operators, name)
         u = sample_line(Gaussian(0.8, 0.7), 12.0, 2048)
-        moved = LineFunction(12.0, np.roll(u.values, 16))
+        moved = SampledFunction(line_grid(12.0, 2048), np.roll(u.values, 16))
         for alpha in (0.25, 0.5, 0.75):
             here = op(u, alpha, side).values[200:1801]
             there = op(moved, alpha, side).values[216:1817]
