@@ -20,19 +20,24 @@ derivative scheme, the Gagliardo rows and the Fourier layer.
 
 Divergence policy: a norm that does not exist is a *result*, not a failure.
 It comes back as ``+inf`` with one warning that says why, decided from the
-samples the norm was given; no norm builds or resamples another grid.  A
-one-sided norm is +inf exactly when one of its parts records a
+samples the norm was given; no norm builds or resamples another grid.
+Every family but ``fourier`` lists its parts in one order, ``u, u', ...,
+u^(m)`` and then the fractional part (a one-sided derivative, or the
+difference-quotient seminorm of ``u^(m)``), each with its p-th power and
+the reason it is +inf, if it is; the norm is their sum's ``1/p`` power (at
+``p = inf``, the fractional part plus the largest other part), and
+``symmetric`` joins its two sides by the same rule.  :func:`sobolev_norm`
+alone words a norm's +inf: "<family> norm diverges" names the first part
+with a reason, and "<family> norm overflows" says that none has one.  The
+predicates stay beside their theorems.  A part is +inf when it records a
 non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``; at ``p = inf``,
-an unbounded one: ``e < 0``), and the warning names that part, its end,
-``c`` and ``e``.  Every part is summed by the one cell rule of
-:func:`lp_norm`, at every ``p``, in :func:`_lp_power_integral`: the one
-place where a recorded power is decided.  Above order one the metadata
-passes through the integer derivatives too: each step of
-:func:`~fracsobolev.operators.nodal_derivative` maps an endpoint power
-``c t^e`` to ``(+-c e, e - 1)``, so the norms see the power the classical
-derivatives leave.  The Gagliardo seminorm is +inf exactly when the fitted
-decay of its modulus is too slow for the order, or at ``p = inf`` when a
-sample is flagged (see :func:`gagliardo_seminorm`).
+``e < 0``), decided in :func:`_lp_power_integral`, which sums every part
+by the one cell rule of :func:`lp_norm`; each step of
+:func:`~fracsobolev.operators.nodal_derivative` maps ``c t^e`` to ``(+-c
+e, e - 1)``, so the norms see the power the classical derivatives leave.
+The seminorm is +inf when the fitted decay of its modulus is too slow for
+the order, or at ``p = inf`` when a sample is flagged; called directly,
+:func:`gagliardo_seminorm` words that in its own warning.
 """
 
 from __future__ import annotations
@@ -235,39 +240,26 @@ def lp_norm(u: SampledFunction, p: float) -> float:
 # Sobolev norms
 
 
-def _integer_derivatives(u: SampledFunction, m: int) -> list[SampledFunction]:
-    """``[u, u', ..., u^(m)]`` by :func:`~fracsobolev.operators.nodal_derivative`."""
-    chain = [u]
-    for _ in range(m):
+def _norm_parts(u: SampledFunction, spec: NormSpec, side: Side | None) -> list[tuple[float, str | None]]:
+    """``(p-th power or sup, reason it is +inf or None)`` of ``u, ..., u^(m)`` (none for a
+    zero trace), then of the ``side`` derivative or, with no side, the seminorm of ``u^(m)``."""
+    alpha, p = spec.alpha, spec.p
+    chain = [] if spec.family.startswith("zero_trace") else [u]
+    while chain and len(chain) <= alpha.m:
         chain.append(nodal_derivative(chain[-1]))
-    return chain
-
-
-def _one_sided_norm(u: SampledFunction, spec: NormSpec) -> float:
-    """A one-sided or zero-trace norm, for :func:`sobolev_norm` alone to call.
-
-    A part is +inf only through a recorded endpoint power that
-    :func:`_lp_power_integral` finds diverging; the warning quotes its reason.
-    """
-    p = spec.p
-    side = Side.RIGHT if spec.family.endswith("right") else Side.LEFT
-    d = frac_derivative(u, spec.alpha.alpha, side, scheme=_default_scheme(u))
-    chain = [] if spec.family.startswith("zero_trace") else _integer_derivatives(u, spec.alpha.m)
-    parts, reasons = zip(*(_lp_power_integral(w, p) for w in chain + [d]))
-    if math.isinf(p):
-        total = max(parts[:-1]) + parts[-1] if chain else parts[-1]
+    if side is None:
+        semi, reason = _gagliardo_seminorm(chain[-1], alpha.sigma, p)
+        last = (semi if math.isinf(p) else semi**p, reason)
     else:
-        total = float(np.sum(parts)) ** (1.0 / p)
-    if math.isfinite(total):
-        return total
-    names = [f"u^({k})" for k in range(len(chain))]
-    names.append(f"the order-{spec.alpha.alpha:g} {side.value} derivative")
-    for name, reason in zip(names, reasons):
-        if reason is not None:
-            _warn(f"{spec.family} norm diverges: {name} has {reason}")
-            return math.inf
-    _warn(f"{spec.family} norm overflows: the p-th powers of the samples exceed the float range")
-    return math.inf
+        last = _lp_power_integral(frac_derivative(u, alpha.alpha, side, scheme=_default_scheme(u)), p)
+    return [_lp_power_integral(w, p) for w in chain] + [last]
+
+
+def _summed(masses: list[float], p: float) -> float:
+    """``(sum masses)^(1/p)``; at ``p = inf`` the last mass plus the largest other one."""
+    if math.isinf(p):
+        return max(masses[:-1], default=0.0) + masses[-1]
+    return float(np.sum(masses)) ** (1.0 / p)
 
 
 def sobolev_norm(u: SampledFunction, spec: NormSpec) -> float:
@@ -275,7 +267,8 @@ def sobolev_norm(u: SampledFunction, spec: NormSpec) -> float:
 
     Interval grids use the product-integration derivative realization,
     line grids the spectral one.  A divergent norm comes back as +inf
-    with one warning that names its cause.
+    with one warning that names its cause: this is the one place where a
+    norm's +inf is worded.
     """
     family, alpha, p = spec.family, spec.alpha, spec.p
 
@@ -286,26 +279,24 @@ def sobolev_norm(u: SampledFunction, spec: NormSpec) -> float:
             raise ValueError("fourier family requires p < inf")
         return fourier_seminorm(u, alpha.alpha, p) ** (1.0 / p)
 
-    if family == "gagliardo":
-        chain = _integer_derivatives(u, alpha.m)
-        semi = gagliardo_seminorm(chain[-1], alpha.sigma, p)
-        parts = [_lp_power_integral(w, p)[0] for w in chain]
-        if math.isinf(p):
-            return max(parts) + semi
-        total = float(np.sum(parts)) + semi**p
-        if not math.isfinite(total):
-            return math.inf  # from the seminorm (finite samples only), which warned
-        return total ** (1.0 / p)
-
-    if family != "symmetric":
-        return _one_sided_norm(u, spec)
-    left = _one_sided_norm(u, NormSpec("one_sided_left", alpha, p))
-    if math.isinf(left):  # it has warned; one warning per call
-        return left
-    right = _one_sided_norm(u, NormSpec("one_sided_right", alpha, p))
-    if math.isinf(p):
-        return left + right
-    return (left**p + right**p) ** (1.0 / p)
+    sides = ((None,) if family == "gagliardo" else (Side.LEFT, Side.RIGHT) if family == "symmetric"
+             else (Side.parse(family.rpartition("_")[2]),))
+    norms = []
+    for side in sides:
+        parts = _norm_parts(u, spec, side)
+        norms.append(_summed([mass for mass, _ in parts], p))
+        if not math.isfinite(norms[-1]):  # a diverging left side skips the right: one warning
+            break
+    total = norms[0] if len(norms) == 1 else _summed([v if math.isinf(p) else v**p for v in norms], p)
+    if math.isfinite(total):
+        return total
+    names = [f"u^({k}) has" for k in range(len(parts) - 1)]
+    names.append(f"the order-{alpha.alpha:g} {side.value} derivative has" if side is not None else
+                 f"the order-{alpha.sigma:g} difference-quotient seminorm of u^({alpha.m})")
+    cause = next((f"diverges: {name} {reason}" for name, (_, reason) in zip(names, parts) if reason),
+                 "overflows: the p-th powers of the samples exceed the float range")
+    _warn(f"{family} norm {cause}")
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +515,14 @@ def gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> float:
     per offset; both agree with interpolating each offset to about 1e-14
     relative.
     """
+    value, reason = _gagliardo_seminorm(u, alpha, p)
+    if reason is not None:
+        _warn(f"difference-quotient seminorm {reason}; reporting +inf")
+    return value
+
+
+def _gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> tuple[float, str | None]:
+    """:func:`gagliardo_seminorm` as ``(value, reason)``: why the value is +inf, or None."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
     if math.isinf(p):
@@ -536,11 +535,10 @@ def gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> float:
                 cause = f"u is flagged at its {'left' if flagged[0] == 0 else 'right'} end"
             else:
                 cause = f"u is flagged at node {flagged[0]}"
-            _warn(f"difference-quotient seminorm at p = inf diverges: {cause}, "
-                  "and its difference quotients grow without bound there; reporting +inf")
-            return math.inf
+            return math.inf, (f"at p = inf diverges: {cause}, "
+                              "and its difference quotients grow without bound there")
         g = u.grid
-        return holder_quotient(u, alpha, (g.a, g.b))
+        return holder_quotient(u, alpha, (g.a, g.b)), None
     if p < 1.0:
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if not np.all(np.isfinite(u.values)):
@@ -549,18 +547,16 @@ def gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> float:
     rows = _gagliardo_modulus(u, p)
     full = _modulus_integral(rows, alpha, p)
     if full == 0.0:  # constant data: no modulus to fit
-        return 0.0
+        return 0.0, None
     smoothness = _modulus_decay(rows, u.grid.h) / p
     if math.isnan(smoothness):
         _warn(f"difference-quotient seminorm: divergence not checked on n={u.grid.n} "
               "cells (fewer than 8 offsets lie in the modulus fit window); "
               "reporting the value on this grid")
     elif smoothness < alpha:
-        _warn("difference-quotient seminorm grows without bound: its modulus "
-              f"omega_p(t)^p decays like t^s with s/p = {smoothness:.4g} < "
-              f"alpha = {alpha:g}; reporting +inf")
-        return math.inf
-    return full ** (1.0 / p)
+        return math.inf, ("grows without bound: its modulus omega_p(t)^p decays like t^s "
+                          f"with s/p = {smoothness:.4g} < alpha = {alpha:g}")
+    return full ** (1.0 / p), None
 
 
 def gagliardo_small_offset_bound(u: SampledFunction, alpha: float, p: float) -> float:

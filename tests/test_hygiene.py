@@ -183,8 +183,8 @@ def test_right_sides_come_from_reflection():
     """A right side is the left code on mirrored data (``operators._mirrored``),
     so ``spaces.py`` and ``verify.py`` name ``Side.RIGHT`` or compare with a
     ``Side`` member only where a side is parsed or named: the family parse of
-    ``spaces._one_sided_norm`` and the orientation pair of ``verify.check_ibp``."""
-    named = {("spaces.py", "_one_sided_norm"), ("verify.py", "check_ibp")}
+    ``spaces.sobolev_norm`` and the orientation pair of ``verify.check_ibp``."""
+    named = {("spaces.py", "sobolev_norm"), ("verify.py", "check_ibp")}
     found = []
     for name in ("spaces.py", "verify.py"):
         tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
@@ -202,6 +202,25 @@ def test_right_sides_come_from_reflection():
                 if any(x.startswith("Side.") for x in operands):
                     found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"a hand-written right side: {found}"
+
+
+def test_one_place_words_a_norm_divergence():
+    """A norm's +inf is worded in ``spaces.sobolev_norm`` alone, and a direct
+    seminorm call's in ``gagliardo_seminorm``: no other function of
+    ``spaces.py`` calls ``_warn``, except for the seminorm's "divergence not
+    checked" caveat on a finite value.  The separate one-sided assembly
+    ``_one_sided_norm`` is gone."""
+    tree = ast.parse((PACKAGE / "spaces.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_one_sided_norm" not in functions
+
+    def worded(node: ast.AST) -> bool:  # a _warn other than the caveat
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_warn" and "divergence not checked" not in ast.unparse(node))
+
+    found = [name for name in _innermost_functions(tree, worded)
+             if name not in ("sobolev_norm", "gagliardo_seminorm")]
+    assert not found, f"a second place that words a divergence: {found}"
 
 
 def test_one_kept_slot():
@@ -256,7 +275,7 @@ def test_one_endpoint_power_rule():
     ``spaces._lp_power_integral`` decides each recorded power once:
     ``operators.py`` and ``oracle.py`` pick no power by a ``min(``/``max(``
     with a ``key=``, and ``spaces._flagged_powers`` is called only from
-    ``_lp_power_integral`` and the p = inf branch of ``gagliardo_seminorm``."""
+    ``_lp_power_integral`` and the p = inf branch of ``_gagliardo_seminorm``."""
     found = []
     for name in ("operators.py", "oracle.py"):
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
@@ -264,7 +283,7 @@ def test_one_endpoint_power_rule():
                     and node.func.id in ("min", "max")
                     and any(k.arg == "key" for k in node.keywords)):
                 found.append(f"{name}:{node.lineno} {node.func.id}(key=)")
-    callers = {"_lp_power_integral", "gagliardo_seminorm"}
+    callers = {"_lp_power_integral", "_gagliardo_seminorm"}
     tree = ast.parse((PACKAGE / "spaces.py").read_text(encoding="utf-8"))
     for func in ast.walk(tree):
         if isinstance(func, ast.FunctionDef) and func.name not in callers:

@@ -101,6 +101,21 @@ class TestLpNorm:
         k = kappa(0.25, "left", unit_grid(1024))
         assert lp_norm(k, 2.0) == math.inf
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="FOUND: lp_norm returns +inf without a warning (ROADMAP item 10)",
+    )
+    def test_divergent_norm_warns_once(self):
+        # x^-1/2 is not in L^2: the module's divergence policy asks for +inf
+        # with one warning.  The same silence leaves the Poincare member
+        # x^-1/4 of verify's kernel_subtracted battery measuring nothing:
+        # its order-0.3 derivative records e = -0.55, and 1 + 2e < 0
+        u = sample(PowerSum(0.0, ((1.0, -0.5),)), unit_grid(1024))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert lp_norm(u, 2.0) == math.inf
+        assert len(rec) == 1
+
     def test_flagged_nodes_without_exclusion(self):
         k = kappa(0.5, "left", unit_grid(64))
         assert lp_norm(k, 2.0) == math.inf
@@ -208,6 +223,7 @@ class TestSobolevNorm:
         assert v == math.inf
         assert len(rec) == 1
         assert rec[0].filename == __file__
+        assert str(rec[0].message).startswith(f"{family} norm diverges: ")
         assert "without bound" in str(rec[0].message)
 
     @pytest.mark.parametrize(
@@ -246,13 +262,14 @@ class TestSobolevNorm:
             assert sobolev_norm(one, NormSpec("one_sided_left", FracOrder(0.6), 2.0)) == math.inf
         assert len(calls) == 1
 
-    def test_overflow_is_reported_as_overflow(self):
+    @pytest.mark.parametrize("family", [f for f in spaces._FAMILIES if f != "fourier"])
+    def test_overflow_is_reported_as_overflow(self, family):
         huge = SampledFunction(unit_grid(64), np.full(65, 1e200))
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            v = sobolev_norm(huge, NormSpec("one_sided_left", FracOrder(0.25), 2.0))
+            v = sobolev_norm(huge, NormSpec(family, FracOrder(0.25), 2.0))
         assert v == math.inf
-        assert "one_sided_left norm overflows" in str(rec[-1].message)
+        assert f"{family} norm overflows" in str(rec[-1].message)
 
     def test_zero_trace_vanishes_exactly_on_kernel(self):
         g = unit_grid(1024)
@@ -472,17 +489,26 @@ class TestGagliardoVerdicts:
         assert "grows without bound" in str(rec[0].message)
 
     def test_flagged_sample_at_p_inf_is_inf_with_one_warning(self):
-        # x^-1/4 has no bound at 0: its node there is flagged with the power
+        # x^-1/4 has no bound at 0: its node there is flagged with the power.
+        # The norm names its first diverging part, u itself; the seminorm
+        # alone words its own cause
         u = sample(PowerSum(0.0, ((1.0, -0.25),)), unit_grid(512))
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            v = sobolev_norm(u, NormSpec("gagliardo", FracOrder(0.3), math.inf))
-        assert v == math.inf
-        assert len(rec) == 1
-        assert rec[0].filename == __file__
-        message = str(rec[0].message)
-        assert "power 1 t^-0.25 at its left end" in message
-        assert "grow without bound" in message
+        for call, text in (
+            (lambda: sobolev_norm(u, NormSpec("gagliardo", FracOrder(0.3), math.inf)),
+             "gagliardo norm diverges: u^(0) has the endpoint power 1 t^-0.25 at its left "
+             "end, and with e < 0 it grows without bound there"),
+            (lambda: gagliardo_seminorm(u, 0.3, math.inf),
+             "difference-quotient seminorm at p = inf diverges: u has the endpoint power "
+             "1 t^-0.25 at its left end, and its difference quotients grow without bound "
+             "there; reporting +inf"),
+        ):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                v = call()
+            assert v == math.inf
+            assert len(rec) == 1
+            assert rec[0].filename == __file__
+            assert str(rec[0].message) == text
 
     def test_too_few_fit_rows_warn_that_divergence_was_not_checked(self):
         # on 14 cells fewer than 8 offsets lie in the fit window 2h <= t <= T/8
