@@ -21,13 +21,17 @@ outputs are direct sums, and those of longer inputs past them come from
 real FFT products over prefixes that grow by ``_LEVEL_FACTOR``, each
 padded only as far as the outputs it keeps need (the
 Hairer-Lubich-Schlichte split into a direct head and an FFT tail, with the
-tail in levels).  The values next to the base node, which the endpoint
+tail in levels).  A level from ``_BLOCK_START`` on is cut into blocks of
+its start's length and multiplied lag by lag in the frequency domain (the
+partitioned convolution of Stockham 1966), so its transforms stay
+cache-sized.  The values next to the base node, which the endpoint
 extrapolation and the singular-power fit read, are therefore exact sums
 at every grid size, and the FFT roundoff of an output is relative to
 terms at most a few levels further out.  The product is linear, so the
-head or a level that reads only zero samples is skipped and its outputs
-are exact zeros: an all-zero input (the regular part of a pure power) and
-the leading zeros of a compactly supported bump cost no transform.  Every
+head, a block or a level that reads only zero samples is skipped and its
+outputs are exact zeros: an all-zero input (the regular part of a pure
+power) and the leading zeros of a compactly supported bump cost no
+transform.  Every
 output that is computed is bitwise what the full path gives.
 
 What ``_toeplitz`` applies is a kernel plan (:class:`_Plan`): the direct
@@ -37,8 +41,10 @@ Marchaud also the window), so :func:`~fracsobolev.core._plan` keeps the
 last plan of each kind (product trapezoid, L1 slope, Grunwald-Letnikov,
 Marchaud), shared by both sides and by every caller, as it keeps the
 Fourier tables and spectral symbols.  Every plan is kept, whatever its
-size: the spectra take 18 to 27 bytes per cell and ``base`` 8 more (1.4
-and 1.9 MB at ``2^16`` cells).
+size: the spectra take 16 to 21 bytes per cell, ``base`` 8 more, and the
+taps of a one-output last block (``2^m + 1`` samples from ``2^13`` on) 8
+more (1.4 MB for the slope kernel and 2.4 MB for the product kernel at
+``2^16`` cells).
 
 Orders ``alpha = m + sigma`` above one take the order-``sigma`` operator
 and then ``m`` steps of :func:`nodal_derivative`, the one first derivative
@@ -123,6 +129,12 @@ _DIRECT_SIZE = 256
 # past the direct head, outputs [L, 4 L) come from the first 4 L samples;
 # the top level keeps [L, n), n < 8 L, from all n samples
 _LEVEL_FACTOR = 4
+# a level [L, stop) with L >= _BLOCK_START is cut into blocks of L samples,
+# each a 2 L-point transform (see _toeplitz).  In a sweep over 2^10 .. 2^16
+# samples, 1024 also sped 2^11 .. 2^12 products by 10-15% but changed their
+# bits; 4096 keeps every product of fewer than 8192 samples bitwise as it
+# was, and 16384 gave up most of the gain at 2^13 .. 2^14
+_BLOCK_START = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,19 +142,25 @@ class _Plan:
     """A kernel made ready for :func:`_toeplitz` products with ``n`` samples.
 
     ``head`` holds the first ``min(n, _DIRECT_SIZE)`` taps, summed
-    directly; ``levels`` holds ``(start, stop, size, spectrum)`` for each
-    FFT level, which keeps outputs ``[start, stop)``, with ``spectrum =
-    rfft(k[:stop], size)`` and ``size`` the power of two at least ``2 stop
-    - 1 - start`` (see :func:`_toeplitz`).  ``base`` holds the taps the
-    operator adds as ``x[0] * base`` to the product, for a base value the
-    Toeplitz form counts wrongly: the product kernel's right-end taps,
-    negated, and Marchaud's blend of ``x[0]`` with the zero left of the
-    window (None for the other kernels).  Every array is read-only.
+    directly.  ``levels`` holds ``(start, stop, block, size, spectra,
+    last)`` for each FFT level, which keeps outputs ``[start, stop)`` in
+    blocks of ``block`` samples, ``stop`` below ``_BLOCK_START`` and
+    ``start`` from it on, padded to ``size`` (see :func:`_toeplitz`).  Row
+    ``d`` of ``spectra`` is the ``rfft`` at ``size`` of the taps ``[d block,
+    (d+1) block)`` followed by zeros and, at the end, the taps ``(d block -
+    block, d block)``; for one block that is ``rfft(k[:stop], size)``.
+    ``last`` holds the taps ``k[stop-1::-1]`` when the last block would
+    keep one output, which is then a dot product, and is None otherwise.
+    ``base`` holds the taps the operator adds as ``x[0] * base`` to the
+    product, for a base value the Toeplitz form counts wrongly: the product
+    kernel's right-end taps, negated, and Marchaud's blend of ``x[0]`` with
+    the zero left of the window (None for the other kernels).  Every array
+    is read-only.
     """
 
     n: int
     head: np.ndarray
-    levels: tuple[tuple[int, int, int, np.ndarray], ...]
+    levels: tuple[tuple[int, int, int, int, np.ndarray, np.ndarray | None], ...]
     base: np.ndarray | None = None
 
     @classmethod
@@ -156,10 +174,20 @@ class _Plan:
             stop = _LEVEL_FACTOR * start
             if 2 * stop > n:
                 stop = n
-            # wrapped terms land only below start: the pad is the power of two
-            # >= 2 stop - 1 - start
-            size = 1 << (2 * stop - 2 - start).bit_length()
-            levels.append((start, stop, size, np.fft.rfft(k[:stop], size)))
+            block = stop if start < _BLOCK_START else start
+            # a block's wrapped terms land only on the outputs it drops
+            size = 1 << (2 * block - 2 - start % block).bit_length()
+            last = k[stop - 1 :: -1].copy() if stop % block == 1 else None
+            end = stop - (last is not None)
+            spectra = np.empty((-(-end // block), size // 2 + 1), dtype=complex)
+            for lag, low in enumerate(range(0, end, block)):
+                high = min(end, low + block)
+                taps = np.zeros(size)
+                taps[: high - low] = k[low:high]
+                if lag:  # the taps below low, wrapped to the end
+                    taps[size - block + 1 :] = k[low - block + 1 : low]
+                spectra[lag] = np.fft.rfft(taps, size)
+            levels.append((start, stop, block, size, spectra, last))
             start = stop
         plan = cls(n, k[: min(n, _DIRECT_SIZE)].copy(), tuple(levels), base)
         for array in plan.arrays():
@@ -168,7 +196,8 @@ class _Plan:
 
     def arrays(self) -> list[np.ndarray]:
         extra = [] if self.base is None else [self.base]
-        return [self.head, *(level[3] for level in self.levels), *extra]
+        lasts = [level[5] for level in self.levels if level[5] is not None]
+        return [self.head, *(level[4] for level in self.levels), *lasts, *extra]
 
 
 def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -178,39 +207,57 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
     k[j-i] x[i]``, with ``plan`` a :class:`_Plan` of ``k`` for ``len(x)``
     samples.  The first ``min(n, _DIRECT_SIZE)`` outputs, ``n = len(x)``,
     are direct sums over the plan's head, and the rest come in levels:
-    outputs ``[L, 4 L)`` from the product of the first ``4 L``
-    samples for ``L = _DIRECT_SIZE, 4 _DIRECT_SIZE, ...`` while ``2 * 4 L
-    <= n``, and the remaining outputs from the product of all ``n``.  A
-    level ``[start, stop)`` is one ``rfft``/``irfft`` pair zero-padded to
-    the power of two at least ``2 stop - 1 - start``: the terms that wrap
-    around land on outputs below ``start``, which the level discards.  An
-    FFT's error is relative to the largest terms it sums, so the small
-    values next to the base node are exact sums, and each level's roundoff
-    is relative to terms at most ``4`` (on the top level ``8``) times
-    further out instead of to the far end of the grid.  The lower levels
-    cost at most about 0.6 of the top product.
+    outputs ``[L, 4 L)`` from the first ``4 L`` samples for ``L =
+    _DIRECT_SIZE, 4 _DIRECT_SIZE, ...`` while ``2 * 4 L <= n``, and the
+    remaining outputs from all ``n``.  An FFT's error is relative to the
+    largest terms it sums, so the small values next to the base node are
+    exact sums, and each level's roundoff is relative to terms at most
+    ``4`` (on the top level ``8``) times further out instead of to the far
+    end of the grid.
 
-    The plan holds the kernel's spectrum for every level, so a kernel
-    applied to many inputs is transformed once.  The trimmed pad halves the
-    top product of the ``n + 1`` samples of :func:`frac_integral` and
-    :func:`gl_derivative` on ``2^m`` cells, to the pad of the ``n`` slopes
-    of :func:`rl_derivative`.  With levels growing by 8, the trim cost
-    accuracy: ``frac_integral`` of ``x`` at 1024 and 2048 cells had a worst
-    relative error of 6.4e-15 against 3.8e-15 untrimmed, and the canonical
-    suite's worst error grew from 10^-14.40 to 10^-14.20.  Levels growing
-    by 4 read the values just past the direct head from a product of 1024
-    samples, and with the trim they give 2.2e-15 and 10^-14.69.
+    A level ``[start, stop)`` cuts its samples and outputs into blocks of
+    ``B`` samples: one block, ``B = stop``, below ``_BLOCK_START``, and
+    ``B = start`` from it on (the partitioned convolution of Stockham
+    1966).  Each input block ``I`` is transformed once, and output block
+    ``J`` is one ``irfft`` of ``sum_{I<=J} X_I K_{J-I}``, ``K_d`` being the
+    plan's spectrum of the taps ``(d-1) B < m < (d+1) B``.  The pad is the
+    power of two at least ``2 B - 1 - start % B``: the terms that wrap
+    around land on outputs a block drops, which for one block are those
+    below ``start``.  When the last block would keep one output, at the
+    ``2^m + 1`` samples of :func:`frac_integral` and :func:`gl_derivative`
+    on ``2^m`` cells, that output is one dot product (``einsum``, not
+    BLAS) instead of a block of transforms: at ``65537`` samples the
+    product then took 0.76 of the time a full last block takes, and 0.53
+    at 8193.  At ``2^16`` cells the top level is seven 32768-point
+    transforms instead of one 131072-point pair, whose arrays do not fit a
+    2 MiB L2 cache, and the product took about 0.6 of its one-block time;
+    the lower levels cost about 0.3 of the top level.
+
+    The plan holds the kernel's spectra for every level, so a kernel
+    applied to many inputs is transformed once.  The trimmed pad of one
+    block, and the dot product of a one-output last block, keep the top
+    product of the ``n + 1`` samples of :func:`frac_integral` and
+    :func:`gl_derivative` on ``2^m`` cells to the transforms of the ``n``
+    slopes of :func:`rl_derivative`.  With levels growing by 8, the trim
+    cost accuracy: ``frac_integral`` of ``x`` at 1024 and 2048 cells had a
+    worst relative error of 6.4e-15 against 3.8e-15 untrimmed, and the
+    canonical suite's worst error grew from 10^-14.40 to 10^-14.20.
+    Levels growing by 4 read the values just past the direct head from a
+    product of 1024 samples, and with the trim they give 2.2e-15 and
+    10^-14.69.
 
     The product is linear, so every output below the index ``z`` of the
     first non-zero sample is zero (NaN and inf count as non-zero, ``-0.0``
     as zero).  An all-zero input gives ``np.zeros(n)``; otherwise the
-    direct head is skipped when ``z >= _DIRECT_SIZE``, and so is every
-    level with ``stop <= z``, and their outputs are exact zeros.  The
-    kernel-type samples reach this: the regular part left after splitting
-    off a pure power is all zero, and a compactly supported bump starts
-    with zeros.  Every part that runs reads the same samples, pad and
-    spectrum as without the skip, so every other output is bitwise
-    unchanged.
+    direct head, each output block and each last output whose outputs end
+    at or below ``z`` are skipped, and their outputs are exact zeros, and a
+    level transforms only its input blocks from the one that holds ``z``.
+    The kernel-type samples reach this: the regular part left after
+    splitting off a pure power is all zero, and a compactly supported bump
+    starts with zeros.  Every part that runs reads the same samples, pads
+    and spectra as without the skip and sums the same products in the same
+    order, less the trailing ones of all-zero blocks, so every other output
+    is bitwise unchanged.  A NaN reaches no output of an earlier block.
     """
     n = x.size
     if plan.n != n:
@@ -219,16 +266,35 @@ def _toeplitz(x: np.ndarray, plan: _Plan) -> np.ndarray:
     z = int(nonzero.argmax())
     if not nonzero[z]:
         return np.zeros(n)
-    out = np.zeros(n)
     head = slice(plan.head.size)
-    if z < plan.head.size:
+    if z < plan.head.size:  # then every part runs and writes its outputs
+        out = np.empty(n)
         out[head] = np.convolve(x[head], plan.head)[head]
-    for start, stop, size, spectrum in plan.levels:
+    else:
+        out = np.zeros(n)
+    for start, stop, block, size, spectra, last in plan.levels:
         if stop <= z:
             continue
-        product = np.fft.rfft(x[:stop], size)
-        product *= spectrum
-        out[start:stop] = np.fft.irfft(product, size)[start:stop]
+        end = stop
+        if last is not None:
+            end -= 1
+            out[end] = np.einsum("i,i->", x[:stop], last)
+        if end <= z:
+            continue
+        # input blocks from the one that holds z; output blocks down to the one
+        # that holds max(z, start), the last first, so that each takes its own
+        # input block in place
+        first = z // block
+        inputs = [np.fft.rfft(x[i : i + block], size) for i in range(first * block, end, block)]
+        for j in range(len(inputs) - 1, (z if z > start else start) // block - first - 1, -1):
+            product = inputs[j]
+            product *= spectra[0]
+            for lag in range(1, j + 1):
+                product += inputs[j - lag] * spectra[lag]
+            low = (first + j) * block
+            high = low + block if low + block < end else end
+            keep = low if low > start else start
+            out[keep:high] = np.fft.irfft(product, size)[keep - low : high - low]
     return out
 
 

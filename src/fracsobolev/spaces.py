@@ -150,8 +150,9 @@ def _lp_power_integral(u: SampledFunction, p: float) -> tuple[float, str | None]
     finite = np.isfinite(vals)
     if math.isinf(p):
         cells = np.maximum(vals[:-1], vals[1:])
-    else:  # in place: fewer fresh arrays at large n
-        vals **= p
+    else:  # in place: fewer fresh arrays at large n; past the float range is +inf
+        with np.errstate(over="ignore"):
+            vals **= p
         cells = vals[:-1] + vals[1:]
         cells *= 0.5
     if not finite.all():
@@ -171,11 +172,19 @@ def _lp_power_integral(u: SampledFunction, p: float) -> tuple[float, str | None]
             masses.append(abs(coeff) * h**exponent)
         else:
             moment = 1.0 + p * exponent
-            mass = abs(coeff) ** p * h**moment / moment
+            mass = _pth_power(abs(coeff), p) * h**moment / moment
             masses.append(mass * _end_cell_factor(terms, p, h) if len(terms) > 1 else mass)
     if math.isinf(p):
         return max([float(np.max(cells)), *masses]), reason
     return sum(masses, float(h * np.sum(cells))), reason
+
+
+def _pth_power(x: float, p: float) -> float:
+    """``x ** p`` for ``x >= 0``: +inf past the float range, where Python raises ``OverflowError``."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
 def _flagged_powers(u: SampledFunction) -> list[tuple[tuple, str]]:

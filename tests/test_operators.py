@@ -38,6 +38,7 @@ from fracsobolev.oracle import (
     sample_line,
 )
 from fracsobolev.operators import (
+    _BLOCK_START,
     _DIRECT_SIZE,
     KernelConstant,
     _Plan,
@@ -185,26 +186,69 @@ class TestToeplitzProduct:
             with pytest.raises(ValueError, match="kernel of"):
                 _toeplitz(x[:n], _Plan.build(np.ones(n - 1), n))
 
-    @pytest.mark.parametrize("n", [200, 1025, 8193, 16385])
+    @pytest.mark.parametrize("n", [8192, 8193, 16384, 16385, 20000, 65536, 65537])
+    def test_blocks_agree_with_direct_sums(self, n):
+        # the levels from _BLOCK_START on are blocks, those below it one
+        # block each; at 2^m + 1 samples the last block keeps one output
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        k = rng.standard_normal(n)
+        plan = _Plan.build(k, n)
+        assert [block == stop for start, stop, block, *_ in plan.levels] == [
+            start < _BLOCK_START for start, *_ in plan.levels
+        ]
+        assert (plan.levels[-1][5] is not None) == (n % 2 == 1)
+        direct = np.convolve(x, k)[:n]
+        scale = np.max(np.abs(x)) * np.sum(np.abs(k))
+        assert np.max(np.abs(_toeplitz(x, plan) - direct)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [1025, 8193, 16384, 20000, 65537])
+    def test_linear_past_the_head(self, n):
+        # with y = 0 below 5000, T(a x + b y) and a T(x) + b T(y) run
+        # different skips and blocks; measured at most 1.2e-17 of the scale
+        rng = np.random.default_rng(n + 1)
+        k = rng.standard_normal(n)
+        plan = _Plan.build(k, n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        y[:5000] = 0.0
+        for a, b in ((1.0, 1.0), (-0.3, 2.5), (1e3, -1e-3)):
+            lhs = _toeplitz(a * x + b * y, plan)
+            rhs = a * _toeplitz(x, plan) + b * _toeplitz(y, plan)
+            scale = (abs(a) * np.max(np.abs(x)) + abs(b) * np.max(np.abs(y))) * np.sum(np.abs(k))
+            assert np.max(np.abs(lhs - rhs)) <= 5e-17 * scale
+
+    @pytest.mark.parametrize("n", [200, 1025, 8193, 16385, 20000, 65537])
     def test_leading_zeros_skip_the_parts_that_read_only_zeros(self, n, monkeypatch):
         # below the first non-zero sample z every output is an exact +0.0;
-        # the direct head (z >= _DIRECT_SIZE) and each level with stop <= z
-        # make no transform, and every part that runs gives the bits of the
-        # level loop that skips nothing
+        # the direct head, each output block and a level's last output are
+        # the parts, and each part whose outputs end at or below z is
+        # skipped.  Each level transforms its input blocks from the one
+        # holding z on, and inverts its output blocks from the one holding
+        # max(z, start) on.  Every part that runs gives the bits of the
+        # level loop that skips nothing.
         rng = np.random.default_rng(8)
         plan = _Plan.build(rng.standard_normal(n), n)
         samples = rng.standard_normal(n)
-        cases = []
-        for z in sorted({0, 1, 255, 256, 257, 1023, 1024, 4096, n - 1, n}):
+        cases, reached = [], []
+        inside = (5000, 12300, 17000, 40000, n - 2)  # zeros ending inside a block
+        for z in sorted({0, 1, 255, 256, 257, 1023, 1024, 4096, 8192, *inside, n - 1, n}):
             if z <= n:
                 x = samples.copy()
                 x[:z] = 0.0
                 x[: z // 2] = -0.0  # counts as zero
                 cases.append((z, x))
-        nan = samples.copy()
-        nan[:257] = 0.0
-        nan[257 % n] = math.nan
-        cases.append((257 % n, nan))
+        for at in (257, 5000, 12300):  # a NaN after zeros, and one inside a block
+            nan = samples.copy()
+            nan[: at % n] = 0.0
+            nan[at % n] = math.nan
+            cases.append((at % n, nan))
+            inner = samples.copy()
+            inner[at % n] = math.nan
+            cases.append((0, inner))
+            # a NaN reaches no output below the part that reads it first
+            first = [max(start, at % n // block * block)
+                     for start, stop, block, *_ in plan.levels if stop > at % n]
+            reached.append((inner, min(first) if at % n >= plan.head.size else 0))
         calls = []
 
         def counted(kind, function):
@@ -214,22 +258,31 @@ class TestToeplitzProduct:
 
             return wrapper
 
-        convolve, rfft = np.convolve, np.fft.rfft
-        head = min(n, _DIRECT_SIZE)
-        stops = [stop for _, stop, _, _ in plan.levels]
+        head = plan.head.size
+        ends = [head]
+        for start, stop, block, _, spectra, last in plan.levels:
+            end = stop - (last is not None)
+            ends += [min(end, (j + 1) * block) for j in range(start // block, len(spectra))]
+            ends += [stop] if last is not None else []
         for z, x in cases:
             expected = every_level(x, plan)
             # the parts that end at or below z are skipped
-            expected[: max((end for end in (head, *stops) if end <= z), default=0)] = 0.0
+            expected[: max((end for end in ends if end <= z), default=0)] = 0.0
             runs = [("convolve", head)] if z < head else []
-            runs += [("rfft", stop) for stop in stops if stop > z]
-            monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
-            monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+            for start, stop, block, size, spectra, last in plan.levels:
+                end = stop - (last is not None)
+                if z < end:
+                    runs += [("rfft", min(end - i * block, block)) for i in range(z // block, len(spectra))]
+                    runs += [("irfft", size // 2 + 1)] * (len(spectra) - max(z, start) // block)
+            for kind, module in (("convolve", np), ("rfft", np.fft), ("irfft", np.fft)):
+                monkeypatch.setattr(module, kind, counted(kind, getattr(module, kind)))
             calls.clear()
             out = _toeplitz(x, plan)
             monkeypatch.undo()
             assert np.array_equal(out.view(np.int64), expected.view(np.int64)), z
             assert calls == runs, z
+        for x, low in reached:
+            assert np.isfinite(_toeplitz(x, plan)[:low]).all()
         # the plan's size is checked before the skip
         with pytest.raises(ValueError, match="kernel plan for"):
             _toeplitz(np.zeros(n - 1), plan)
@@ -273,7 +326,7 @@ class TestToeplitzProduct:
 
         def recorded(kind, fft):
             def wrapper(a, size, *args, **kwargs):
-                calls.append((kind, np.shape(a)[-1], size))
+                calls.append((kind, *np.shape(a), size))
                 return fft(a, size, *args, **kwargs)
 
             return wrapper
@@ -292,14 +345,25 @@ class TestToeplitzProduct:
             starts = [level[0] for level in plan.levels]
             stops = [level[1] for level in plan.levels]
             assert starts == [_DIRECT_SIZE, *stops[:-1]] and stops[-1] == plan.n
-            for start, stop, size, _ in plan.levels:
-                kept = 2 * stop - 1 - start
+            expected = []
+            for start, stop, block, size, spectra, last in plan.levels:
+                # one block below _BLOCK_START, blocks of start samples from it on
+                assert block == (stop if start < _BLOCK_START else start)
+                # a block's wrapped terms land only on the outputs it drops
+                kept = 2 * block - 1 - start % block
                 assert size & (size - 1) == 0 and size // 2 < kept <= size
-            # one kernel and one sample transform per level, and one inverse
-            levels = sorted((stop, size) for _, stop, size, _ in plan.levels)
-            assert sorted(c[1:] for c in calls if c[0] == "rfft") == sorted(levels * 2)
-            assert sorted(c[2] for c in calls if c[0] == "irfft") == [size for _, size in levels]
-            largest[name] = max(size for _, size in levels)
+                # the last output is a dot product when its block keeps only it
+                assert (last is not None) == (stop % block == 1)
+                end = stop - (last is not None)
+                lags = -(-end // block)
+                assert spectra.shape == (lags, size // 2 + 1)
+                # one kernel transform per lag, one sample transform per input
+                # block, and one inverse per output block from start on
+                expected += [("rfft", size, size)] * lags
+                expected += [("rfft", min(end - i * block, block), size) for i in range(lags)]
+                expected += [("irfft", size // 2 + 1, size)] * (lags - start // block)
+            assert sorted(calls) == sorted(expected)
+            largest[name] = max(size for _, _, _, size, _, _ in plan.levels)
         assert largest["frac_integral"] <= largest["rl_derivative"]
         assert largest["gl_derivative"] <= largest["rl_derivative"]
 
@@ -339,14 +403,23 @@ class TestToeplitzProduct:
 
 
 def every_level(x: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Reference: the direct head and every FFT level of ``plan``, none skipped."""
-    n = x.size
-    if n <= _DIRECT_SIZE:
-        return np.convolve(x, plan.head)[:n]
-    out = np.empty(n)
-    out[:_DIRECT_SIZE] = np.convolve(x[:_DIRECT_SIZE], plan.head)[:_DIRECT_SIZE]
-    for start, stop, size, spectrum in plan.levels:
-        out[start:stop] = np.fft.irfft(np.fft.rfft(x[:stop], size) * spectrum, size)[start:stop]
+    """Reference: the direct head and every block of every FFT level of ``plan``, none skipped."""
+    head = plan.head.size
+    out = np.empty(x.size)
+    out[:head] = np.convolve(x[:head], plan.head)[:head]
+    for start, stop, block, size, spectra, last in plan.levels:
+        end = stop - (last is not None)
+        padded = np.zeros(len(spectra) * block)
+        padded[:end] = x[:end]
+        spectrum = np.fft.rfft(padded.reshape(-1, block), size)
+        for j in range(start // block, len(spectra)):
+            product = spectrum[j] * spectra[0]
+            for lag in range(1, j + 1):
+                product += spectrum[j - lag] * spectra[lag]
+            low, high = max(start, j * block), min(end, (j + 1) * block)
+            out[low:high] = np.fft.irfft(product, size)[low - j * block : high - j * block]
+        if last is not None:
+            out[stop - 1] = np.einsum("i,i->", x[:stop], last)
     return out
 
 
@@ -393,7 +466,7 @@ class TestKernelPlans:
         vals[0] = vals[-1] = 0.0  # no base-node kernel term on either side
         return SampledFunction(unit_grid(n), vals)
 
-    @pytest.mark.parametrize("n", [256, 257, 2048, 20000, 65536])
+    @pytest.mark.parametrize("n", [256, 257, 2048, 8192, 16384, 20000, 65536])
     @pytest.mark.parametrize("name", sorted(PLANNED))
     def test_reused_plans_match_fresh_products(self, name, n):
         op = getattr(operators, name)

@@ -101,6 +101,15 @@ class TestLpNorm:
         k = kappa(0.25, "left", unit_grid(1024))
         assert lp_norm(k, 2.0) == math.inf
 
+    def test_a_huge_recorded_power_overflows_to_inf(self):
+        # |c|^p of the closed-form end cell and the samples' p-th powers pass
+        # the float range: +inf, with no OverflowError and no numpy warning
+        u = sample(PowerSum(0.0, ((1e200, -0.25),)), Grid(0.0, 1.0, 64))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert lp_norm(u, 2.0) == math.inf
+        assert not rec
+
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="FOUND: lp_norm returns +inf without a warning (ROADMAP item 10)",
@@ -270,6 +279,26 @@ class TestSobolevNorm:
             v = sobolev_norm(huge, NormSpec(family, FracOrder(0.25), 2.0))
         assert v == math.inf
         assert f"{family} norm overflows" in str(rec[-1].message)
+
+    @pytest.mark.parametrize("family", ["one_sided_left", "symmetric"])
+    @pytest.mark.parametrize(
+        "alpha, cause",
+        [
+            (0.2, "overflows: the p-th powers of the samples exceed the float range"),
+            # the order-0.25 image of x^-1/4 is x^-1/2, not square integrable
+            (0.25, "diverges: the order-0.25 left derivative has the endpoint power 6.91367e+199 "
+                   "t^-0.5 at its left end"),
+        ],
+        ids=["overflow", "divergence"],
+    )
+    def test_a_huge_recorded_power_gives_inf_and_one_warning(self, family, alpha, cause):
+        u = sample(PowerSum(0.0, ((1e200, -0.25),)), Grid(0.0, 1.0, 64))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert sobolev_norm(u, NormSpec(family, FracOrder(alpha), 2.0)) == math.inf
+        assert [(w.category, str(w.message).startswith(f"{family} norm {cause}")) for w in rec] == [
+            (UserWarning, True)
+        ]
 
     def test_zero_trace_vanishes_exactly_on_kernel(self):
         g = unit_grid(1024)
