@@ -116,6 +116,8 @@ class Grid:
     on_line: bool = False
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"grid ends must be finite, got a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError(f"empty interval: a={self.a}, b={self.b}")
         if self.n < 1:

@@ -35,9 +35,10 @@ non-integrable endpoint power ``c t^e`` (``1 + p e <= 0``; at ``p = inf``,
 by the one cell rule of :func:`lp_norm`; each step of
 :func:`~fracsobolev.operators.nodal_derivative` maps ``c t^e`` to ``(+-c
 e, e - 1)``, so the norms see the power the classical derivatives leave.
-The seminorm is +inf when the fitted decay of its modulus is too slow for
-the order, or at ``p = inf`` when a sample is flagged; called directly,
-:func:`gagliardo_seminorm` words that in its own warning.
+The seminorm, one integral over every offset, is +inf when the fitted
+decay of its modulus is too slow for the order, at order 1 unless ``u`` is
+constant (a whole order takes ``u^(m+1)``), or at ``p = inf`` when a sample
+is flagged; called directly, :func:`gagliardo_seminorm` words that itself.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "lp_norm",
     "sobolev_norm",
     "gagliardo_seminorm",
-    "gagliardo_small_offset_bound",
     "fourier_seminorm",
     "trace",
     "holder_quotient",
@@ -115,7 +115,7 @@ class NormSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if not (math.isinf(self.p) or self.p >= 1.0):
+        if not self.p >= 1.0:  # NaN and -inf too
             raise ValueError(f"p must lie in [1, inf], got {self.p}")
 
 
@@ -239,7 +239,7 @@ def lp_norm(u: SampledFunction, p: float) -> float:
     exactly when such a power has ``c != 0`` and ``1 + p e <= 0``, which at
     ``p = inf`` reads ``e < 0``.
     """
-    if not (math.isinf(p) or p >= 1.0):
+    if not p >= 1.0:  # NaN and -inf too
         raise ValueError(f"p must lie in [1, inf], got {p}")
     total = _lp_power_integral(u, p)[0]
     return total if math.isinf(p) else total ** (1.0 / p)
@@ -251,16 +251,19 @@ def lp_norm(u: SampledFunction, p: float) -> float:
 
 def _norm_parts(u: SampledFunction, spec: NormSpec, side: Side | None) -> list[tuple[float, str | None]]:
     """``(p-th power or sup, reason it is +inf or None)`` of ``u, ..., u^(m)`` (none for a
-    zero trace), then of the ``side`` derivative or, with no side, the seminorm of ``u^(m)``."""
+    zero trace), then of the ``side`` derivative or, with no side, the seminorm of ``u^(m)``
+    (at a whole order ``u^(m+1)``, as the order-1 seminorm is +inf unless ``u^(m)`` is constant)."""
     alpha, p = spec.alpha, spec.p
     chain = [] if spec.family.startswith("zero_trace") else [u]
     while chain and len(chain) <= alpha.m:
         chain.append(nodal_derivative(chain[-1]))
-    if side is None:
+    if side is not None:
+        last = _lp_power_integral(frac_derivative(u, alpha.alpha, side, scheme=_default_scheme(u)), p)
+    elif alpha.sigma == 1.0:
+        last = _lp_power_integral(nodal_derivative(chain[-1]), p)
+    else:
         semi, reason = _gagliardo_seminorm(chain[-1], alpha.sigma, p)
         last = (semi if math.isinf(p) else semi**p, reason)
-    else:
-        last = _lp_power_integral(frac_derivative(u, alpha.alpha, side, scheme=_default_scheme(u)), p)
     return [_lp_power_integral(w, p) for w in chain] + [last]
 
 
@@ -301,6 +304,7 @@ def sobolev_norm(u: SampledFunction, spec: NormSpec) -> float:
         return total
     names = [f"u^({k}) has" for k in range(len(parts) - 1)]
     names.append(f"the order-{alpha.alpha:g} {side.value} derivative has" if side is not None else
+                 f"u^({alpha.m + 1}) has" if alpha.sigma == 1.0 else
                  f"the order-{alpha.sigma:g} difference-quotient seminorm of u^({alpha.m})")
     cause = next((f"diverges: {name} {reason}" for name, (_, reason) in zip(names, parts) if reason),
                  "overflows: the p-th powers of the samples exceed the float range")
@@ -478,6 +482,27 @@ def _modulus_integral(rows: _Modulus, alpha: float, p: float) -> float:
     return 2.0 * total
 
 
+def _sub_cell_strip(u: SampledFunction, alpha: float, p: float) -> float:
+    """``2 int_0^{h/2} t^{-1-alpha p} omega_p(t)^p dt`` on the interpolant, for ``alpha < 1``.
+
+    For ``t <= h``, ``omega_p(t)^p = (h - t) t^p A + t^(p+1) C``: ``A = sum
+    |s_j|^p`` over the cell slopes, and across each node the difference runs
+    linearly from ``s_j t`` to ``s_{j+1} t``, so ``C = sum kappa(s_j,
+    s_{j+1})``, ``kappa(a, b) = (b|b|^p - a|a|^p) / ((p+1)(b - a))`` the mean
+    of ``|y|^p`` from ``a`` to ``b``.  On the line the samples gain two zeros
+    at each end: the interpolant ramps to 0 (a cut is +inf at ``alpha p >= 1``).
+    """
+    slopes = np.diff(np.pad(u.values, 2) if u.grid.on_line else u.values) / u.grid.h
+    powers, a, b = np.abs(slopes) ** p, slopes[:-1], slopes[1:]
+    # against mpmath (p = 1 to 6) kappa's quotient errs by 1.5e-16 / r, r = 2 |b - a| / |a + b|, and
+    # |(a + b)/2|^p by p |p - 1| r^2 / 24: at r = 1e-5 both err by at most 2.5e-11 for p <= 3
+    far = np.abs(b - a) > 0.5e-5 * np.abs(a + b)
+    kappa = np.abs(0.5 * (a + b)) ** p
+    kappa[far] = np.diff(slopes * powers)[far] / ((p + 1.0) * (b - a)[far])
+    cells, gap, tau = float(np.sum(powers)), p * (1.0 - alpha), 0.5 * u.grid.h
+    return 2.0 * tau ** (gap + 1.0) * (2.0 * cells / gap + (float(np.sum(kappa)) - cells) / (gap + 1.0))
+
+
 def _modulus_decay(rows: _Modulus, h: float) -> float:
     """Least-squares exponent ``s`` of ``omega_p(t)^p ~ t^s`` at small offsets.
 
@@ -501,28 +526,21 @@ def gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> float:
 
     ``p = inf`` returns the Hölder-type sup over node pairs, or +inf with a
     warning that names the flagged end (and its recorded power) when a
-    sample is flagged.  Otherwise the
-    seminorm's p-th power is ``int_0^T t^{-1-alpha p} omega_p(t)^p dt`` (up
-    to a factor 2) with the modulus ``omega_p(t)^p = int |u(x+t)-u(x)|^p
-    dx``, and it is finite iff ``omega_p(t)^p`` decays faster than
-    ``t^{alpha p}`` (the Besov characterisation; Di Nezza-Palatucci-Valdinoci
-    2012).  That one rule decides: with ``s`` the exponent of
-    ``omega_p(t)^p ~ t^s`` fitted by :func:`_modulus_decay` to the rows the
-    integral is summed from, the value on this grid is returned when ``s/p
-    >= alpha`` and +inf, with a warning that gives ``s/p``, when ``s/p <
-    alpha``.  When too few rows lie in the fit window (fewer than 8, as on
-    14 cells) the finite value comes back with a warning that divergence was
-    not checked.  The samples are read as given: no other grid is built.
-    The sub-grid offsets ``t < h/2`` are excluded;
-    :func:`gagliardo_small_offset_bound` bounds what they could contribute.
+    sample is flagged.  Otherwise the p-th power is one integral over every
+    offset, ``2 int_0^inf t^{-1-alpha p} omega_p(t)^p dt``, ``omega_p(t)^p =
+    int |u(x+t)-u(x)|^p dx`` on the interpolant: the strip ``t < h/2`` in
+    closed form (:func:`_sub_cell_strip`), the rows from ``h/2`` to the
+    domain width ``T`` (:func:`_gagliardo_modulus`) and, on the line, the
+    tail past ``T``, ``u`` being 0 outside the window.
 
-    On the line ``u`` is 0 outside the window and each row is one sum over
-    R by one rule, the strip left of the window included (see
-    :func:`_gagliardo_modulus`), so moving the samples by whole nodes moves
-    the value by roundoff only.  ``p = 2`` costs ``O(n log n)`` (one FFT
-    autocorrelation plus directly summed short lags), other ``p`` ``O(n)``
-    per offset; both agree with interpolating each offset to about 1e-14
-    relative.
+    It is finite iff ``omega_p(t)^p`` decays faster than ``t^{alpha p}``
+    (Di Nezza-Palatucci-Valdinoci 2012): with ``s`` the exponent of
+    ``omega_p(t)^p ~ t^s`` fitted to the rows by :func:`_modulus_decay`,
+    +inf comes back, with a warning that gives ``s/p``, when ``s/p <
+    alpha``; with fewer than 8 rows in the fit window (as on 14 cells), the
+    value comes with a warning that divergence was not checked.  At ``alpha
+    = 1`` the strip's ``int t^-1 dt`` makes every non-constant ``u`` +inf,
+    with a warning (Bourgain-Brezis-Mironescu 2001).  No other grid is built.
     """
     value, reason = _gagliardo_seminorm(u, alpha, p)
     if reason is not None:
@@ -534,6 +552,8 @@ def _gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> tuple[flo
     """:func:`gagliardo_seminorm` as ``(value, reason)``: why the value is +inf, or None."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"difference-quotient order must lie in (0, 1], got {alpha}")
+    if not p >= 1.0:  # NaN and -inf too
+        raise ValueError(f"p must lie in [1, inf], got {p}")
     if math.isinf(p):
         flagged = np.flatnonzero(~np.isfinite(u.values))
         if flagged.size:
@@ -548,8 +568,6 @@ def _gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> tuple[flo
                               "and its difference quotients grow without bound there")
         g = u.grid
         return holder_quotient(u, alpha, (g.a, g.b)), None
-    if p < 1.0:
-        raise ValueError(f"p must lie in [1, inf], got {p}")
     if not np.all(np.isfinite(u.values)):
         raise ValueError("difference-quotient seminorm needs finite samples")
 
@@ -557,6 +575,9 @@ def _gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> tuple[flo
     full = _modulus_integral(rows, alpha, p)
     if full == 0.0:  # constant data: no modulus to fit
         return 0.0, None
+    if alpha == 1.0:  # the strip's int t^-1 dt: Bourgain-Brezis-Mironescu 2001
+        return math.inf, "at alpha = 1 grows without bound: omega_p(t)^p ~ t^p makes int_0 t^-1 dt diverge"
+    full += _sub_cell_strip(u, alpha, p)
     smoothness = _modulus_decay(rows, u.grid.h) / p
     if math.isnan(smoothness):
         _warn(f"difference-quotient seminorm: divergence not checked on n={u.grid.n} "
@@ -566,19 +587,6 @@ def _gagliardo_seminorm(u: SampledFunction, alpha: float, p: float) -> tuple[flo
         return math.inf, ("grows without bound: its modulus omega_p(t)^p decays like t^s "
                           f"with s/p = {smoothness:.4g} < alpha = {alpha:g}")
     return full ** (1.0 / p), None
-
-
-def gagliardo_small_offset_bound(u: SampledFunction, alpha: float, p: float) -> float:
-    """Bound on the excluded ``t < h/2`` part of the seminorm's p-th power.
-
-    Uses ``|u(x+t)-u(x)| <= Lip * t`` with the interpolant's Lipschitz
-    constant; deliberately an error bar, never added to the value.
-    """
-    h = u.grid.h
-    lip = float(np.max(np.abs(np.diff(u.values)))) / h
-    measure = u.grid.width
-    rate = p * (1.0 - alpha)
-    return 2.0 * measure * lip**p * (h / 2.0) ** rate / rate
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +668,7 @@ def _moment_window(u: SampledFunction) -> None:
 def fourier_seminorm(u: SampledFunction, s: float, p: float) -> float:
     """``int (1 + |xi|^{sp}) |uhat|^p dxi`` on the discrete frequency grid."""
     _moment_window(u)
-    if math.isinf(p) or p < 1.0:
+    if not 1.0 <= p < math.inf:  # NaN and -inf too
         raise ValueError(f"p must lie in [1, inf), got {p}")
     xi, uhat = _spectrum(u)
     dxi = float(xi[1] - xi[0])

@@ -217,10 +217,9 @@ class TestNormCommand:
                     "--fn", "gauss:mu=0;s=1", "--line", "16,4096")
         assert r.returncode == 0, r.stderr
         value = float(r.stdout.strip())
-        assert value == pytest.approx(2.8370174165894184, rel=1e-9)
-        # exact: (||u||_2^2 + 2 pi)^{1/2} = (sqrt(pi) + 2 pi)^{1/2}; the grid
-        # misses the offsets below h/2 (gagliardo_small_offset_bound)
-        assert value == pytest.approx(2.838245788878247, rel=5e-4)
+        assert value == pytest.approx(2.8382373739088269, rel=1e-9)
+        # exact: (||u||_2^2 + 2 pi)^{1/2} = (sqrt(pi) + 2 pi)^{1/2}
+        assert value == pytest.approx(2.838245788878247, rel=1e-5)
 
     def test_json_sidecar(self, tmp_path):
         out = tmp_path / "norm.json"
@@ -283,6 +282,25 @@ class TestNormCommand:
                     "--fn", "const:1")
         assert r.returncode == 2
         assert "besov" in r.stderr
+
+    @pytest.mark.parametrize("p", ["-inf", "nan"])
+    def test_p_below_one_in_any_spelling_is_a_usage_error(self, p):
+        # --p=-inf printed the value of --p=inf and exited 0
+        r = run_cli("norm", "--space", "gagliardo", "--alpha", "0.5", f"--p={p}",
+                    "--fn", "gauss:mu=0.5;s=0.1", "--grid", "0,1,256")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("frac: p must lie in [1, inf]")
+
+    @pytest.mark.parametrize("space, domain", [("fourier", ["--line", "inf,64"]),
+                                               ("one_sided_left", ["--grid", "0,inf,64"])])
+    def test_an_infinite_grid_end_is_a_usage_error(self, space, domain):
+        # the line window died in a ZeroDivisionError traceback (exit 1), and
+        # the interval printed inf under a false overflow warning
+        r = run_cli("norm", "--space", space, "--alpha", "0.5", "--fn", "gauss:mu=0;s=1", *domain)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("frac: grid ends must be finite")
 
     def test_explicit_zero_p_is_not_the_default(self, capsys):
         code = main(["norm", "--space", "one_sided_left", "--alpha", "0.3", "--p", "0",

@@ -264,6 +264,12 @@ class TestDataModel:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 0)
 
+    def test_grid_ends_must_be_finite(self):
+        # an infinite end passed b > a, and its h was inf or nan
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+            with pytest.raises(ValueError, match="grid ends must be finite"):
+                Grid(a, b, 8)
+
     def test_grid_nodes(self):
         g = uniform_grid(0.0, 1.0, 4)
         assert np.allclose(g.nodes, [0, 0.25, 0.5, 0.75, 1.0])
